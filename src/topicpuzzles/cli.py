@@ -315,6 +315,13 @@ def cmd_eval_yield(args):
                     rho=float(
                         overrides.get("rho", _setting(args, config, "rho", 0.0))
                     ),
+                    regularizer=overrides.get(
+                        "regularizer",
+                        _setting(args, config, "regularizer", topic_models.L1),
+                    ),
+                    n_groups=int(
+                        overrides.get("n-groups", _setting(args, config, "n-groups", 2))
+                    ),
                     epochs=int(
                         overrides.get("epochs", _setting(args, config, "epochs", 5))
                     ),
@@ -438,7 +445,7 @@ def main(argv=None):
     except (UsageError, corpus.CorpusFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:

@@ -197,13 +197,23 @@ def save_consistent_sets(sets, path):
             fh.write("\n")
 
 
+_SET_KEYS = ("topic", "words", "word_indices", "score", "delta")
+
+
 def load_consistent_sets(path):
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"{path} line {lineno}: expected an object")
+            missing = [key for key in _SET_KEYS if key not in record]
+            if missing:
+                raise ValueError(
+                    f"{path} line {lineno}: missing key(s) {', '.join(missing)}"
+                )
             out.append(
                 ConsistentSet(
                     topic_index=record["topic"],

@@ -313,13 +313,22 @@ def save_doc_term_matrix(dtm, path):
         fh.write("\n")
 
 
+_DTM_KEYS = (
+    "weighting", "n_words", "n_docs", "vocab", "doc_freq", "vocab_n_docs",
+    "doc_ids", "triplets",
+)
+
+
 def load_doc_term_matrix(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != DTM_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != DTM_FORMAT:
         raise ValueError(f"{path}: not a document-term matrix file")
     if payload.get("version") != DTM_VERSION:
         raise ValueError(f"{path}: unsupported version {payload.get('version')}")
+    missing = [key for key in _DTM_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     rows = [t[0] for t in payload["triplets"]]
     cols = [t[1] for t in payload["triplets"]]
     data = [t[2] for t in payload["triplets"]]

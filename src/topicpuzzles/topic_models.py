@@ -202,20 +202,121 @@ def lsa_fit(X, n_topics, seed=0, n_power_iters=16, oversampling=8):
 
 LdaState = namedtuple("LdaState", "sweep word_topic topic_counts doc_topic")
 
+# Topic count from which lda_fit samples with the numpy row kernel. Below it a
+# Python loop over K costs less per token than the row kernel's fixed numpy
+# call overhead. Measured, not tuned per corpus; see the crossover table in
+# CHANGES.md.
+_ROW_KERNEL_MIN_TOPICS = 20
+
+# Uniforms are drawn this many at a time. rng.random(n) continues the same
+# PCG64 stream as n calls of rng.random(), so the chunk size changes no draw.
+_UNIFORM_CHUNK = 4096
+
 
 def _token_stream(matrix):
-    """Flatten a raw-count matrix into parallel word/doc index lists,
+    """Flatten a raw-count matrix into parallel word/doc index arrays,
     column by column with rows ascending (deterministic)."""
     m = matrix.tocsc()
     m.sort_indices()
-    words, docs = [], []
-    indptr, indices, data = m.indptr, m.indices, m.data
-    for j in range(m.shape[1]):
-        for p in range(indptr[j], indptr[j + 1]):
-            count = int(round(data[p]))
-            words.extend([int(indices[p])] * count)
-            docs.extend([j] * count)
-    return words, docs
+    counts = np.rint(m.data).astype(np.int64)
+    cols = np.repeat(np.arange(m.shape[1], dtype=np.int64), np.diff(m.indptr))
+    return np.repeat(m.indices.astype(np.int64), counts), np.repeat(cols, counts)
+
+
+def _count_table(rows, z, n_rows, k):
+    """rows x K table of token counts per (row, topic), as nested lists."""
+    flat = np.bincount(rows * k + z, minlength=n_rows * k)
+    return flat.reshape(n_rows, k).tolist()
+
+
+def _uniform_chunks(rng, n_tokens):
+    """(first token, uniforms) for consecutive chunks of one sweep."""
+    for start in range(0, n_tokens, _UNIFORM_CHUNK):
+        yield start, rng.random(min(_UNIFORM_CHUNK, n_tokens - start)).tolist()
+
+
+def _sweep_lists(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, rng):
+    """One Gibbs sweep with each token's K weights built in a Python loop."""
+    k = len(n_t)
+    p = [0.0] * k
+    topics = range(k)
+    for start, uniforms in _uniform_chunks(rng, len(z)):
+        for idx, r in enumerate(uniforms, start):
+            t_old = z[idx]
+            nw = n_wt[words[idx]]
+            nd = n_dt[docs[idx]]
+            nw[t_old] -= 1
+            nd[t_old] -= 1
+            n_t[t_old] -= 1
+            total = 0.0
+            for t in topics:
+                pt = (nw[t] + beta) * (nd[t] + alpha) / (n_t[t] + nbeta)
+                p[t] = pt
+                total += pt
+            u = r * total
+            acc = 0.0
+            t_new = k - 1
+            for t in topics:
+                acc += p[t]
+                if u < acc:
+                    t_new = t
+                    break
+            z[idx] = t_new
+            nw[t_new] += 1
+            nd[t_new] += 1
+            n_t[t_new] += 1
+
+
+def _sweep_rows(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, rng):
+    """One Gibbs sweep with each token's K weights built by numpy row ops.
+
+    Float tables hold count + prior beside the integer counts. A changed
+    cell is assigned ``count + prior`` from its integer count, never
+    incremented in place, so every operand equals the list kernel's. The
+    weights are then formed in the list kernel's order (multiply, divide)
+    and accumulated left to right by cumsum, and searchsorted(side="right")
+    finds the same first partial sum above u: the draws are bit-identical.
+    """
+    last = len(n_t) - 1
+    # Lists of row views: a list lookup costs less than indexing a 2-D array.
+    f_wt = list(np.array(n_wt, dtype=np.float64) + beta)
+    f_dt = list(np.array(n_dt, dtype=np.float64) + alpha)
+    f_t = np.array(n_t, dtype=np.float64) + nbeta
+    acc = np.empty(len(n_t))
+    multiply, divide, cumsum = np.multiply, np.divide, np.add.accumulate
+    searchsorted = acc.searchsorted
+    for start, uniforms in _uniform_chunks(rng, len(z)):
+        for idx, r in enumerate(uniforms, start):
+            t = z[idx]
+            w = words[idx]
+            d = docs[idx]
+            nw, fw = n_wt[w], f_wt[w]
+            nd, fd = n_dt[d], f_dt[d]
+            c = nw[t] - 1
+            nw[t] = c
+            fw[t] = c + beta
+            c = nd[t] - 1
+            nd[t] = c
+            fd[t] = c + alpha
+            c = n_t[t] - 1
+            n_t[t] = c
+            f_t[t] = c + nbeta
+            multiply(fw, fd, acc)
+            divide(acc, f_t, acc)
+            cumsum(acc, out=acc)
+            t = int(searchsorted(r * acc[last], "right"))
+            if t > last:
+                t = last
+            z[idx] = t
+            c = nw[t] + 1
+            nw[t] = c
+            fw[t] = c + beta
+            c = nd[t] + 1
+            nd[t] = c
+            fd[t] = c + alpha
+            c = n_t[t] + 1
+            n_t[t] = c
+            f_t[t] = c + nbeta
 
 
 def lda_fit(X, config, sweep_hook=None):
@@ -224,6 +325,11 @@ def lda_fit(X, config, sweep_hook=None):
     Topics are the posterior-mean word distributions
     (count(word, topic) + beta) / (count(topic) + N*beta), averaged over
     the final 20% of sweeps. Deterministic for a fixed seed.
+
+    Each sweep runs one of two kernels chosen by the topic count: a Python
+    loop over K below ``_ROW_KERNEL_MIN_TOPICS`` topics, numpy row ops from
+    there on. Both compute the same arithmetic in the same order from the
+    same uniforms, so the weights do not depend on which one ran.
 
     ``sweep_hook(state)`` is called after every sweep with copies of the
     count tables (an LdaState), for diagnostics and invariant checks.
@@ -242,52 +348,19 @@ def lda_fit(X, config, sweep_hook=None):
     alpha, beta = config.alpha, config.beta
     nbeta = n * beta
     words, docs = _token_stream(X.matrix)
-    n_tokens = len(words)
     rng = np.random.default_rng(config.seed)
-    z = [int(t) for t in rng.integers(0, k, n_tokens)]
+    z = rng.integers(0, k, words.size)
+    n_wt = _count_table(words, z, n, k)
+    n_dt = _count_table(docs, z, m, k)
+    n_t = np.bincount(z, minlength=k).tolist()
+    words, docs, z = words.tolist(), docs.tolist(), z.tolist()
 
-    n_wt = [[0] * k for _ in range(n)]
-    n_dt = [[0] * k for _ in range(m)]
-    n_t = [0] * k
-    for idx in range(n_tokens):
-        t = z[idx]
-        n_wt[words[idx]][t] += 1
-        n_dt[docs[idx]][t] += 1
-        n_t[t] += 1
-
+    sweep_once = _sweep_rows if k >= _ROW_KERNEL_MIN_TOPICS else _sweep_lists
     n_avg = max(1, config.iterations // 5)
     avg_start = config.iterations - n_avg
     phi_acc = np.zeros((n, k))
-    rand = rng.random
-    p = [0.0] * k
-    topics = range(k)
     for sweep in range(config.iterations):
-        for idx in range(n_tokens):
-            w = words[idx]
-            d = docs[idx]
-            t_old = z[idx]
-            nw = n_wt[w]
-            nd = n_dt[d]
-            nw[t_old] -= 1
-            nd[t_old] -= 1
-            n_t[t_old] -= 1
-            total = 0.0
-            for t in topics:
-                pt = (nw[t] + beta) * (nd[t] + alpha) / (n_t[t] + nbeta)
-                p[t] = pt
-                total += pt
-            u = rand() * total
-            acc = 0.0
-            t_new = k - 1
-            for t in topics:
-                acc += p[t]
-                if u < acc:
-                    t_new = t
-                    break
-            z[idx] = t_new
-            nw[t_new] += 1
-            nd[t_new] += 1
-            n_t[t_new] += 1
+        sweep_once(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, rng)
         if sweep_hook is not None:
             sweep_hook(
                 LdaState(

@@ -5,6 +5,10 @@ from a one-sided Jacobi iteration rather than the randomized range finder
 (and rather than LAPACK), the lasso objective from a dense grid search with
 derivative-free refinement rather than coordinate descent, and spanning
 trees from exhaustive enumeration rather than Kruskal.
+
+``list_gibbs_lda_weights`` is the library's original collapsed Gibbs
+sampler, frozen here unchanged (one ``rng.random()`` call per token, a
+Python loop over K) as the bit-identity reference for ``lda_fit``.
 """
 
 import itertools
@@ -155,3 +159,75 @@ def prim_max_spanning_tree_min_edge(weights, start=0):
             if not in_tree[j] and weights[candidate, j] > best[j]:
                 best[j] = weights[candidate, j]
     return float(min_edge)
+
+
+def list_gibbs_lda_weights(matrix, n_topics, alpha, beta, iterations, seed):
+    """LDA topic weights from the original token-by-token Gibbs sampler.
+
+    ``matrix`` is a raw-count word x document sparse matrix. Returns the
+    N x K posterior-mean word distributions averaged over the final 20% of
+    sweeps, as ``lda_fit`` defines them.
+    """
+    m = matrix.tocsc()
+    m.sort_indices()
+    words, docs = [], []
+    indptr, indices, data = m.indptr, m.indices, m.data
+    for j in range(m.shape[1]):
+        for p in range(indptr[j], indptr[j + 1]):
+            count = int(round(data[p]))
+            words.extend([int(indices[p])] * count)
+            docs.extend([j] * count)
+
+    n, n_docs = m.shape
+    k = n_topics
+    nbeta = n * beta
+    n_tokens = len(words)
+    rng = np.random.default_rng(seed)
+    z = [int(t) for t in rng.integers(0, k, n_tokens)]
+    n_wt = [[0] * k for _ in range(n)]
+    n_dt = [[0] * k for _ in range(n_docs)]
+    n_t = [0] * k
+    for idx in range(n_tokens):
+        t = z[idx]
+        n_wt[words[idx]][t] += 1
+        n_dt[docs[idx]][t] += 1
+        n_t[t] += 1
+
+    n_avg = max(1, iterations // 5)
+    avg_start = iterations - n_avg
+    phi_acc = np.zeros((n, k))
+    rand = rng.random
+    p = [0.0] * k
+    topics = range(k)
+    for sweep in range(iterations):
+        for idx in range(n_tokens):
+            w = words[idx]
+            d = docs[idx]
+            t_old = z[idx]
+            nw = n_wt[w]
+            nd = n_dt[d]
+            nw[t_old] -= 1
+            nd[t_old] -= 1
+            n_t[t_old] -= 1
+            total = 0.0
+            for t in topics:
+                pt = (nw[t] + beta) * (nd[t] + alpha) / (n_t[t] + nbeta)
+                p[t] = pt
+                total += pt
+            u = rand() * total
+            acc = 0.0
+            t_new = k - 1
+            for t in topics:
+                acc += p[t]
+                if u < acc:
+                    t_new = t
+                    break
+            z[idx] = t_new
+            nw[t_new] += 1
+            nd[t_new] += 1
+            n_t[t_new] += 1
+        if sweep >= avg_start:
+            counts = np.array(n_wt, dtype=np.float64)
+            totals = np.array(n_t, dtype=np.float64)
+            phi_acc += (counts + beta) / (totals + nbeta)
+    return phi_acc / n_avg

@@ -60,6 +60,12 @@ class TestIngest:
         assert main(["ingest", "--corpus", corpus_path, "--out", out, "--tfidf"]) == 0
         assert json.loads(open(out).read())["weighting"] == "tfidf"
 
+    def test_corpus_directory_exits_2(self, tmp_path, capsys):
+        code = main(["ingest", "--corpus", str(tmp_path), "--out",
+                     str(tmp_path / "m.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_lsa_deterministic_files(self, pipeline):
@@ -79,6 +85,25 @@ class TestTrain:
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_lda_row_kernel_deterministic_files(self, pipeline):
+        out1 = str(pipeline["tmp"] / "r1.json")
+        out2 = str(pipeline["tmp"] / "r2.json")
+        args = ["train", "--model", "lda", "--matrix", pipeline["matrix"],
+                "--num-topics", "64", "--iterations", "5", "--seed", "5"]
+        assert main(args + ["--out", out1]) == 0
+        assert main(args + ["--out", out2]) == 0
+        assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_matrix_without_triplets_exits_2(self, pipeline, capsys):
+        payload = json.loads(open(pipeline["matrix"]).read())
+        del payload["triplets"]
+        broken = pipeline["tmp"] / "no_triplets.json"
+        broken.write_text(json.dumps(payload))
+        code = main(["train", "--model", "lda", "--matrix", str(broken),
+                     "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
+        assert code == 2
+        assert "triplets" in capsys.readouterr().err
 
     def test_lsa_k_too_large_exits_2(self, pipeline, capsys):
         code = main(["train", "--model", "lsa", "--matrix", pipeline["matrix"],
@@ -187,6 +212,19 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "exhausted" in out
 
+    def test_sets_without_topic_exits_2(self, pipeline, capsys):
+        sets = self.make_sets(pipeline)
+        records = [json.loads(l) for l in open(sets)]
+        assert records
+        for record in records:
+            del record["topic"]
+        broken = pipeline["tmp"] / "no_topic.jsonl"
+        broken.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = main(["generate", "--sets", str(broken), "--index", pipeline["index"],
+                     "--out", str(pipeline["tmp"] / "b.jsonl")])
+        assert code == 2
+        assert "topic" in capsys.readouterr().err
+
 
 class TestEvalYield:
     def test_counts_non_increasing_and_csv(self, pipeline, capsys):
@@ -252,6 +290,35 @@ class TestEvalYield:
                      "--index", pipeline["index"], "--models", "bert",
                      "--delta-grid", "0.1"])
         assert code == 2
+
+    def test_bad_regularizer_in_config_exits_2(self, pipeline, capsys):
+        config = pipeline["tmp"] / "config.json"
+        config.write_text(json.dumps({"regularizer": "no-such-reg"}))
+        code = main(["eval-yield", "--matrix", pipeline["matrix"],
+                     "--index", pipeline["index"], "--models", "dictlearn",
+                     "--delta-grid", "0.1", "--num-topics", "2", "--epochs", "1",
+                     "--config", str(config)])
+        assert code == 2
+        assert "no-such-reg" in capsys.readouterr().err
+
+    def test_group_l2_reaches_dictlearn_fit(self, pipeline, monkeypatch):
+        import topicpuzzles.cli as cli_module
+
+        seen = []
+        real_fit = cli_module.topic_models.dict_learn_fit
+
+        def recording_fit(dtm, config):
+            seen.append(config)
+            return real_fit(dtm, config)
+
+        monkeypatch.setattr(cli_module.topic_models, "dict_learn_fit", recording_fit)
+        config = pipeline["tmp"] / "config.json"
+        config.write_text(json.dumps({"regularizer": "group-l2", "n-groups": 2}))
+        assert main(["eval-yield", "--matrix", pipeline["matrix"],
+                     "--index", pipeline["index"], "--models", "dictlearn",
+                     "--delta-grid", "0.1", "--num-topics", "4", "--epochs", "1",
+                     "--config", str(config)]) == 0
+        assert [(c.regularizer, c.n_groups) for c in seen] == [("group-l2", 2)]
 
     def test_invariant_violation_exits_3(self, pipeline, capsys, monkeypatch):
         import topicpuzzles.cli as cli_module

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import list_gibbs_lda_weights
 
 from topicpuzzles.corpus import (
     Document,
@@ -9,6 +10,7 @@ from topicpuzzles.corpus import (
 )
 from topicpuzzles.synthetic import planted_topic_corpus
 from topicpuzzles.topic_models import (
+    _ROW_KERNEL_MIN_TOPICS,
     LdaConfig,
     extract_top_k,
     lda_fit,
@@ -26,6 +28,26 @@ def small_corpus():
     ]
     vocab = build_vocabulary(docs)
     return docs, vocab, build_doc_term_matrix(docs, vocab)
+
+
+def conservation_check(dtm, sweeps_seen):
+    """A sweep_hook asserting that every sweep's count tables agree with
+    the corpus and with each other."""
+    word_freq = np.asarray(dtm.matrix.sum(axis=1)).ravel().astype(np.int64)
+    doc_len = np.asarray(dtm.matrix.sum(axis=0)).ravel().astype(np.int64)
+
+    def check(state):
+        sweeps_seen.append(state.sweep)
+        np.testing.assert_array_equal(state.word_topic.sum(axis=1), word_freq)
+        np.testing.assert_array_equal(state.doc_topic.sum(axis=1), doc_len)
+        np.testing.assert_array_equal(
+            state.word_topic.sum(axis=0), state.topic_counts
+        )
+        np.testing.assert_array_equal(
+            state.doc_topic.sum(axis=0), state.topic_counts
+        )
+
+    return check
 
 
 class TestLdaConfig:
@@ -67,22 +89,9 @@ class TestLdaFit:
         assert not np.array_equal(td1.weights, td2.weights)
 
     def test_count_conservation_every_sweep(self):
-        _, vocab, dtm = small_corpus()
-        word_freq = np.asarray(dtm.matrix.sum(axis=1)).ravel()
+        _, _, dtm = small_corpus()
         sweeps_seen = []
-
-        def check(state):
-            sweeps_seen.append(state.sweep)
-            np.testing.assert_array_equal(
-                state.word_topic.sum(axis=1), word_freq.astype(np.int64)
-            )
-            np.testing.assert_array_equal(
-                state.word_topic.sum(axis=0), state.topic_counts
-            )
-            np.testing.assert_array_equal(
-                state.doc_topic.sum(axis=0), state.topic_counts
-            )
-
+        check = conservation_check(dtm, sweeps_seen)
         lda_fit(dtm, LdaConfig(n_topics=3, iterations=15, seed=4), sweep_hook=check)
         assert sweeps_seen == list(range(15))
 
@@ -113,3 +122,33 @@ class TestLdaFit:
         assert loaded.model == "lda"
         assert loaded.vocab == td.vocab
         assert loaded.meta == td.meta
+
+
+@pytest.fixture(scope="module")
+def planted_small():
+    docs, _ = planted_topic_corpus(
+        n_topics=4, n_docs=40, tokens_per_doc=30, seed=6, background_fraction=0.15
+    )
+    vocab = build_vocabulary(docs)
+    return build_doc_term_matrix(docs, vocab)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "n_topics",
+    [3, 8, _ROW_KERNEL_MIN_TOPICS - 1, _ROW_KERNEL_MIN_TOPICS, 100],
+)
+def test_weights_bit_identical_to_list_sampler(planted_small, n_topics, seed):
+    """Both sweep kernels reproduce the original sampler's weights exactly,
+    and keep the count tables consistent after every sweep."""
+    config = LdaConfig(n_topics=n_topics, iterations=10, seed=seed)
+    sweeps_seen = []
+    td = lda_fit(
+        planted_small, config, sweep_hook=conservation_check(planted_small, sweeps_seen)
+    )
+    assert sweeps_seen == list(range(10))
+    expected = list_gibbs_lda_weights(
+        planted_small.matrix, n_topics, config.alpha, config.beta,
+        config.iterations, seed,
+    )
+    np.testing.assert_array_equal(td.weights, expected)
