@@ -14,7 +14,6 @@ from .consistency import (
     bottleneck_score,
     identify_consistent_sets,
     max_spanning_tree,
-    widest_path_sim,
 )
 from .corpus import (
     DocTermMatrix,

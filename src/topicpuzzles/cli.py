@@ -113,33 +113,39 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
+def fit_model(name, dtm, setting):
+    """Fit topic model ``name`` to a matrix. ``setting(key, default)`` gives
+    each hyperparameter, so ``train`` and ``eval-yield`` differ only in
+    where they look settings up."""
+    n_topics = int(setting("num-topics", topic_models.DEFAULT_NUM_TOPICS))
+    seed = int(setting("seed", 0))
+    if name == topic_models.MODEL_LSA:
+        return topic_models.lsa_fit(dtm, n_topics, seed=seed)
+    if name == topic_models.MODEL_LDA:
+        return topic_models.lda_fit(dtm, topic_models.LdaConfig(
+            n_topics=n_topics,
+            alpha=float(setting("alpha", 0.1)),
+            beta=float(setting("beta", 0.01)),
+            iterations=int(setting("iterations", 200)),
+            seed=seed,
+        ))
+    return topic_models.dict_learn_fit(dtm, topic_models.DictLearnConfig(
+        n_topics=n_topics,
+        kappa=float(setting("kappa", 0.1)),
+        rho=float(setting("rho", 0.0)),
+        regularizer=setting("regularizer", topic_models.L1),
+        n_groups=int(setting("n-groups", 2)),
+        epochs=int(setting("epochs", 5)),
+        seed=seed,
+    ))
+
+
 def cmd_train(args):
     config = _load_config(args.config)
     dtm = corpus.load_doc_term_matrix(args.matrix)
-    n_topics = int(_setting(args, config, "num-topics", topic_models.DEFAULT_NUM_TOPICS))
-    seed = int(_setting(args, config, "seed", 0))
-    if args.model == topic_models.MODEL_LSA:
-        model = topic_models.lsa_fit(dtm, n_topics, seed=seed)
-    elif args.model == topic_models.MODEL_LDA:
-        lda_config = topic_models.LdaConfig(
-            n_topics=n_topics,
-            alpha=float(_setting(args, config, "alpha", 0.1)),
-            beta=float(_setting(args, config, "beta", 0.01)),
-            iterations=int(_setting(args, config, "iterations", 200)),
-            seed=seed,
-        )
-        model = topic_models.lda_fit(dtm, lda_config)
-    else:
-        dl_config = topic_models.DictLearnConfig(
-            n_topics=n_topics,
-            kappa=float(_setting(args, config, "kappa", 0.1)),
-            rho=float(_setting(args, config, "rho", 0.0)),
-            regularizer=_setting(args, config, "regularizer", topic_models.L1),
-            n_groups=int(_setting(args, config, "n-groups", 2)),
-            epochs=int(_setting(args, config, "epochs", 5)),
-            seed=seed,
-        )
-        model = topic_models.dict_learn_fit(dtm, dl_config)
+    model = fit_model(
+        args.model, dtm, lambda key, default: _setting(args, config, key, default)
+    )
     model.validate()
     topic_models.save_topic_dictionary(model, args.out)
     print(f"trained {model.model} model: {model.n_words} words x {model.n_topics} topics")
@@ -158,6 +164,8 @@ def cmd_index(args):
         tokenizer=_tokenizer_config(args, config),
     )
     index = esa.build_esa_index(concepts, esa_config)
+    if not len(index):
+        raise UsageError(f"no word of {args.concepts} has a concept vector")
     esa.save_esa_index(index, args.out)
     print(f"indexed {len(index)} words over {index.n_concepts} concepts")
     return EXIT_OK
@@ -273,66 +281,20 @@ def cmd_eval_yield(args):
     if unknown:
         raise UsageError(f"unknown models: {sorted(unknown)}")
     k = int(_setting(args, config, "top-k", topic_models.DEFAULT_TOP_K))
-    n_topics = int(_setting(args, config, "num-topics", topic_models.DEFAULT_NUM_TOPICS))
-    seed = int(_setting(args, config, "seed", 0))
     model_configs = config.get("models", {})
 
     curve = {}
     for name in models:
         overrides = model_configs.get(name, {})
-        if name == topic_models.MODEL_LSA:
-            model = topic_models.lsa_fit(
-                dtm, int(overrides.get("num-topics", n_topics)),
-                seed=int(overrides.get("seed", seed)),
-            )
-        elif name == topic_models.MODEL_LDA:
-            model = topic_models.lda_fit(
-                dtm,
-                topic_models.LdaConfig(
-                    n_topics=int(overrides.get("num-topics", n_topics)),
-                    alpha=float(
-                        overrides.get("alpha", _setting(args, config, "alpha", 0.1))
-                    ),
-                    beta=float(
-                        overrides.get("beta", _setting(args, config, "beta", 0.01))
-                    ),
-                    iterations=int(
-                        overrides.get(
-                            "iterations", _setting(args, config, "iterations", 200)
-                        )
-                    ),
-                    seed=int(overrides.get("seed", seed)),
-                ),
-            )
-        else:
-            model = topic_models.dict_learn_fit(
-                dtm,
-                topic_models.DictLearnConfig(
-                    n_topics=int(overrides.get("num-topics", n_topics)),
-                    kappa=float(
-                        overrides.get("kappa", _setting(args, config, "kappa", 0.1))
-                    ),
-                    rho=float(
-                        overrides.get("rho", _setting(args, config, "rho", 0.0))
-                    ),
-                    regularizer=overrides.get(
-                        "regularizer",
-                        _setting(args, config, "regularizer", topic_models.L1),
-                    ),
-                    n_groups=int(
-                        overrides.get("n-groups", _setting(args, config, "n-groups", 2))
-                    ),
-                    epochs=int(
-                        overrides.get("epochs", _setting(args, config, "epochs", 5))
-                    ),
-                    seed=int(overrides.get("seed", seed)),
-                ),
-            )
-        sets = topic_models.extract_top_k(model, k)
-        curve[name] = [
-            len(consistency.identify_consistent_sets(sets, provider, delta))
-            for delta in grid
-        ]
+        model = fit_model(name, dtm, lambda key, default: overrides.get(
+            key, _setting(args, config, key, default)
+        ))
+        # Score the sets once: a set is kept at a grid delta iff it scores
+        # above it, and every grid delta is at least the first.
+        kept = consistency.identify_consistent_sets(
+            topic_models.extract_top_k(model, k), provider, grid[0]
+        )
+        curve[name] = [sum(cs.score > delta for cs in kept) for delta in grid]
 
     table = YieldCurve(deltas=grid, counts=curve).validate().as_csv()
     if args.out:

@@ -4,8 +4,7 @@ A set's score is the relatedness of its two most dissimilar words, where
 pair relatedness is the widest-path (max over paths of the min edge) value
 in the complete similarity graph. Because edge weights are nonnegative,
 that score equals the minimum edge weight of a maximum spanning tree, which
-is how ``bottleneck_score`` computes it; ``widest_path_sim`` is the exact
-path-enumeration oracle used to cross-check the identity in tests.
+is how ``bottleneck_score`` computes it.
 """
 
 from __future__ import annotations
@@ -110,40 +109,6 @@ def bottleneck_score(graph):
     """Similarity of the two most dissimilar words in the set: the minimum
     edge weight of the maximum spanning tree."""
     return max_spanning_tree(graph).min_edge_weight
-
-
-def widest_path_sim(graph, node_a, node_b):
-    """Exact max-min path value between two nodes, by depth-first
-    enumeration of simple paths (exponential; meant for small sets).
-    Branches whose running minimum cannot strictly improve the best value
-    are pruned, which preserves exactness."""
-    if node_a == node_b:
-        raise ValueError("widest path requires two distinct nodes")
-    start = graph.position(node_a)
-    goal = graph.position(node_b)
-    size = len(graph)
-    weights = graph.weights
-    best = -np.inf
-    visited = [False] * size
-    visited[start] = True
-
-    def explore(current, running_min):
-        nonlocal best
-        for nxt in range(size):
-            if visited[nxt]:
-                continue
-            value = min(running_min, weights[current, nxt])
-            if value <= best:
-                continue
-            if nxt == goal:
-                best = value
-                continue
-            visited[nxt] = True
-            explore(nxt, value)
-            visited[nxt] = False
-
-    explore(start, np.inf)
-    return float(best)
 
 
 @dataclass

@@ -291,11 +291,10 @@ def save_doc_term_matrix(dtm, path):
     """Persist a matrix as a versioned JSON header plus (row, col, value)
     triplets in column-major order. Round-trips bit-exactly."""
     m = dtm.matrix
-    triplets = []
-    indptr, indices, data = m.indptr, m.indices, m.data
-    for j in range(m.shape[1]):
-        for p in range(indptr[j], indptr[j + 1]):
-            triplets.append([int(indices[p]), j, float(data[p])])
+    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+    triplets = list(
+        zip(m.indices.tolist(), cols.tolist(), m.data.astype(np.float64).tolist())
+    )
     payload = {
         "format": DTM_FORMAT,
         "version": DTM_VERSION,
@@ -308,9 +307,7 @@ def save_doc_term_matrix(dtm, path):
         "doc_ids": list(dtm.doc_ids),
         "triplets": triplets,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(payload, path)
 
 
 _DTM_KEYS = (
@@ -319,16 +316,36 @@ _DTM_KEYS = (
 )
 
 
-def load_doc_term_matrix(path):
+def write_json(payload, path):
+    """One JSON object on one line, keys sorted, no spaces. Encoding the
+    whole string at once uses the C encoder, which ``json.dump`` does not."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        fh.write("\n")
+
+
+def load_versioned_json(path, fmt, kind, version, keys, stale=""):
+    """Payload of a JSON object file after checking its format tag, version
+    and required keys; ValueError names what is wrong (``kind`` names the
+    file type, ``stale`` extends a version mismatch message)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("format") != DTM_FORMAT:
-        raise ValueError(f"{path}: not a document-term matrix file")
-    if payload.get("version") != DTM_VERSION:
-        raise ValueError(f"{path}: unsupported version {payload.get('version')}")
-    missing = [key for key in _DTM_KEYS if key not in payload]
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise ValueError(f"{path}: not {kind} file")
+    if payload.get("version") != version:
+        raise ValueError(
+            f"{path}: unsupported version {payload.get('version')}{stale}"
+        )
+    missing = [key for key in keys if key not in payload]
     if missing:
         raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    return payload
+
+
+def load_doc_term_matrix(path):
+    payload = load_versioned_json(
+        path, DTM_FORMAT, "a document-term matrix", DTM_VERSION, _DTM_KEYS
+    )
     rows = [t[0] for t in payload["triplets"]]
     cols = [t[1] for t in payload["triplets"]]
     data = [t[2] for t in payload["triplets"]]

@@ -1,25 +1,28 @@
 """Explicit semantic analysis: per-word concept vectors over a concept
 repository, and pairwise word relatedness as the cosine of those vectors.
 
-The index is built once (single writer) and immutable afterwards; the
-similarity provider is safe for concurrent readers because every value is a
-pure function of the index, so racing computations of the same pair agree.
+The vectors are the rows of one CSR matrix; with rows scaled to unit norm
+(``R``), relatedness is a dot product of rows, served in blocks such as
+``R[S] R[S]^T`` for a word set. A product entry sums the shared concepts'
+terms in ascending concept order, as the scalar path does, so all agree.
 """
 
 from __future__ import annotations
 
-import json
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import (
     DEFAULT_TOKENIZER,
     TokenizerConfig,
     build_doc_term_matrix,
     build_vocabulary,
+    load_versioned_json,
     tfidf_transform,
+    write_json,
 )
 
 DEFAULT_TRUNCATION = 1000
@@ -36,44 +39,78 @@ class EsaConfig:
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
 
 
-class EsaIndex:
-    """Per-word sparse TF-IDF concept vectors.
+def _check(ok, message):
+    if not ok:
+        raise ValueError(f"ESA index {message}")
 
-    ``vectors`` maps a word to (concept positions ascending, positive
-    weights). Words whose vectors would be empty are simply absent.
+
+def _int_array(values, name):
+    array = np.asarray(values)
+    _check(array.ndim == 1 and (array.size == 0 or array.dtype.kind in "iu"),
+           f"{name} must be a flat list of integers")
+    return array.astype(np.int64)
+
+
+class EsaIndex:
+    """Sparse TF-IDF concept vectors of the indexed words, one CSR row each.
+
+    Row i belongs to ``words()[i]``; words are sorted and unique. Within a
+    row, concept positions (``indices``) strictly ascend and weights
+    (``data``) are finite and positive; no row is empty, so words without a
+    concept vector are simply absent. ``R`` is the same matrix with
+    unit-norm rows. The constructor checks all of this (ValueError).
     """
 
-    def __init__(self, concept_ids, vectors, truncation=DEFAULT_TRUNCATION):
+    def __init__(
+        self, concept_ids, words, indptr, indices, data, truncation=DEFAULT_TRUNCATION
+    ):
         self.concept_ids = list(concept_ids)
-        self.vectors = {}
-        self.norms = {}
-        for word, (ids, weights) in vectors.items():
-            ids = np.asarray(ids, dtype=np.int64)
-            weights = np.asarray(weights, dtype=np.float64)
-            if ids.size == 0:
-                continue
-            order = np.argsort(ids)
-            ids, weights = ids[order], weights[order]
-            self.vectors[word] = (ids, weights)
-            self.norms[word] = float(np.linalg.norm(weights))
+        self._words = list(words)
         self.truncation = truncation
+        self.indptr = _int_array(indptr, "indptr")
+        self.indices = _int_array(indices, "indices")
+        self.data = np.asarray(data, dtype=np.float64)
+        n_words, n_concepts, nnz = len(self._words), self.n_concepts, len(self.indices)
+        _check(all(isinstance(w, str) for w in self._words)
+               and self._words == sorted(set(self._words)),
+               "words must be unique strings in sorted order")
+        lengths = np.diff(self.indptr)
+        _check(len(self.indptr) == n_words + 1 and self.indptr[0] == 0
+               and self.indptr[-1] == nnz and np.all(lengths > 0),
+               f"indptr must rise strictly from 0 to {nnz} in {n_words + 1} entries")
+        _check(self.data.shape == (nnz,)
+               and np.all(np.isfinite(self.data) & (self.data > 0)),
+               f"data must hold {nnz} finite positive weights")
+        # (row, concept) pairs ascend strictly iff each row's concepts do
+        key = np.repeat(np.arange(n_words), lengths) * n_concepts + self.indices
+        _check(np.all((self.indices >= 0) & (self.indices < n_concepts))
+               and np.all(np.diff(key) > 0),
+               f"concept indices must lie in [0, {n_concepts}) and ascend "
+               f"strictly within each row")
+        self._row = {word: i for i, word in enumerate(self._words)}
+        norms = np.sqrt(np.add.reduceat(self.data * self.data, self.indptr[:-1]))
+        self.R = sp.csr_matrix(
+            (self.data / np.repeat(norms, lengths), self.indices, self.indptr),
+            shape=(n_words, n_concepts),
+        )
 
     @property
     def n_concepts(self):
         return len(self.concept_ids)
 
     def __contains__(self, word):
-        return word in self.vectors
+        return word in self._row
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self._words)
 
     def words(self):
-        """Indexed words in lexicographic order."""
-        return sorted(self.vectors)
+        """Indexed words in lexicographic order (row order)."""
+        return list(self._words)
 
-    def vector(self, word):
-        return self.vectors.get(word)
+    def row(self, word):
+        """Row of ``word`` in the matrix, or -1 if it is not indexed."""
+        return self._row.get(word, -1)
 
 
 def build_esa_index(concepts, config=EsaConfig()):
@@ -90,137 +127,154 @@ def build_esa_index(concepts, config=EsaConfig()):
     weighted = tfidf_transform(dtm)
     csr = weighted.matrix.tocsr()
     csr.sort_indices()
-    vectors = {}
     limit = config.max_concepts_per_word
-    for i, word in enumerate(vocab.words):
+    keep = np.ones(csr.nnz, dtype=bool)
+    for i in np.flatnonzero(np.diff(csr.indptr) > limit):
         start, end = csr.indptr[i], csr.indptr[i + 1]
-        if start == end:
-            continue
-        ids = csr.indices[start:end].astype(np.int64)
-        weights = csr.data[start:end].astype(np.float64)
-        if ids.size > limit:
-            order = np.lexsort((ids, -weights))[:limit]
-            ids, weights = ids[order], weights[order]
-        vectors[word] = (ids, weights)
-    return EsaIndex(weighted.doc_ids, vectors, truncation=limit)
+        order = np.lexsort((csr.indices[start:end], -csr.data[start:end]))
+        keep[start + order[limit:]] = False
+    rows = np.repeat(np.arange(len(vocab.words)), np.diff(csr.indptr))[keep]
+    present = np.unique(rows)  # words with an empty vector are left out
+    return EsaIndex(
+        weighted.doc_ids,
+        [vocab.words[i] for i in present],
+        np.append(np.searchsorted(rows, present), rows.size),
+        csr.indices[keep],
+        csr.data[keep],
+        truncation=limit,
+    )
 
 
 class SimilarityProvider:
-    """Serves pairwise word relatedness from an EsaIndex, lazily and with a
-    bounded memo of computed pairs.
+    """Serves word relatedness from the row-normalised matrix ``R`` of an
+    EsaIndex, as block products over resolved rows.
 
-    Values are cosines of nonnegative vectors, so they lie in [0, 1];
-    s(w, w) = 1 for indexed words. Unindexed words yield 0 and are recorded
-    in ``missing_words`` instead of raising, so downstream sampling loops
-    degrade gracefully.
+    Words are strings or, with a vocabulary attached, indices into it; a
+    lookup array maps those indices to rows (-1 if not indexed). Values are
+    cosines clamped to [0, 1], exactly 1 for an indexed word with itself.
+    Unindexed words yield 0 and are recorded in ``missing_words`` instead
+    of raising, so downstream sampling loops degrade gracefully.
     """
 
-    def __init__(self, index, vocabulary=None, memo_size=1 << 20):
+    def __init__(self, index, vocabulary=None):
         self.index = index
         self.vocabulary = list(vocabulary) if vocabulary is not None else None
         self.missing_words = set()
-        self._memo = OrderedDict()
-        self._memo_size = memo_size
+        self._vocabulary_rows = None if vocabulary is None else np.array(
+            [index.row(w) for w in self.vocabulary], dtype=np.int64
+        )
+
+    @cached_property
+    def _transposed(self):
+        """R^T as a concepts x words CSR matrix, for set-versus-all products."""
+        return self.index.R.T.tocsr()
 
     def is_indexed(self, word):
         return word in self.index
-
-    def relatedness(self, word_a, word_b):
-        """Cosine of the two concept vectors; 0 if either is missing."""
-        va = self.index.vector(word_a)
-        vb = self.index.vector(word_b)
-        if va is None or vb is None:
-            if va is None:
-                self.missing_words.add(word_a)
-            if vb is None:
-                self.missing_words.add(word_b)
-            return 0.0
-        if word_a == word_b:
-            return 1.0
-        key = (word_a, word_b) if word_a < word_b else (word_b, word_a)
-        memo = self._memo
-        if key in memo:
-            memo.move_to_end(key)
-            return memo[key]
-        ids_a, w_a = self.index.vectors[key[0]]
-        ids_b, w_b = self.index.vectors[key[1]]
-        _, ia, ib = np.intersect1d(
-            ids_a, ids_b, assume_unique=True, return_indices=True
-        )
-        if ia.size == 0:
-            value = 0.0
-        else:
-            dot = float(w_a[ia] @ w_b[ib])
-            value = dot / (self.index.norms[key[0]] * self.index.norms[key[1]])
-            value = min(value, 1.0)
-        if len(memo) >= self._memo_size:
-            memo.popitem(last=False)
-        memo[key] = value
-        return value
 
     def word_for_index(self, i):
         if self.vocabulary is None:
             raise ValueError("similarity provider has no vocabulary attached")
         return self.vocabulary[i]
 
-    def relatedness_by_index(self, i, j):
-        return self.relatedness(self.word_for_index(i), self.word_for_index(j))
+    def _rows(self, words):
+        """R rows of words given all as strings or all as vocabulary
+        indices; -1 marks (and records) a word the index lacks."""
+        if all(isinstance(w, str) for w in words):
+            rows = np.array([self.index.row(w) for w in words], dtype=np.int64)
+            names = words
+        else:
+            positions = np.asarray(words, dtype=np.int64)
+            names = [self.word_for_index(i) for i in positions]
+            rows = self._vocabulary_rows[positions]
+        self.missing_words.update(names[p] for p in np.flatnonzero(rows < 0))
+        return rows
+
+    def relatedness(self, word_a, word_b):
+        """Cosine of the two concept vectors; 0 if either is missing. Sums
+        the products over the shared concepts in ascending order, as the
+        block products do, so it equals their entry bit for bit."""
+        ra, rb = self.index.row(word_a), self.index.row(word_b)
+        if ra < 0 or rb < 0:
+            self._rows((word_a, word_b))  # records the missing word
+            return 0.0
+        if ra == rb:
+            return 1.0
+        R = self.index.R
+        sa = slice(R.indptr[ra], R.indptr[ra + 1])
+        sb = slice(R.indptr[rb], R.indptr[rb + 1])
+        _, pa, pb = np.intersect1d(
+            R.indices[sa], R.indices[sb], assume_unique=True, return_indices=True
+        )
+        if pa.size == 0:
+            return 0.0
+        return min(float(np.cumsum(R.data[sa][pa] * R.data[sb][pb])[-1]), 1.0)
 
     def similarity_submatrix(self, words):
         """Symmetric relatedness matrix over a word set (indices into the
         attached vocabulary, or word strings); unit diagonal for indexed
         words, zero for missing ones."""
-        resolved = [
-            w if isinstance(w, str) else self.word_for_index(int(w)) for w in words
-        ]
-        size = len(resolved)
-        out = np.zeros((size, size))
-        for i in range(size):
-            out[i, i] = 1.0 if self.is_indexed(resolved[i]) else 0.0
-            for j in range(i + 1, size):
-                value = self.relatedness(resolved[i], resolved[j])
-                out[i, j] = value
-                out[j, i] = value
+        return self.cross_relatedness(words, words)
+
+    def cross_relatedness(self, words_a, words_b):
+        """Relatedness of every word of ``words_a`` (rows) to every word of
+        ``words_b`` (columns), from one product ``R[A] R[B]^T``."""
+        rows_a, rows_b = self._rows(words_a), self._rows(words_b)
+        out = np.zeros((len(rows_a), len(rows_b)))
+        ia, ib = np.flatnonzero(rows_a >= 0), np.flatnonzero(rows_b >= 0)
+        if ia.size and ib.size:
+            R = self.index.R
+            block = (R[rows_a[ia]] @ R[rows_b[ib]].T).toarray()
+            out[np.ix_(ia, ib)] = np.minimum(block, 1.0)
+        out[(rows_a[:, None] == rows_b[None, :]) & (rows_a[:, None] >= 0)] = 1.0
         return out
+
+    def max_relatedness(self, anchors, candidates):
+        """For each candidate word, its max relatedness to the anchor words
+        (0 for an unindexed candidate). One product ``R[anchors] R^T`` gives
+        the value for every indexed word at once."""
+        rows = self._rows(anchors)
+        rows = rows[rows >= 0]
+        sigma = np.zeros(len(self.index) + 1)  # the last slot serves row -1
+        if rows.size:
+            products = (self.index.R[rows] @ self._transposed).toarray()
+            sigma[:-1] = np.minimum(products.max(axis=0), 1.0)
+            sigma[rows] = 1.0
+        return sigma[[self.index.row(w) for w in candidates]]
 
 
 ESA_FORMAT = "esa-index"
-ESA_VERSION = 1
+ESA_VERSION = 2
+# in the order of the EsaIndex constructor's parameters
+_ESA_KEYS = ("concept_ids", "words", "indptr", "indices", "data", "truncation")
 
 
 def save_esa_index(index, path):
-    """Versioned JSON header plus per-word (concept id, weight) lists sorted
-    by concept id; round-trips bit-exactly."""
+    """Versioned JSON header plus the flat CSR arrays (words, indptr,
+    indices, data) of the raw TF-IDF rows; round-trips bit-exactly."""
     payload = {
         "format": ESA_FORMAT,
         "version": ESA_VERSION,
-        "n_concepts": index.n_concepts,
         "concept_ids": index.concept_ids,
         "truncation": index.truncation,
-        "vectors": {
-            word: [[int(c), float(w)] for c, w in zip(ids, weights)]
-            for word, (ids, weights) in sorted(index.vectors.items())
-        },
+        "words": index.words(),
+        "indptr": index.indptr.tolist(),
+        "indices": index.indices.tolist(),
+        "data": index.data.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_esa_index(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != ESA_FORMAT:
-        raise ValueError(f"{path}: not an ESA index file")
-    if payload.get("version") != ESA_VERSION:
-        raise ValueError(f"{path}: unsupported version {payload.get('version')}")
-    vectors = {
-        word: (
-            np.array([e[0] for e in entries], dtype=np.int64),
-            np.array([e[1] for e in entries], dtype=np.float64),
-        )
-        for word, entries in payload["vectors"].items()
-    }
-    return EsaIndex(
-        payload["concept_ids"], vectors, truncation=payload["truncation"]
+    """Read and check an index file; raises ValueError on a file of another
+    format or version, a missing key, no words, or inconsistent arrays."""
+    payload = load_versioned_json(
+        path, ESA_FORMAT, "an ESA index", ESA_VERSION, _ESA_KEYS,
+        stale="; re-run `index` to rebuild it",
     )
+    if not payload["words"]:
+        raise ValueError(f"{path}: ESA index has no words")
+    try:
+        return EsaIndex(*(payload[key] for key in _ESA_KEYS))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -136,10 +136,6 @@ def resolve_solution(puzzle):
     return perm[puzzle.solution]
 
 
-def _max_relatedness(sim, anchor_words, word):
-    return max(sim.relatedness(t, word) for t in anchor_words)
-
-
 def gen_odd_one_out(
     cset, sim, band, vocab, rng, max_attempts=None, seed=None
 ):
@@ -147,20 +143,23 @@ def gen_odd_one_out(
     max relatedness sigma strictly inside the band, then emit the shuffled
     set plus that word with the odd position hidden.
 
-    Draws that land inside the set or on words without a nonzero concept
-    vector consume attempts, so the loop always terminates; returns
-    Exhausted after max_attempts failures.
+    Sigma is computed for every vocabulary word before the first draw, and
+    each draw looks it up. Draws that land inside the set or on words
+    without a nonzero concept vector consume attempts, so the loop always
+    terminates; returns Exhausted after max_attempts failures.
     """
     if max_attempts is None:
         max_attempts = default_max_attempts(len(vocab))
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     members = set(cset.words)
+    sigmas = sim.max_relatedness(cset.words, vocab).tolist()
     for _ in range(max_attempts):
-        word = vocab[int(rng.integers(0, len(vocab)))]
+        drawn = int(rng.integers(0, len(vocab)))
+        word = vocab[drawn]
         if word in members or not sim.is_indexed(word):
             continue
-        sigma = _max_relatedness(sim, cset.words, word)
+        sigma = sigmas[drawn]
         if band.contains(sigma):
             canonical = tuple(cset.words) + (word,)
             presented, solution, perm = shuffle_and_render(
@@ -185,7 +184,8 @@ def gen_choose_related(
     """Hold out one uniformly chosen word of the set as the answer; present
     the rest as the stem plus distractors whose max relatedness to the stem
     lies strictly in the band. The recorded sigma is the hardest
-    distractor's."""
+    distractor's. As for odd-one-out, sigma is computed for every vocabulary
+    word once (after the answer is drawn) and looked up per draw."""
     if len(cset.words) < 3:
         raise ValueError("choose-related needs a consistent set of >= 3 words")
     if n_distractors < 1:
@@ -196,15 +196,17 @@ def gen_choose_related(
     answer = cset.words[held]
     stem = tuple(w for i, w in enumerate(cset.words) if i != held)
     members = set(cset.words)
+    stem_sigmas = sim.max_relatedness(stem, vocab).tolist()
     distractors = []
     sigmas = []
     for _ in range(max_attempts):
         if len(distractors) == n_distractors:
             break
-        word = vocab[int(rng.integers(0, len(vocab)))]
+        drawn = int(rng.integers(0, len(vocab)))
+        word = vocab[drawn]
         if word in members or word in distractors or not sim.is_indexed(word):
             continue
-        sigma = _max_relatedness(sim, stem, word)
+        sigma = stem_sigmas[drawn]
         if band.contains(sigma):
             distractors.append(word)
             sigmas.append(sigma)
@@ -234,9 +236,7 @@ def gen_separate_topics(cset_a, cset_b, sim, eta2_cross, rng, seed=None):
     sources = (cset_a.topic_index, cset_b.topic_index)
     if set(cset_a.words) & set(cset_b.words):
         return Rejected(SEPARATE_TOPICS, sources, "sets share words")
-    cross = max(
-        sim.relatedness(u, v) for u in cset_a.words for v in cset_b.words
-    )
+    cross = float(sim.cross_relatedness(cset_a.words, cset_b.words).max())
     if cross >= eta2_cross:
         return Rejected(
             SEPARATE_TOPICS,
@@ -289,37 +289,28 @@ def generate_puzzle_bank(
     if eta2_cross is None:
         eta2_cross = band.eta2
     puzzles, skipped = [], []
+
+    def run(label, generate):
+        seed = derive_seed(master_seed, label)
+        result = generate(np.random.default_rng(seed), seed)
+        (puzzles if isinstance(result, Puzzle) else skipped).append(result)
+
     for kind in kinds:
         if kind == ODD_ONE_OUT:
             for cset in consistent_sets:
-                seed = derive_seed(master_seed, f"{kind}:{cset.topic_index}")
-                rng = np.random.default_rng(seed)
-                result = gen_odd_one_out(
+                run(f"{kind}:{cset.topic_index}", lambda rng, seed: gen_odd_one_out(
                     cset, sim, band, vocab, rng, max_attempts, seed=seed
-                )
-                (puzzles if isinstance(result, Puzzle) else skipped).append(result)
+                ))
         elif kind == CHOOSE_RELATED:
             for cset in consistent_sets:
-                seed = derive_seed(master_seed, f"{kind}:{cset.topic_index}")
-                rng = np.random.default_rng(seed)
-                result = gen_choose_related(
-                    cset, sim, band, n_distractors, vocab, rng,
-                    max_attempts, seed=seed,
-                )
-                (puzzles if isinstance(result, Puzzle) else skipped).append(result)
+                run(f"{kind}:{cset.topic_index}", lambda rng, seed: gen_choose_related(
+                    cset, sim, band, n_distractors, vocab, rng, max_attempts, seed=seed
+                ))
         elif kind == SEPARATE_TOPICS:
-            for first, second in zip(
-                consistent_sets[::2], consistent_sets[1::2]
-            ):
-                seed = derive_seed(
-                    master_seed,
-                    f"{kind}:{first.topic_index}:{second.topic_index}",
-                )
-                rng = np.random.default_rng(seed)
-                result = gen_separate_topics(
-                    first, second, sim, eta2_cross, rng, seed=seed
-                )
-                (puzzles if isinstance(result, Puzzle) else skipped).append(result)
+            for a, b in zip(consistent_sets[::2], consistent_sets[1::2]):
+                run(f"{kind}:{a.topic_index}:{b.topic_index}", lambda rng, seed: (
+                    gen_separate_topics(a, b, sim, eta2_cross, rng, seed=seed)
+                ))
         else:
             raise ValueError(f"unknown puzzle kind {kind!r}")
     return puzzles, skipped
@@ -359,7 +350,7 @@ def verify_puzzle(puzzle, sim, sets_by_topic):
             problems.append("presented set words do not match the source set")
         if canonical != len(puzzle.words) - 1:
             problems.append("solution does not round-trip through the shuffle")
-        sigma = _max_relatedness(sim, cset.words, odd)
+        sigma = float(sim.cross_relatedness(cset.words, [odd]).max())
         if sigma != puzzle.sigma or not puzzle.band.contains(sigma):
             problems.append(
                 f"sigma {sigma:.6f} violates band "
@@ -374,15 +365,18 @@ def verify_puzzle(puzzle, sim, sets_by_topic):
             problems.append("stem plus answer does not recover the source set")
         if canonical != 0:
             problems.append("solution does not round-trip through the shuffle")
-        sigmas = []
+        distractors = []
         for p, word in enumerate(puzzle.words):
             if p == puzzle.solution:
                 continue
             if word in cset.words:
                 problems.append(f"distractor {word!r} belongs to the source set")
-                continue
-            sigma = _max_relatedness(sim, puzzle.stem, word)
-            sigmas.append(sigma)
+            else:
+                distractors.append(word)
+        sigmas = sim.cross_relatedness(puzzle.stem or (), distractors).max(
+            axis=0, initial=0.0
+        ).tolist()
+        for word, sigma in zip(distractors, sigmas):
             if not puzzle.band.contains(sigma):
                 problems.append(
                     f"distractor {word!r} sigma {sigma:.6f} outside band"
@@ -398,9 +392,7 @@ def verify_puzzle(puzzle, sim, sets_by_topic):
         group_a = set(puzzle.words) - group_b
         if group_a != set(set_a.words) or group_b != set(set_b.words):
             problems.append("bitmask does not recover the source bipartition")
-        cross = max(
-            sim.relatedness(u, v) for u in set_a.words for v in set_b.words
-        )
+        cross = float(sim.cross_relatedness(set_a.words, set_b.words).max())
         if cross != puzzle.sigma or cross >= puzzle.band.eta2:
             problems.append(
                 f"cross relatedness {cross:.6f} violates cap {puzzle.band.eta2}"

@@ -12,13 +12,12 @@ Three interchangeable models produce an N x K dictionary of topic columns:
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import RAW_COUNT, DocTermMatrix
+from .corpus import RAW_COUNT, DocTermMatrix, load_versioned_json, write_json
 
 MODEL_LSA = "lsa"
 MODEL_LDA = "lda"
@@ -615,24 +614,34 @@ def save_topic_dictionary(dictionary, path):
         "singular_values": (
             None
             if dictionary.singular_values is None
-            else [float(v) for v in dictionary.singular_values]
+            else np.asarray(dictionary.singular_values, dtype=np.float64).tolist()
         ),
-        "weights": [float(v) for v in dictionary.weights.flatten(order="F")],
+        "weights": dictionary.weights.flatten(order="F").astype(np.float64).tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(payload, path)
+
+
+_MODEL_KEYS = ("model", "n_words", "n_topics", "weights")
 
 
 def load_topic_dictionary(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a topic dictionary file")
-    if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported version {payload.get('version')}")
-    weights = np.array(payload["weights"], dtype=np.float64).reshape(
-        (payload["n_words"], payload["n_topics"]), order="F"
+    payload = load_versioned_json(
+        path, MODEL_FORMAT, "a topic dictionary", MODEL_VERSION, _MODEL_KEYS
+    )
+    n_words, n_topics = payload["n_words"], payload["n_topics"]
+    weights = payload["weights"]
+    if not (
+        type(n_words) is int
+        and type(n_topics) is int
+        and isinstance(weights, list)
+        and len(weights) == n_words * n_topics
+    ):
+        raise ValueError(
+            f"{path}: weights must be a list of n_words * n_topics = "
+            f"{n_words} * {n_topics} values"
+        )
+    weights = np.array(weights, dtype=np.float64).reshape(
+        (n_words, n_topics), order="F"
     )
     sv = payload.get("singular_values")
     return TopicDictionary(

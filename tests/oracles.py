@@ -9,6 +9,10 @@ trees from exhaustive enumeration rather than Kruskal.
 ``list_gibbs_lda_weights`` is the library's original collapsed Gibbs
 sampler, frozen here unchanged (one ``rng.random()`` call per token, a
 Python loop over K) as the bit-identity reference for ``lda_fit``.
+``intersect1d_cosine`` is the library's original pair-at-a-time ESA cosine,
+frozen the same way as the reference for the CSR relatedness kernel.
+``widest_path_sim`` enumerates simple paths (exponential), the oracle for
+the bottleneck identity.
 """
 
 import itertools
@@ -100,6 +104,40 @@ def grid_search_lasso_objective(x, dictionary, kappa, lo=-2.0, hi=2.0, step=1e-2
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
     )
     return min(best_value, float(refined.fun))
+
+
+def widest_path_sim(graph, node_a, node_b):
+    """Exact max-min path value between two nodes, by depth-first
+    enumeration of simple paths (exponential; meant for small sets).
+    Branches whose running minimum cannot strictly improve the best value
+    are pruned, which preserves exactness."""
+    if node_a == node_b:
+        raise ValueError("widest path requires two distinct nodes")
+    start = graph.position(node_a)
+    goal = graph.position(node_b)
+    size = len(graph)
+    weights = graph.weights
+    best = -np.inf
+    visited = [False] * size
+    visited[start] = True
+
+    def explore(current, running_min):
+        nonlocal best
+        for nxt in range(size):
+            if visited[nxt]:
+                continue
+            value = min(running_min, weights[current, nxt])
+            if value <= best:
+                continue
+            if nxt == goal:
+                best = value
+                continue
+            visited[nxt] = True
+            explore(nxt, value)
+            visited[nxt] = False
+
+    explore(start, np.inf)
+    return float(best)
 
 
 def brute_force_max_spanning_tree(weights):
@@ -231,3 +269,17 @@ def list_gibbs_lda_weights(matrix, n_topics, alpha, beta, iterations, seed):
             totals = np.array(n_t, dtype=np.float64)
             phi_acc += (counts + beta) / (totals + nbeta)
     return phi_acc / n_avg
+
+
+def intersect1d_cosine(vector_a, vector_b):
+    """Cosine of two sparse vectors given as (ascending concept ids,
+    weights), as the library computed relatedness before the CSR rewrite:
+    dot over the shared ids divided by the product of the Euclidean norms,
+    capped at 1."""
+    ids_a, w_a = vector_a
+    ids_b, w_b = vector_b
+    _, ia, ib = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
+    if ia.size == 0:
+        return 0.0
+    dot = float(w_a[ia] @ w_b[ib])
+    return min(dot / (float(np.linalg.norm(w_a)) * float(np.linalg.norm(w_b))), 1.0)

@@ -10,8 +10,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import make_sparse_planted_instance
-from oracles import grid_search_lasso_objective, jacobi_singular_values
+from conftest import hand_index, make_sparse_planted_instance
+from oracles import (
+    grid_search_lasso_objective,
+    jacobi_singular_values,
+    widest_path_sim,
+)
 
 from topicpuzzles.cli import main as cli_main
 from topicpuzzles.consistency import (
@@ -20,14 +24,13 @@ from topicpuzzles.consistency import (
     identify_consistent_sets,
     load_consistent_sets,
     max_spanning_tree,
-    widest_path_sim,
 )
 from topicpuzzles.corpus import (
     build_doc_term_matrix,
     build_vocabulary,
     save_corpus_jsonl,
 )
-from topicpuzzles.esa import EsaIndex, SimilarityProvider, build_esa_index
+from topicpuzzles.esa import SimilarityProvider, build_esa_index
 from topicpuzzles.puzzles import load_puzzle_bank, verify_puzzle
 from topicpuzzles.synthetic import planted_topic_corpus
 from topicpuzzles.topic_models import (
@@ -354,12 +357,8 @@ def test_criterion_09_esa_properties(planted_mixed):
         assert provider.relatedness(word, word) == 1.0
 
     hand = SimilarityProvider(
-        EsaIndex(
-            concept_ids=["c0", "c1"],
-            vectors={
-                "narrow": (np.array([0]), np.array([1.0])),
-                "broad": (np.array([0, 1]), np.array([1.0, 1.0])),
-            },
+        hand_index(
+            {"narrow": ([0], [1.0]), "broad": ([0, 1], [1.0, 1.0])}, n_concepts=2
         )
     )
     # hand oracle: dot = 1, norms 1 and sqrt(2)

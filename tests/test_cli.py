@@ -1,6 +1,8 @@
 import json
+from types import SimpleNamespace
 
 import pytest
+from conftest import INDEX_CORRUPTIONS, mangle_index
 
 from topicpuzzles.cli import main
 from topicpuzzles.corpus import Document, save_corpus_jsonl
@@ -323,11 +325,15 @@ class TestEvalYield:
     def test_invariant_violation_exits_3(self, pipeline, capsys, monkeypatch):
         import topicpuzzles.cli as cli_module
 
-        calls = []
+        class Inverted(float):
+            """A score that compares above large thresholds only."""
+
+            def __gt__(self, delta):
+                return delta > 0.1
 
         def rigged(sets, provider, delta):
-            calls.append(delta)
-            return list(range(len(calls)))  # counts grow with delta: invalid
+            # one kept set whose count grows with delta: invalid
+            return [SimpleNamespace(score=Inverted(0.5))]
 
         monkeypatch.setattr(
             cli_module.consistency, "identify_consistent_sets", rigged
@@ -337,6 +343,70 @@ class TestEvalYield:
                      "--delta-grid", "0.0,0.2", "--num-topics", "2"])
         assert code == 3
         assert "non-increasing" in capsys.readouterr().err
+
+
+class TestLoadErrors:
+    """A corrupt or inconsistent input file exits 2 with a message, never a
+    traceback, and ``index`` refuses to write an index without words."""
+
+    def extract(self, pipeline, model=None, index=None):
+        if model is None:
+            model = str(pipeline["tmp"] / "lsa.json")
+            assert main(["train", "--model", "lsa", "--matrix", pipeline["matrix"],
+                         "--out", model, "--num-topics", "2"]) == 0
+        return main(["extract-sets", "--model", model,
+                     "--index", index or pipeline["index"],
+                     "--out", str(pipeline["tmp"] / "sets.jsonl")])
+
+    def rewrite(self, pipeline, path, change):
+        payload = json.loads(open(path).read())
+        broken = pipeline["tmp"] / "broken.json"
+        broken.write_text(json.dumps(change(payload)))
+        return str(broken)
+
+    def test_model_without_weights_exits_2(self, pipeline, capsys):
+        self.extract(pipeline)
+        model = self.rewrite(
+            pipeline, pipeline["tmp"] / "lsa.json",
+            lambda p: {k: v for k, v in p.items() if k != "weights"},
+        )
+        assert self.extract(pipeline, model=model) == 2
+        assert "missing key(s) weights" in capsys.readouterr().err
+
+    def test_model_weights_length_mismatch_exits_2(self, pipeline, capsys):
+        self.extract(pipeline)
+        model = self.rewrite(
+            pipeline, pipeline["tmp"] / "lsa.json",
+            lambda p: {**p, "weights": p["weights"][:-1]},
+        )
+        assert self.extract(pipeline, model=model) == 2
+        assert "n_words * n_topics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,how,message", INDEX_CORRUPTIONS)
+    def test_inconsistent_index_exits_2(self, pipeline, capsys, key, how, message):
+        index = self.rewrite(
+            pipeline, pipeline["index"], lambda p: mangle_index(p, key, how)
+        )
+        assert self.extract(pipeline, index=index) == 2
+        assert message in capsys.readouterr().err
+
+    def test_version_1_index_exits_2(self, pipeline, capsys):
+        index = self.rewrite(pipeline, pipeline["index"], lambda p: {
+            "format": "esa-index", "version": 1, "concept_ids": p["concept_ids"],
+            "n_concepts": len(p["concept_ids"]), "truncation": p["truncation"],
+            "vectors": {},
+        })
+        assert self.extract(pipeline, index=index) == 2
+        assert "re-run `index`" in capsys.readouterr().err
+
+    def test_single_concept_document_index_exits_2(self, tmp_path, capsys):
+        concepts = tmp_path / "one.jsonl"
+        save_corpus_jsonl([Document("only", "lonely words here")], concepts)
+        out = tmp_path / "index.json"
+        code = main(["index", "--concepts", str(concepts), "--out", str(out)])
+        assert code == 2
+        assert "concept vector" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestYieldCurveType:

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracles import brute_force_max_spanning_tree, prim_max_spanning_tree_min_edge
+from conftest import hand_index
+from oracles import (
+    brute_force_max_spanning_tree,
+    prim_max_spanning_tree_min_edge,
+    widest_path_sim,
+)
 
 from topicpuzzles.consistency import (
     ConsistentSet,
@@ -10,9 +15,8 @@ from topicpuzzles.consistency import (
     load_consistent_sets,
     max_spanning_tree,
     save_consistent_sets,
-    widest_path_sim,
 )
-from topicpuzzles.esa import EsaIndex, SimilarityProvider
+from topicpuzzles.esa import SimilarityProvider
 from topicpuzzles.topic_models import TopicWordSet
 
 
@@ -110,12 +114,9 @@ class TestBottleneckScore:
         assert bottleneck_score(g) == pytest.approx(0.42, abs=1e-15)
 
     def test_identical_vectors_score_one(self):
-        index = EsaIndex(
-            concept_ids=["c0", "c1"],
-            vectors={
-                w: (np.array([0, 1]), np.array([2.0, 3.0]))
-                for w in ("one", "two", "three")
-            },
+        index = hand_index(
+            {w: ([0, 1], [2.0, 3.0]) for w in ("one", "two", "three")},
+            n_concepts=2,
         )
         provider = SimilarityProvider(index, vocabulary=["one", "two", "three"])
         matrix = provider.similarity_submatrix([0, 1, 2])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -17,6 +18,13 @@ from topicpuzzles.corpus import (
     save_doc_term_matrix,
     tfidf_transform,
     tokenize,
+)
+from topicpuzzles.synthetic import planted_topic_corpus
+from topicpuzzles.topic_models import (
+    LdaConfig,
+    TopicDictionary,
+    lda_fit,
+    save_topic_dictionary,
 )
 
 
@@ -289,3 +297,38 @@ class TestMatrixPersistence:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a document-term matrix"):
             load_doc_term_matrix(path)
+
+
+class TestWrittenBytes:
+    """Matrix and model files keep their exact bytes: the digests below were
+    recorded from the per-element writers that preceded the vectorised
+    ones. Raw counts and a small-K LDA fit use only exactly rounded
+    arithmetic, so the bytes do not depend on the BLAS build."""
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_matrix_and_model_files(self, tmp_path):
+        docs, _ = planted_topic_corpus(3, 4, 30, 20, seed=5, background_fraction=0.15)
+        dtm = build_doc_term_matrix(docs, build_vocabulary(docs))
+        save_doc_term_matrix(dtm, tmp_path / "m.json")
+        model = lda_fit(dtm, LdaConfig(n_topics=3, iterations=5, seed=2))
+        save_topic_dictionary(model, tmp_path / "t.json")
+        hand = TopicDictionary(
+            weights=np.arange(1.0, 7.0).reshape(3, 2) / 7.0,
+            model="lsa",
+            meta={"seed": 0},
+            vocab=["a", "b", "c"],
+            singular_values=np.array([3.5, 1 / 3]),
+        )
+        save_topic_dictionary(hand, tmp_path / "h.json")
+        assert self.digest(tmp_path / "m.json") == (
+            "076300a6e09ecd60d0e380068410e380be20b6fc63fa0ab382e54600f7d56a3a"
+        )
+        assert self.digest(tmp_path / "t.json") == (
+            "8c1d93e67a60d195e230d352e548a54fc8c7b0a61c91634988521ce5e7cefdc6"
+        )
+        assert self.digest(tmp_path / "h.json") == (
+            "9583103f03b7e53f2bda7d138e6ceb1f671310ea190896483531e225d9da286f"
+        )

@@ -1,27 +1,19 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
+from conftest import INDEX_CORRUPTIONS, hand_index, index_vector, mangle_index
+from oracles import intersect1d_cosine
 
 from topicpuzzles.corpus import Document
 from topicpuzzles.esa import (
     EsaConfig,
-    EsaIndex,
     SimilarityProvider,
     build_esa_index,
     load_esa_index,
     save_esa_index,
 )
-
-
-def hand_index(vectors, n_concepts=4):
-    """EsaIndex assembled directly from (concept ids, weights) pairs."""
-    return EsaIndex(
-        concept_ids=[f"c{i}" for i in range(n_concepts)],
-        vectors={
-            word: (np.array(ids), np.array(weights, dtype=float))
-            for word, (ids, weights) in vectors.items()
-        },
-    )
-
 
 CONCEPTS = [
     Document("elections", "vote election candidate vote ballot"),
@@ -42,20 +34,25 @@ class TestBuildEsaIndex:
 
     def test_support_follows_occurrences(self):
         index = build_esa_index(CONCEPTS)
-        ids, weights = index.vector("ballot")
+        ids, weights = index_vector(index, "ballot")
         assert list(ids) == [0]
         assert np.all(weights > 0)
-        ids, _ = index.vector("wizard")
+        ids, _ = index_vector(index, "wizard")
         assert list(ids) == [1, 3]
 
     def test_rebuild_identical(self):
         a = build_esa_index(CONCEPTS)
         b = build_esa_index(CONCEPTS)
         assert a.concept_ids == b.concept_ids
-        assert set(a.vectors) == set(b.vectors)
-        for word in a.vectors:
-            np.testing.assert_array_equal(a.vectors[word][0], b.vectors[word][0])
-            np.testing.assert_array_equal(a.vectors[word][1], b.vectors[word][1])
+        assert a.words() == b.words()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_rows_sorted_and_unit_norm(self):
+        index = build_esa_index(CONCEPTS)
+        assert index.words() == sorted(index.words())
+        norms = np.sqrt(np.asarray(index.R.multiply(index.R).sum(axis=1)).ravel())
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-15)
 
     def test_truncation_keeps_largest_weights(self):
         concepts = [
@@ -63,19 +60,24 @@ class TestBuildEsaIndex:
             for i in range(4)
         ] + [Document("c4", "filler extra")]
         index = build_esa_index(concepts, EsaConfig(max_concepts_per_word=2))
-        ids, weights = index.vector("common")
+        ids, weights = index_vector(index, "common")
         assert len(ids) == 2
         # tf grows with the concept number, so the two largest weights sit
         # in the last two concepts containing the word
         assert set(ids) == {2, 3}
         full = build_esa_index(concepts)
-        _, all_weights = full.vector("common")
+        _, all_weights = index_vector(full, "common")
         assert set(weights) == set(sorted(all_weights)[-2:])
 
     def test_word_in_every_concept_has_no_vector(self):
         concepts = [Document(str(i), f"everywhere word{i}") for i in range(3)]
         index = build_esa_index(concepts)
         assert "everywhere" not in index
+
+    def test_single_concept_indexes_no_word(self):
+        # one concept document: every word has idf 0, so no word has a vector
+        index = build_esa_index([Document("only", "lonely words here")])
+        assert len(index) == 0
 
 
 class TestRelatedness:
@@ -120,19 +122,6 @@ class TestRelatedness:
             value = provider.relatedness(a, b)
             assert 0.0 <= value <= 1.0
 
-    def test_memo_transparent_and_bounded(self):
-        provider = SimilarityProvider(build_esa_index(CONCEPTS), memo_size=2)
-        words = provider.index.words()
-        first = {
-            (a, b): provider.relatedness(a, b) for a in words for b in words
-        }
-        assert len(provider._memo) <= 2
-        again = {
-            (a, b): provider.relatedness(a, b) for a in words for b in words
-        }
-        assert first == again
-
-
 class TestSimilaritySubmatrix:
     def test_singleton(self):
         provider = SimilarityProvider(build_esa_index(CONCEPTS))
@@ -168,6 +157,69 @@ class TestSimilaritySubmatrix:
             provider.similarity_submatrix([0, 1])
 
 
+class TestKernelAgreement:
+    """Scalar relatedness, the set submatrix (by word and by index), the
+    cross block and the generation sigma vector all return the same float
+    for a pair, and agree with the original intersect1d cosine."""
+
+    @pytest.fixture(scope="class")
+    def planted_index(self, planted_mixed):
+        docs, _, _, _ = planted_mixed
+        return build_esa_index(docs)
+
+    def test_every_path_equal_exactly(self, planted_index):
+        words = planted_index.words()
+        provider = SimilarityProvider(planted_index, vocabulary=words)
+        scalar = np.array([[provider.relatedness(a, b) for b in words] for a in words])
+        np.testing.assert_array_equal(provider.similarity_submatrix(words), scalar)
+        np.testing.assert_array_equal(
+            provider.similarity_submatrix(range(len(words))), scalar
+        )
+        np.testing.assert_array_equal(provider.cross_relatedness(words, words), scalar)
+        for i, word in enumerate(words):
+            np.testing.assert_array_equal(
+                provider.max_relatedness([word], words), scalar[i]
+            )
+
+    def test_set_sigma_is_max_of_scalar(self, planted_index):
+        words = planted_index.words()
+        provider = SimilarityProvider(planted_index)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            anchors = list(rng.choice(words, 4, replace=False))
+            sigma = provider.max_relatedness(anchors, words)
+            expected = [max(provider.relatedness(t, w) for t in anchors) for w in words]
+            assert sigma.tolist() == expected
+
+    def test_agrees_with_intersect1d_oracle(self, planted_index):
+        words = planted_index.words()
+        provider = SimilarityProvider(planted_index)
+        for a, b in itertools.combinations(words, 2):
+            expected = intersect1d_cosine(
+                index_vector(planted_index, a), index_vector(planted_index, b)
+            )
+            assert abs(provider.relatedness(a, b) - expected) <= 1e-12
+
+    def test_submatrix_exactly_symmetric(self, planted_index):
+        words = planted_index.words()
+        provider = SimilarityProvider(planted_index)
+        rng = np.random.default_rng(11)
+        for size in (2, 4, 7, len(words)):
+            chosen = list(rng.choice(words, size, replace=False))
+            matrix = provider.similarity_submatrix(chosen)
+            assert np.array_equal(matrix, matrix.T)
+
+    def test_missing_words_in_blocks(self, planted_index):
+        words = planted_index.words()[:3]
+        provider = SimilarityProvider(planted_index)
+        cross = provider.cross_relatedness(words + ["unheard"], words)
+        assert np.all(cross[3] == 0.0)
+        assert provider.max_relatedness(["unheard"], words).tolist() == [0.0] * 3
+        sigma = provider.max_relatedness(words, ["unheard", words[0]])
+        assert sigma.tolist() == [0.0, 1.0]
+        assert "unheard" in provider.missing_words
+
+
 class TestEsaPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         index = build_esa_index(CONCEPTS)
@@ -176,14 +228,10 @@ class TestEsaPersistence:
         loaded = load_esa_index(path)
         assert loaded.concept_ids == index.concept_ids
         assert loaded.truncation == index.truncation
-        assert set(loaded.vectors) == set(index.vectors)
-        for word in index.vectors:
-            np.testing.assert_array_equal(
-                loaded.vectors[word][0], index.vectors[word][0]
-            )
-            np.testing.assert_array_equal(
-                loaded.vectors[word][1], index.vectors[word][1]
-            )
+        assert loaded.words() == index.words()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
+        np.testing.assert_array_equal(loaded.R.toarray(), index.R.toarray())
 
     def test_deterministic_bytes(self, tmp_path):
         index = build_esa_index(CONCEPTS)
@@ -196,4 +244,19 @@ class TestEsaPersistence:
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "nope"}')
         with pytest.raises(ValueError, match="not an ESA index"):
+            load_esa_index(path)
+
+    def test_version_1_asks_for_rebuild(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format": "esa-index", "version": 1}))
+        with pytest.raises(ValueError, match="re-run `index`"):
+            load_esa_index(path)
+
+    @pytest.mark.parametrize("key,how,message", INDEX_CORRUPTIONS)
+    def test_inconsistent_file_rejected(self, tmp_path, key, how, message):
+        path = tmp_path / "index.json"
+        save_esa_index(build_esa_index(CONCEPTS), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(mangle_index(payload, key, how)))
+        with pytest.raises(ValueError, match=message):
             load_esa_index(path)

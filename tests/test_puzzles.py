@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from conftest import hand_index
 
 from topicpuzzles.consistency import ConsistentSet
-from topicpuzzles.esa import EsaIndex, SimilarityProvider
+from topicpuzzles.esa import SimilarityProvider
 from topicpuzzles.puzzles import (
     BAND_PRESETS,
     CHOOSE_RELATED,
@@ -27,7 +28,7 @@ from topicpuzzles.puzzles import (
 )
 
 
-def block_index():
+def block_vectors():
     """Hand-built concept vectors: two 4-word themes plus midband words.
 
     Theme words share concept support inside their theme (high cosine) and
@@ -51,7 +52,11 @@ def block_index():
     # orphan words on unshared concepts
     vectors["orphanone"] = (np.array([10]), np.array([5.0]))
     vectors["orphantwo"] = (np.array([11]), np.array([5.0]))
-    return EsaIndex(concept_ids=[f"c{i}" for i in range(12)], vectors=vectors)
+    return vectors
+
+
+def block_index():
+    return hand_index(block_vectors(), n_concepts=12)
 
 
 @pytest.fixture
@@ -315,12 +320,10 @@ class TestGenSeparateTopics:
 
     def test_injected_high_cross_pair_rejected(self, provider, theme_a, theme_b):
         # vectors constructed so one cross pair exceeds the cap
-        vectors = dict(block_index().vectors)
+        vectors = block_vectors()
         shared = (np.array([0, 1, 2, 3]), np.array([4.0, 3.0, 2.0, 1.0]))
         vectors["bwand"] = shared  # now nearly collinear with 'avote'
-        tampered = SimilarityProvider(
-            EsaIndex([f"c{i}" for i in range(12)], vectors)
-        )
+        tampered = SimilarityProvider(hand_index(vectors, n_concepts=12))
         cross = max(
             tampered.relatedness(u, v)
             for u in theme_a.words
