@@ -298,7 +298,7 @@ def cmd_eval_yield(args):
 
     table = YieldCurve(deltas=grid, counts=curve).validate().as_csv()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with corpus.atomic_write(args.out) as fh:
             fh.write(table)
     print(table, end="")
     return EXIT_OK

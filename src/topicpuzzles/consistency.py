@@ -10,9 +10,12 @@ is how ``bottleneck_score`` computes it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .corpus import atomic_write
 
 
 @dataclass(eq=False)
@@ -149,7 +152,7 @@ def identify_consistent_sets(sets, sim, delta):
 
 def save_consistent_sets(sets, path):
     """JSON-lines output: one object per consistent set."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for cs in sets:
             record = {
                 "topic": cs.topic_index,
@@ -165,20 +168,48 @@ def save_consistent_sets(sets, path):
 _SET_KEYS = ("topic", "words", "word_indices", "score", "delta")
 
 
+def _set_record_problem(record):
+    """What is wrong with one parsed sets-file line, or None."""
+    if not isinstance(record, dict):
+        return "expected an object"
+    missing = [key for key in _SET_KEYS if key not in record]
+    if missing:
+        return f"missing key(s) {', '.join(missing)}"
+    words, indices = record["words"], record["word_indices"]
+    if not (
+        isinstance(words, list)
+        and isinstance(indices, list)
+        and len(words) == len(indices)
+        and all(isinstance(w, str) for w in words)
+        and all(type(i) is int for i in indices)
+    ):
+        return "words and word_indices must be equal-length lists of str and int"
+    if type(record["topic"]) is not int:
+        return "topic must be an int"
+    for key in ("score", "delta"):
+        value = record[key]
+        if type(value) not in (int, float) or not math.isfinite(value):
+            return f"{key} must be a finite number"
+    return None
+
+
 def load_consistent_sets(path):
+    """Read a sets file written by ``save_consistent_sets``; ValueError
+    names the first line that is not valid JSON or not a well-typed set."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"{path} line {lineno}: expected an object")
-            missing = [key for key in _SET_KEYS if key not in record]
-            if missing:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
                 raise ValueError(
-                    f"{path} line {lineno}: missing key(s) {', '.join(missing)}"
-                )
+                    f"{path} line {lineno}: invalid JSON ({exc.msg})"
+                ) from exc
+            problem = _set_record_problem(record)
+            if problem is not None:
+                raise ValueError(f"{path} line {lineno}: {problem}")
             out.append(
                 ConsistentSet(
                     topic_index=record["topic"],

@@ -9,9 +9,12 @@ immutable afterwards and are safe to share across threads.
 from __future__ import annotations
 
 import json
+import os
 import re
+import secrets
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -277,7 +280,7 @@ def load_corpus_jsonl(path):
 
 
 def save_corpus_jsonl(docs, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc in docs:
             fh.write(json.dumps({"id": doc.id, "text": doc.text}, sort_keys=True))
             fh.write("\n")
@@ -316,10 +319,37 @@ _DTM_KEYS = (
 )
 
 
+@contextmanager
+def atomic_write(path):
+    """Text handle for writing ``path`` all at once or not at all.
+
+    Writes go to a temporary file in the target's directory, which replaces
+    ``path`` only when the block exits normally; on an error it is removed
+    and an existing ``path`` is left as it was. A symbolic link is followed.
+    A target that exists but is not a regular file (a device such as
+    /dev/null, a pipe) is written in place, since it cannot be replaced.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_json(payload, path):
     """One JSON object on one line, keys sorted, no spaces. Encoding the
     whole string at once uses the C encoder, which ``json.dump`` does not."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consistency import WeightedGraph, bottleneck_score
+from .corpus import atomic_write
 
 ODD_ONE_OUT = "odd-one-out"
 CHOOSE_RELATED = "choose-related"
@@ -426,7 +427,7 @@ def puzzle_record(puzzle, include_solution=True):
 def save_puzzle_bank(puzzles, path, include_solutions=True):
     """JSON-lines puzzle bank; with include_solutions=False the solution and
     permutation fields are withheld."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for puzzle in puzzles:
             fh.write(
                 json.dumps(

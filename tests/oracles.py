@@ -11,6 +11,9 @@ sampler, frozen here unchanged (one ``rng.random()`` call per token, a
 Python loop over K) as the bit-identity reference for ``lda_fit``.
 ``intersect1d_cosine`` is the library's original pair-at-a-time ESA cosine,
 frozen the same way as the reference for the CSR relatedness kernel.
+``naive_cd_lasso`` is the library's original l1 coordinate descent (one
+``gram[j] @ alpha`` per coordinate step), frozen the same way as the
+reference for the covariance-update loop in ``sparse_code``.
 ``widest_path_sim`` enumerates simple paths (exponential), the oracle for
 the bottleneck identity.
 """
@@ -283,3 +286,34 @@ def intersect1d_cosine(vector_a, vector_b):
         return 0.0
     dot = float(w_a[ia] @ w_b[ib])
     return min(dot / (float(np.linalg.norm(w_a)) * float(np.linalg.norm(w_b))), 1.0)
+
+
+def naive_cd_lasso(x, dictionary, kappa, tol=1e-8, max_iter=1000):
+    """(coefficients, objective) of 0.5*||x - D a||^2 + kappa*||a||_1 by
+    the original cyclic coordinate descent: start at a = 0, recompute
+    ``gram[j] @ alpha`` at every coordinate step, soft-threshold, and stop
+    once a pass improves the objective by less than ``tol``."""
+    d = np.asarray(dictionary, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    k = d.shape[1]
+    gram = d.T @ d
+    b = d.T @ x
+    xx = float(x @ x)
+    alpha = np.zeros(k)
+    prev = 0.5 * xx
+
+    diag = np.diag(gram)
+    for _ in range(max_iter):
+        for j in range(k):
+            if diag[j] <= 1e-15:
+                continue
+            r = b[j] - float(gram[j] @ alpha) + diag[j] * alpha[j]
+            a = abs(r) - kappa
+            alpha[j] = np.sign(r) * a / diag[j] if a > 0 else 0.0
+        quad = 0.5 * (xx - 2.0 * float(b @ alpha) + float(alpha @ gram @ alpha))
+        cur = quad + kappa * float(np.sum(np.abs(alpha)))
+        if abs(prev - cur) < tol:
+            prev = cur
+            break
+        prev = cur
+    return alpha, float(prev)

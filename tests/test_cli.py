@@ -214,6 +214,28 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "exhausted" in out
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("words", "vote", "equal-length lists"),
+        ("word_indices", [0.0, 1.0], "equal-length lists"),
+        ("score", "high", "score must be a finite number"),
+        ("delta", float("nan"), "delta must be a finite number"),
+    ])
+    def test_mistyped_set_record_exits_2_names_line(
+        self, pipeline, capsys, key, value, message
+    ):
+        sets = self.make_sets(pipeline)
+        records = [json.loads(l) for l in open(sets)]
+        assert records
+        records[-1][key] = value
+        broken = pipeline["tmp"] / "mistyped.jsonl"
+        broken.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = main(["generate", "--sets", str(broken), "--index", pipeline["index"],
+                     "--out", str(pipeline["tmp"] / "b.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {len(records)}" in err
+        assert message in err
+
     def test_sets_without_topic_exits_2(self, pipeline, capsys):
         sets = self.make_sets(pipeline)
         records = [json.loads(l) for l in open(sets)]
@@ -381,6 +403,19 @@ class TestLoadErrors:
         )
         assert self.extract(pipeline, model=model) == 2
         assert "n_words * n_topics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,message", [
+        ("weights", "weights must be finite"),
+        ("singular_values", "singular values must be finite"),
+    ])
+    def test_model_non_finite_values_exit_2(self, pipeline, capsys, key, message):
+        self.extract(pipeline)
+        model = self.rewrite(
+            pipeline, pipeline["tmp"] / "lsa.json",
+            lambda p: {**p, key: [float("nan")] + p[key][1:]},
+        )
+        assert self.extract(pipeline, model=model) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,how,message", INDEX_CORRUPTIONS)
     def test_inconsistent_index_exits_2(self, pipeline, capsys, key, how, message):

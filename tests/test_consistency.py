@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import hand_index
@@ -321,6 +323,30 @@ class TestConsistentSetPersistence:
         path = tmp_path / "sets.jsonl"
         save_consistent_sets(sets, path)
         assert load_consistent_sets(path) == sets
+
+    @pytest.mark.parametrize("change,message", [
+        ({"words": ["b"]}, "equal-length lists"),
+        ({"words": ["b", 3]}, "equal-length lists"),
+        ({"word_indices": [1, True]}, "equal-length lists"),
+        ({"word_indices": "12"}, "equal-length lists"),
+        ({"topic": "0"}, "topic must be an int"),
+        ({"score": None}, "score must be a finite number"),
+        ({"score": float("inf")}, "score must be a finite number"),
+        ({"delta": False}, "delta must be a finite number"),
+    ])
+    def test_mistyped_record_rejected_naming_line(self, tmp_path, change, message):
+        good = {"topic": 0, "words": ["b", "c"], "word_indices": [1, 2],
+                "score": 0.75, "delta": 0.2}
+        path = tmp_path / "sets.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
+        with pytest.raises(ValueError, match=f"line 2: .*{message}"):
+            load_consistent_sets(path)
+
+    def test_invalid_json_line_rejected(self, tmp_path):
+        path = tmp_path / "sets.jsonl"
+        path.write_text('{"topic": 0,\n')
+        with pytest.raises(ValueError, match="line 1: invalid JSON"):
+            load_consistent_sets(path)
 
     def test_deterministic_bytes(self, tmp_path):
         sets = [ConsistentSet(0, (1, 2), ("b", "c"), 0.75, 0.2)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from topicpuzzles.consistency import ConsistentSet, save_consistent_sets
 from topicpuzzles.corpus import (
     CorpusFormatError,
     Document,
@@ -18,6 +19,7 @@ from topicpuzzles.corpus import (
     save_doc_term_matrix,
     tfidf_transform,
     tokenize,
+    write_json,
 )
 from topicpuzzles.synthetic import planted_topic_corpus
 from topicpuzzles.topic_models import (
@@ -245,6 +247,54 @@ class TestJsonlCorpus:
         path = tmp_path / "corpus.jsonl"
         save_corpus_jsonl(docs, path)
         assert load_corpus_jsonl(path) == docs
+
+
+# Each writer is handed a second record that cannot be encoded, so it fails
+# after part of the output has been written.
+FAILING_WRITES = {
+    "corpus": lambda path: save_corpus_jsonl(
+        [Document("a", "apple pie"), Document("b", object())], path
+    ),
+    "sets": lambda path: save_consistent_sets(
+        [ConsistentSet(0, (1, 2), ("b", "c"), 0.75, 0.2),
+         ConsistentSet(1, (3, 4), ("d", "e"), object(), 0.2)], path
+    ),
+    "json": lambda path: write_json({"ok": 1, "bad": object()}, path),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(FAILING_WRITES))
+    def test_failed_write_leaves_no_file(self, tmp_path, writer):
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(TypeError):
+            FAILING_WRITES[writer](path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", sorted(FAILING_WRITES))
+    def test_failed_write_keeps_existing_file(self, tmp_path, writer):
+        path = tmp_path / "out.jsonl"
+        path.write_text("previous contents\n")
+        with pytest.raises(TypeError):
+            FAILING_WRITES[writer](path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "previous contents\n"
+
+    def test_write_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("previous contents\n")
+        save_corpus_jsonl([Document("a", "apple pie")], path)
+        assert load_corpus_jsonl(path) == [Document("a", "apple pie")]
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_write_through_symlink_keeps_link(self, tmp_path):
+        target = tmp_path / "target.json"
+        link = tmp_path / "link.json"
+        target.write_text("previous contents\n")
+        link.symlink_to(target)
+        write_json({"a": 1}, link)
+        assert link.is_symlink()
+        assert target.read_text() == '{"a":1}\n'
 
 
 class TestMatrixPersistence:

@@ -1,8 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from oracles import jacobi_singular_values
 
-from topicpuzzles.corpus import Document, build_doc_term_matrix, build_vocabulary
+import topicpuzzles
+from topicpuzzles.corpus import (
+    Document,
+    build_doc_term_matrix,
+    build_vocabulary,
+    save_doc_term_matrix,
+)
 from topicpuzzles.topic_models import (
     load_topic_dictionary,
     lsa_fit,
@@ -116,3 +126,24 @@ class TestLsaPersistence:
         save_topic_dictionary(td, p1)
         save_topic_dictionary(td, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_train_bytes_independent_of_blas_threads(tmp_path, planted_mixed):
+    """`train --model lsa` writes the same bytes with one and two BLAS
+    threads. The 80 x 400 matrix is large enough for OpenBLAS to split its
+    products over two threads."""
+    *_, dtm = planted_mixed
+    matrix = tmp_path / "matrix.json"
+    save_doc_term_matrix(dtm, matrix)
+    src = os.path.dirname(os.path.dirname(topicpuzzles.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"lsa-{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "topicpuzzles.cli", "train", "--model", "lsa",
+             "--matrix", str(matrix), "--out", str(out), "--num-topics", "8"],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import make_sparse_planted_instance
-from oracles import grid_search_lasso_objective
+from oracles import grid_search_lasso_objective, naive_cd_lasso
 
 from topicpuzzles.topic_models import (
     DictLearnConfig,
@@ -69,6 +69,71 @@ class TestSparseCodeL1:
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError, match="kappa"):
             sparse_code(np.ones(3), np.eye(3), 0.0)
+
+
+def oracle_cases():
+    """(label, x, dictionary, kappa) over random, orthonormal and
+    rank-deficient dictionaries with 1, 3 and 40 atoms."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for k in (1, 3, 40):
+        for trial in range(3):
+            d = rng.standard_normal((60, k))
+            d /= np.linalg.norm(d, axis=0)
+            x = rng.standard_normal(60)
+            cases.append((f"random-k{k}-{trial}", x, d, 0.3))
+        q = random_orthonormal(60, k, seed=k)
+        cases.append((f"orthonormal-k{k}", rng.standard_normal(60), q, 0.2))
+        # rank min(k, 4): more atoms than directions, repeated atoms, and a
+        # zero atom (skipped by both loops)
+        low = rng.standard_normal((12, 4)) @ rng.standard_normal((4, k))
+        low[:, -1] = 0.0
+        if k > 2:
+            low[:, 1] = low[:, 0]
+        x = low @ rng.standard_normal(k) + 0.1 * rng.standard_normal(12)
+        cases.append((f"rank-deficient-k{k}", x, low, 0.05))
+    return cases
+
+
+def capped_case():
+    """A rank-deficient 40-atom problem that is still descending after 5
+    passes, so max_iter=5 ends the loop."""
+    rng = np.random.default_rng(5)
+    d = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 40))
+    x = d @ rng.standard_normal(40)
+    return x, d, 0.01
+
+
+class TestCovarianceUpdateAgainstPlainLoop:
+    """The covariance-update loop takes the plain loop's steps; only
+    rounding may differ."""
+
+    @staticmethod
+    def assert_agrees(x, d, kappa, max_iter=1000):
+        code = sparse_code(x, d, kappa, max_iter=max_iter)
+        coeffs, objective = naive_cd_lasso(x, d, kappa, max_iter=max_iter)
+        np.testing.assert_allclose(code.coeffs, coeffs, rtol=0, atol=1e-10)
+        assert code.objective == pytest.approx(objective, rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("case", oracle_cases(), ids=lambda case: case[0])
+    def test_matches_plain_loop(self, case):
+        _, x, d, kappa = case
+        self.assert_agrees(x, d, kappa)
+
+    def test_matches_plain_loop_when_max_iter_ends_it(self):
+        x, d, kappa = capped_case()
+        five, _ = naive_cd_lasso(x, d, kappa, max_iter=5)
+        six, _ = naive_cd_lasso(x, d, kappa, max_iter=6)
+        assert np.max(np.abs(five - six)) > 1e-6, "case converged before the cap"
+        self.assert_agrees(x, d, kappa, 5)
+
+    def test_matches_plain_loop_on_corpus_columns(self, planted):
+        _, _, _, dtm = planted
+        d = np.random.default_rng(2).standard_normal((dtm.n_words, 40))
+        d /= np.linalg.norm(d, axis=0)
+        columns = dtm.matrix.toarray().T
+        for x in columns[::40]:
+            self.assert_agrees(x, d, 0.5)
 
 
 class TestSparseCodeGroupL2:
