@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import consistency, corpus, esa, puzzles, topic_models
 
@@ -72,23 +72,34 @@ def _load_config(path):
     return config
 
 
-def _setting(args, config, key, default):
-    """Flag > config file > default."""
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _setting(args, config, key, default, kind):
+    """Flag > config file > default. ``kind`` converts a config value as
+    the flag's type converts the flag; a value it rejects is a usage error
+    naming the key."""
     value = getattr(args, key.replace("-", "_"), None)
     if value is not None:
         return value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from exc
 
 
 def _tokenizer_config(args, config):
     kwargs = {}
-    if _setting(args, config, "keep-stopwords", False):
+    if _setting(args, config, "keep-stopwords", False, bool):
         kwargs["stopwords"] = frozenset()
-    min_token_len = _setting(args, config, "min-token-len", None)
+    min_token_len = _setting(args, config, "min-token-len", None, int)
     if min_token_len is not None:
-        kwargs["min_token_len"] = int(min_token_len)
+        kwargs["min_token_len"] = min_token_len
     return corpus.TokenizerConfig(**kwargs) if kwargs else corpus.DEFAULT_TOKENIZER
 
 
@@ -98,12 +109,12 @@ def cmd_ingest(args):
     tokenizer = _tokenizer_config(args, config)
     vocab = corpus.build_vocabulary(
         docs,
-        min_df=int(_setting(args, config, "min-df", 1)),
-        max_df_ratio=float(_setting(args, config, "max-df-ratio", 1.0)),
+        min_df=_setting(args, config, "min-df", 1, int),
+        max_df_ratio=_setting(args, config, "max-df-ratio", 1.0, float),
         config=tokenizer,
     )
     dtm = corpus.build_doc_term_matrix(docs, vocab, tokenizer)
-    if _setting(args, config, "tfidf", False):
+    if _setting(args, config, "tfidf", False, bool):
         dtm = corpus.tfidf_transform(dtm)
     corpus.save_doc_term_matrix(dtm, args.out)
     print(
@@ -113,39 +124,33 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
-def fit_model(name, dtm, setting):
-    """Fit topic model ``name`` to a matrix. ``setting(key, default)`` gives
-    each hyperparameter, so ``train`` and ``eval-yield`` differ only in
-    where they look settings up."""
-    n_topics = int(setting("num-topics", topic_models.DEFAULT_NUM_TOPICS))
-    seed = int(setting("seed", 0))
+def fit_model(name, dtm, args, config):
+    """Fit topic model ``name`` to a matrix with hyperparameters from the
+    flags, then ``config``, then their defaults; ``train`` and
+    ``eval-yield`` differ only in the config they pass. The LDA and
+    dictlearn keys are their config fields spelled as flags."""
+    n_topics = _setting(
+        args, config, "num-topics", topic_models.DEFAULT_NUM_TOPICS, int
+    )
+    seed = _setting(args, config, "seed", 0, int)
     if name == topic_models.MODEL_LSA:
         return topic_models.lsa_fit(dtm, n_topics, seed=seed)
-    if name == topic_models.MODEL_LDA:
-        return topic_models.lda_fit(dtm, topic_models.LdaConfig(
-            n_topics=n_topics,
-            alpha=float(setting("alpha", 0.1)),
-            beta=float(setting("beta", 0.01)),
-            iterations=int(setting("iterations", 200)),
-            seed=seed,
-        ))
-    return topic_models.dict_learn_fit(dtm, topic_models.DictLearnConfig(
-        n_topics=n_topics,
-        kappa=float(setting("kappa", 0.1)),
-        rho=float(setting("rho", 0.0)),
-        regularizer=setting("regularizer", topic_models.L1),
-        n_groups=int(setting("n-groups", 2)),
-        epochs=int(setting("epochs", 5)),
-        seed=seed,
-    ))
+    fit, cls = topic_models.lda_fit, topic_models.LdaConfig
+    if name == topic_models.MODEL_DICTLEARN:
+        fit, cls = topic_models.dict_learn_fit, topic_models.DictLearnConfig
+    values = {"n_topics": n_topics, "seed": seed}
+    for f in fields(cls):
+        if f.name not in values:
+            kind = _text if isinstance(f.default, str) else type(f.default)
+            key = f.name.replace("_", "-")
+            values[f.name] = _setting(args, config, key, f.default, kind)
+    return fit(dtm, cls(**values))
 
 
 def cmd_train(args):
     config = _load_config(args.config)
     dtm = corpus.load_doc_term_matrix(args.matrix)
-    model = fit_model(
-        args.model, dtm, lambda key, default: _setting(args, config, key, default)
-    )
+    model = fit_model(args.model, dtm, args, config)
     model.validate()
     topic_models.save_topic_dictionary(model, args.out)
     print(f"trained {model.model} model: {model.n_words} words x {model.n_topics} topics")
@@ -156,11 +161,11 @@ def cmd_index(args):
     config = _load_config(args.config)
     concepts = corpus.load_corpus_jsonl(args.concepts)
     esa_config = esa.EsaConfig(
-        max_concepts_per_word=int(
-            _setting(args, config, "max-concepts-per-word", esa.DEFAULT_TRUNCATION)
+        max_concepts_per_word=_setting(
+            args, config, "max-concepts-per-word", esa.DEFAULT_TRUNCATION, int
         ),
-        min_df=int(_setting(args, config, "min-df", 1)),
-        max_df_ratio=float(_setting(args, config, "max-df-ratio", 1.0)),
+        min_df=_setting(args, config, "min-df", 1, int),
+        max_df_ratio=_setting(args, config, "max-df-ratio", 1.0, float),
         tokenizer=_tokenizer_config(args, config),
     )
     index = esa.build_esa_index(concepts, esa_config)
@@ -178,10 +183,8 @@ def cmd_extract_sets(args):
         raise UsageError(f"model {args.model} carries no vocabulary")
     index = esa.load_esa_index(args.index)
     provider = esa.SimilarityProvider(index, vocabulary=model.vocab)
-    k = int(_setting(args, config, "top-k", topic_models.DEFAULT_TOP_K))
-    delta = float(_setting(args, config, "delta", 0.1))
-    if not 0.0 <= delta < 1.0:
-        raise UsageError(f"delta must be in [0, 1), got {delta}")
+    k = _setting(args, config, "top-k", topic_models.DEFAULT_TOP_K, int)
+    delta = _setting(args, config, "delta", 0.1, float)
     sets = topic_models.extract_top_k(model, k)
     kept = consistency.identify_consistent_sets(sets, provider, delta)
     consistency.save_consistent_sets(kept, args.out)
@@ -190,14 +193,14 @@ def cmd_extract_sets(args):
 
 
 def _resolve_band(args, config):
-    eta1 = _setting(args, config, "eta1", None)
-    eta2 = _setting(args, config, "eta2", None)
-    name = _setting(args, config, "band", None)
+    eta1 = _setting(args, config, "eta1", None, float)
+    eta2 = _setting(args, config, "eta2", None, float)
+    name = _setting(args, config, "band", None, _text)
     if eta1 is not None or eta2 is not None:
         if eta1 is None or eta2 is None:
             raise UsageError("--eta1 and --eta2 must be given together")
         try:
-            return puzzles.DifficultyBand(float(eta1), float(eta2), name or "custom")
+            return puzzles.DifficultyBand(eta1, eta2, name or "custom")
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     if name is None:
@@ -216,27 +219,21 @@ def cmd_generate(args):
     provider = esa.SimilarityProvider(index)
     vocab = index.words()
     band = _resolve_band(args, config)
-    kinds_value = _setting(
-        args, config, "kinds",
-        f"{puzzles.ODD_ONE_OUT},{puzzles.CHOOSE_RELATED},{puzzles.SEPARATE_TOPICS}",
-    )
+    kinds_value = _setting(args, config, "kinds", ",".join(puzzles.KINDS), _text)
     kinds = [k.strip() for k in kinds_value.split(",") if k.strip()]
-    known = {puzzles.ODD_ONE_OUT, puzzles.CHOOSE_RELATED, puzzles.SEPARATE_TOPICS}
-    unknown = set(kinds) - known
+    unknown = set(kinds) - set(puzzles.KINDS)
     if unknown:
         raise UsageError(f"unknown puzzle kinds: {sorted(unknown)}")
-    eta2_cross = _setting(args, config, "eta2-cross", None)
-    max_attempts = _setting(args, config, "max-attempts", None)
     bank, skipped = puzzles.generate_puzzle_bank(
         sets,
         provider,
         vocab,
         band,
         kinds=kinds,
-        master_seed=int(_setting(args, config, "seed", 0)),
-        n_distractors=int(_setting(args, config, "n-distractors", 3)),
-        eta2_cross=None if eta2_cross is None else float(eta2_cross),
-        max_attempts=None if max_attempts is None else int(max_attempts),
+        master_seed=_setting(args, config, "seed", 0, int),
+        n_distractors=_setting(args, config, "n-distractors", 3, int),
+        eta2_cross=_setting(args, config, "eta2-cross", None, float),
+        max_attempts=_setting(args, config, "max-attempts", None, int),
     )
     puzzles.save_puzzle_bank(bank, args.out, include_solutions=True)
     if args.no_solutions:
@@ -272,23 +269,21 @@ def cmd_eval_yield(args):
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError("delta grid must be strictly increasing")
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    known = {
-        topic_models.MODEL_LSA,
-        topic_models.MODEL_LDA,
-        topic_models.MODEL_DICTLEARN,
-    }
-    unknown = set(models) - known
+    unknown = set(models) - set(topic_models.MODELS)
     if unknown:
         raise UsageError(f"unknown models: {sorted(unknown)}")
-    k = int(_setting(args, config, "top-k", topic_models.DEFAULT_TOP_K))
+    k = _setting(args, config, "top-k", topic_models.DEFAULT_TOP_K, int)
     model_configs = config.get("models", {})
+    if not (
+        isinstance(model_configs, dict)
+        and all(isinstance(v, dict) for v in model_configs.values())
+    ):
+        raise UsageError("config key 'models' must map model names to objects")
 
     curve = {}
     for name in models:
-        overrides = model_configs.get(name, {})
-        model = fit_model(name, dtm, lambda key, default: overrides.get(
-            key, _setting(args, config, key, default)
-        ))
+        overrides = model_configs.get(name, {})  # beat top-level keys
+        model = fit_model(name, dtm, args, {**config, **overrides})
         # Score the sets once: a set is kept at a grid delta iff it scores
         # above it, and every grid delta is at least the first.
         kept = consistency.identify_consistent_sets(
@@ -315,42 +310,42 @@ def build_parser():
     shared.add_argument("--config", help="JSON config file; flags override it")
     shared.add_argument("--seed", type=int, help="master random seed (default 0)")
 
-    p = sub.add_parser("ingest", parents=[shared], help="corpus JSONL -> matrix")
+    tokenizer = argparse.ArgumentParser(add_help=False)
+    tokenizer.add_argument("--min-df", type=int)
+    tokenizer.add_argument("--max-df-ratio", type=float)
+    tokenizer.add_argument("--min-token-len", type=int)
+    tokenizer.add_argument("--keep-stopwords", action="store_const", const=True)
+
+    hyper = argparse.ArgumentParser(add_help=False)
+    hyper.add_argument("--num-topics", type=int)
+    hyper.add_argument("--alpha", type=float)
+    hyper.add_argument("--beta", type=float)
+    hyper.add_argument("--iterations", type=int)
+    hyper.add_argument("--kappa", type=float)
+    hyper.add_argument("--rho", type=float)
+    hyper.add_argument("--regularizer", choices=topic_models.REGULARIZERS)
+    hyper.add_argument("--n-groups", type=int)
+    hyper.add_argument("--epochs", type=int)
+
+    p = sub.add_parser("ingest", parents=[shared, tokenizer],
+                       help="corpus JSONL -> matrix")
     p.add_argument("--corpus", required=True, help="JSON-lines corpus path")
     p.add_argument("--out", required=True, help="output matrix path")
-    p.add_argument("--min-df", type=int)
-    p.add_argument("--max-df-ratio", type=float)
-    p.add_argument("--min-token-len", type=int)
-    p.add_argument("--keep-stopwords", action="store_const", const=True)
     p.add_argument("--tfidf", action="store_const", const=True,
                    help="apply TF-IDF weighting after counting")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", parents=[shared], help="matrix -> topic model")
-    p.add_argument("--model", required=True,
-                   choices=["lsa", "lda", "dictlearn"])
+    p = sub.add_parser("train", parents=[shared, hyper], help="matrix -> topic model")
+    p.add_argument("--model", required=True, choices=topic_models.MODELS)
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--num-topics", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--regularizer", choices=["l1", "group-l2"])
-    p.add_argument("--n-groups", type=int)
-    p.add_argument("--epochs", type=int)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("index", parents=[shared],
+    p = sub.add_parser("index", parents=[shared, tokenizer],
                        help="concept corpus JSONL -> ESA index")
     p.add_argument("--concepts", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-concepts-per-word", type=int)
-    p.add_argument("--min-df", type=int)
-    p.add_argument("--max-df-ratio", type=float)
-    p.add_argument("--min-token-len", type=int)
-    p.add_argument("--keep-stopwords", action="store_const", const=True)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("extract-sets", parents=[shared],
@@ -378,22 +373,15 @@ def build_parser():
                    help="also write a bank with solutions withheld")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("eval-yield", parents=[shared],
+    p = sub.add_parser("eval-yield", parents=[shared, hyper],
                        help="consistent-set counts over a delta grid")
     p.add_argument("--matrix", required=True)
     p.add_argument("--index", required=True)
-    p.add_argument("--models", default="lsa,lda,dictlearn")
+    p.add_argument("--models", default=",".join(topic_models.MODELS))
     p.add_argument("--delta-grid", required=True,
                    help="comma-separated strictly increasing thresholds")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--top-k", type=int)
-    p.add_argument("--num-topics", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--epochs", type=int)
     p.set_defaults(func=cmd_eval_yield)
 
     return parser
@@ -404,10 +392,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, corpus.CorpusFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:

@@ -9,13 +9,17 @@ is how ``bottleneck_score`` computes it.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import atomic_write
+from .corpus import (
+    is_finite_number,
+    is_list_of,
+    load_jsonl_records,
+    require_keys,
+    write_json_lines,
+)
 
 
 @dataclass(eq=False)
@@ -45,19 +49,12 @@ class WeightedGraph:
     def __len__(self):
         return len(self.nodes)
 
-    def position(self, node):
-        return self.nodes.index(node)
-
 
 @dataclass(eq=False)
 class SpanningTree:
     """Edges (node, node, weight) of a spanning tree."""
 
     edges: tuple[tuple[int, int, float], ...]
-
-    @property
-    def total_weight(self):
-        return float(sum(w for _, _, w in self.edges))
 
     @property
     def min_edge_weight(self):
@@ -152,71 +149,42 @@ def identify_consistent_sets(sets, sim, delta):
 
 def save_consistent_sets(sets, path):
     """JSON-lines output: one object per consistent set."""
-    with atomic_write(path) as fh:
-        for cs in sets:
-            record = {
-                "topic": cs.topic_index,
-                "words": list(cs.words),
-                "word_indices": list(cs.word_indices),
-                "score": cs.score,
-                "delta": cs.delta,
-            }
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    write_json_lines(({
+        "topic": cs.topic_index,
+        "words": list(cs.words),
+        "word_indices": list(cs.word_indices),
+        "score": cs.score,
+        "delta": cs.delta,
+    } for cs in sets), path)
 
 
-_SET_KEYS = ("topic", "words", "word_indices", "score", "delta")
-
-
-def _set_record_problem(record):
-    """What is wrong with one parsed sets-file line, or None."""
-    if not isinstance(record, dict):
-        return "expected an object"
-    missing = [key for key in _SET_KEYS if key not in record]
-    if missing:
-        return f"missing key(s) {', '.join(missing)}"
+def _parse_set(record):
+    """The ConsistentSet of one parsed sets-file line; ValueError says what
+    is wrong with it."""
+    require_keys(record, ("topic", "words", "word_indices", "score", "delta"))
     words, indices = record["words"], record["word_indices"]
     if not (
-        isinstance(words, list)
-        and isinstance(indices, list)
-        and len(words) == len(indices)
-        and all(isinstance(w, str) for w in words)
-        and all(type(i) is int for i in indices)
+        is_list_of(words, (str,))
+        and is_list_of(indices, (int,), len(words))
     ):
-        return "words and word_indices must be equal-length lists of str and int"
+        raise ValueError(
+            "words and word_indices must be equal-length lists of str and int"
+        )
     if type(record["topic"]) is not int:
-        return "topic must be an int"
+        raise ValueError("topic must be an int")
     for key in ("score", "delta"):
-        value = record[key]
-        if type(value) not in (int, float) or not math.isfinite(value):
-            return f"{key} must be a finite number"
-    return None
+        if not is_finite_number(record[key]):
+            raise ValueError(f"{key} must be a finite number")
+    return ConsistentSet(
+        topic_index=record["topic"],
+        word_indices=tuple(indices),
+        words=tuple(words),
+        score=record["score"],
+        delta=record["delta"],
+    )
 
 
 def load_consistent_sets(path):
     """Read a sets file written by ``save_consistent_sets``; ValueError
     names the first line that is not valid JSON or not a well-typed set."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path} line {lineno}: invalid JSON ({exc.msg})"
-                ) from exc
-            problem = _set_record_problem(record)
-            if problem is not None:
-                raise ValueError(f"{path} line {lineno}: {problem}")
-            out.append(
-                ConsistentSet(
-                    topic_index=record["topic"],
-                    word_indices=tuple(record["word_indices"]),
-                    words=tuple(record["words"]),
-                    score=record["score"],
-                    delta=record["delta"],
-                )
-            )
-    return out
+    return load_jsonl_records(path, _parse_set)

@@ -9,6 +9,7 @@ immutable afterwards and are safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import secrets
@@ -16,15 +17,12 @@ import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 RAW_COUNT = "raw-count"
 TFIDF = "tfidf"
-
-STOPWORDS_VERSION = "en-v1"
 
 # Bundled English stopword list (function words, auxiliaries, reporting
 # verbs). Filtering is optional: pass stopwords=frozenset() to keep them.
@@ -47,11 +45,7 @@ STOPWORDS_EN = frozenset(
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus input files."""
-
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
+    """Raised for malformed JSON-lines input files."""
 
 
 class EmptyVocabularyError(ValueError):
@@ -66,16 +60,15 @@ class Document:
     text: str
 
 
+# Tokens are maximal runs of ASCII letters, taken after lowercasing, so
+# digits and punctuation split tokens.
+TOKEN_PATTERN = re.compile(r"[A-Za-z]+")
+
+
 @dataclass(frozen=True)
 class TokenizerConfig:
-    """Tokenization policy: lowercasing, token pattern, stopwords, min length.
+    """Tokenization policy: stopwords and minimum token length."""
 
-    The default pattern takes maximal runs of alphabetic characters, so
-    digits and punctuation split tokens.
-    """
-
-    lowercase: bool = True
-    token_pattern: str = r"[A-Za-z]+"
     stopwords: frozenset[str] = STOPWORDS_EN
     min_token_len: int = 2
 
@@ -83,21 +76,13 @@ class TokenizerConfig:
 DEFAULT_TOKENIZER = TokenizerConfig()
 
 
-@lru_cache(maxsize=64)
-def _compiled(pattern):
-    return re.compile(pattern)
-
-
 def tokenize(text, config=DEFAULT_TOKENIZER):
     """Split raw text into word tokens, preserving order.
 
-    Lowercases (if configured), extracts tokens by the configured pattern,
-    then drops tokens shorter than the minimum length and stopwords.
-    Empty input yields an empty list.
+    Lowercases, extracts runs of ASCII letters, then drops tokens shorter
+    than the minimum length and stopwords. Empty input yields an empty list.
     """
-    if config.lowercase:
-        text = text.lower()
-    tokens = _compiled(config.token_pattern).findall(text)
+    tokens = TOKEN_PATTERN.findall(text.lower())
     return [
         t
         for t in tokens
@@ -122,12 +107,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.words)
-
-    def __contains__(self, word):
-        return word in self.index
-
-    def word_index(self, word):
-        return self.index[word]
 
 
 def _check_unique_ids(docs):
@@ -245,45 +224,26 @@ def load_corpus_jsonl(path):
     Raises CorpusFormatError naming the offending line on malformed input,
     and on empty or duplicate-id corpora.
     """
-    docs = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(
-                    f"line {lineno}: invalid JSON ({exc.msg})", lineno
-                ) from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"line {lineno}: expected an object", lineno)
-            for key in ("id", "text"):
-                if key not in record:
-                    raise CorpusFormatError(
-                        f"line {lineno}: missing field {key!r}", lineno
-                    )
-                if not isinstance(record[key], str):
-                    raise CorpusFormatError(
-                        f"line {lineno}: field {key!r} must be a string", lineno
-                    )
-            if record["id"] in seen:
-                raise CorpusFormatError(
-                    f"line {lineno}: duplicate document id {record['id']!r}", lineno
-                )
-            seen.add(record["id"])
-            docs.append(Document(id=record["id"], text=record["text"]))
+
+    def parse(record):
+        require_keys(record, ("id", "text"))
+        if not (isinstance(record["id"], str) and isinstance(record["text"], str)):
+            raise ValueError("fields 'id' and 'text' must be strings")
+        if record["id"] in seen:
+            raise ValueError(f"duplicate document id {record['id']!r}")
+        seen.add(record["id"])
+        return Document(id=record["id"], text=record["text"])
+
+    docs = load_jsonl_records(path, parse)
     if not docs:
         raise CorpusFormatError(f"no documents in {path}")
     return docs
 
 
 def save_corpus_jsonl(docs, path):
-    with atomic_write(path) as fh:
-        for doc in docs:
-            fh.write(json.dumps({"id": doc.id, "text": doc.text}, sort_keys=True))
-            fh.write("\n")
+    records = ({"id": doc.id, "text": doc.text} for doc in docs)
+    write_json_lines(records, path, separators=None)
 
 
 DTM_FORMAT = "doc-term-matrix"
@@ -310,7 +270,7 @@ def save_doc_term_matrix(dtm, path):
         "doc_ids": list(dtm.doc_ids),
         "triplets": triplets,
     }
-    write_json(payload, path)
+    write_json_lines([payload], path)
 
 
 _DTM_KEYS = (
@@ -346,12 +306,14 @@ def atomic_write(path):
         raise
 
 
-def write_json(payload, path):
-    """One JSON object on one line, keys sorted, no spaces. Encoding the
-    whole string at once uses the C encoder, which ``json.dump`` does not."""
+def write_json_lines(records, path, separators=(",", ":")):
+    """Each record as one line of JSON, keys sorted, by default with no
+    spaces. Encoding each whole string at once uses the C encoder, which
+    ``json.dump`` does not."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True, separators=separators))
+            fh.write("\n")
 
 
 def load_versioned_json(path, fmt, kind, version, keys, stale=""):
@@ -372,10 +334,70 @@ def load_versioned_json(path, fmt, kind, version, keys, stale=""):
     return payload
 
 
+def is_list_of(value, types, length=None):
+    """``value`` is a list (of ``length`` items, if given) whose items are
+    each of exactly one of ``types``, so a bool does not pass as an int."""
+    return (
+        isinstance(value, list)
+        and (length is None or len(value) == length)
+        and all(type(v) in types for v in value)
+    )
+
+
+def is_finite_number(value):
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def require_keys(record, keys):
+    """ValueError unless ``record`` is a JSON object holding every key."""
+    if not isinstance(record, dict):
+        raise ValueError("expected an object")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+
+
+def load_jsonl_records(path, parse):
+    """``parse(record)`` for each object of a JSON-lines file, blank lines
+    skipped. CorpusFormatError names the first line that is not valid JSON
+    or that ``parse`` rejects with a ValueError."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(
+                    f"{path} line {lineno}: invalid JSON ({exc.msg})"
+                ) from exc
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path} line {lineno}: {exc}") from exc
+    return out
+
+
 def load_doc_term_matrix(path):
     payload = load_versioned_json(
         path, DTM_FORMAT, "a document-term matrix", DTM_VERSION, _DTM_KEYS
     )
+    n_words, n_docs = payload["n_words"], payload["n_docs"]
+    if not (
+        is_list_of([n_words, n_docs, payload["vocab_n_docs"]], (int,))
+        and is_list_of(payload["vocab"], (str,), n_words)
+        and is_list_of(payload["doc_freq"], (int,), n_words)
+        and is_list_of(payload["doc_ids"], (str,), n_docs)
+    ):
+        raise ValueError(
+            f"{path}: n_words, n_docs and vocab_n_docs must be ints, vocab and "
+            f"doc_freq lists of n_words strs and ints, doc_ids of n_docs strs"
+        )
+    if not (isinstance(payload["triplets"], list) and all(
+        type(t) is list and len(t) == 3 and type(t[0]) is int
+        and type(t[1]) is int and type(t[2]) in (int, float)
+        for t in payload["triplets"]
+    )):
+        raise ValueError(f"{path}: triplets must be [int, int, number] lists")
     rows = [t[0] for t in payload["triplets"]]
     cols = [t[1] for t in payload["triplets"]]
     data = [t[2] for t in payload["triplets"]]

@@ -22,7 +22,7 @@ from .corpus import (
     build_vocabulary,
     load_versioned_json,
     tfidf_transform,
-    write_json,
+    write_json_lines,
 )
 
 DEFAULT_TRUNCATION = 1000
@@ -262,7 +262,7 @@ def save_esa_index(index, path):
         "indices": index.indices.tolist(),
         "data": index.data.tolist(),
     }
-    write_json(payload, path)
+    write_json_lines([payload], path)
 
 
 def load_esa_index(path):

@@ -17,18 +17,24 @@ after ``max_attempts`` draws instead of looping forever.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .consistency import WeightedGraph, bottleneck_score
-from .corpus import atomic_write
+from .corpus import (
+    is_finite_number,
+    is_list_of,
+    load_jsonl_records,
+    require_keys,
+    write_json_lines,
+)
 
 ODD_ONE_OUT = "odd-one-out"
 CHOOSE_RELATED = "choose-related"
 SEPARATE_TOPICS = "separate-topics"
+KINDS = (ODD_ONE_OUT, CHOOSE_RELATED, SEPARATE_TOPICS)
 
 MAX_ATTEMPTS_CAP = 5000
 
@@ -63,11 +69,12 @@ BAND_PRESETS = {
 class Puzzle:
     """One generated puzzle: the presented (shuffled) words, the hidden
     solution in presented coordinates, and enough provenance (band, sigma,
-    source sets, seed, permutation) to re-verify it."""
+    source sets, seed, permutation) to re-verify it. A puzzle read from a
+    bank saved without solutions has solution None and no permutation."""
 
     kind: str
     words: tuple[str, ...]
-    solution: int
+    solution: int | None
     band: DifficultyBand
     sigma: float
     source_topics: tuple[int, ...]
@@ -273,7 +280,7 @@ def generate_puzzle_bank(
     sim,
     vocab,
     band,
-    kinds=(ODD_ONE_OUT, CHOOSE_RELATED, SEPARATE_TOPICS),
+    kinds=KINDS,
     master_seed=0,
     n_distractors=3,
     eta2_cross=None,
@@ -427,40 +434,56 @@ def puzzle_record(puzzle, include_solution=True):
 def save_puzzle_bank(puzzles, path, include_solutions=True):
     """JSON-lines puzzle bank; with include_solutions=False the solution and
     permutation fields are withheld."""
-    with atomic_write(path) as fh:
-        for puzzle in puzzles:
-            fh.write(
-                json.dumps(
-                    puzzle_record(puzzle, include_solutions),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-            fh.write("\n")
+    records = (puzzle_record(puzzle, include_solutions) for puzzle in puzzles)
+    write_json_lines(records, path)
+
+
+def _parse_puzzle(record):
+    """The Puzzle of one parsed bank line; ValueError says what is wrong
+    with it."""
+    require_keys(record, ("kind", "words", "band", "sigma", "source_topics", "seed"))
+    if record["kind"] not in KINDS:
+        raise ValueError(f"unknown puzzle kind {record['kind']!r}")
+    words = record["words"]
+    if not is_list_of(words, (str,)) or not is_list_of(record.get("stem", []), (str,)):
+        raise ValueError("words and stem must be lists of str")
+    band = record["band"]
+    if not (
+        isinstance(band, dict)
+        and type(band.get("name")) is str
+        and is_finite_number(band.get("eta1"))
+        and is_finite_number(band.get("eta2"))
+    ):
+        raise ValueError("band must hold a str name and numbers eta1, eta2")
+    if not is_finite_number(record["sigma"]):
+        raise ValueError("sigma must be a finite number")
+    if not is_list_of(record["source_topics"], (int,)):
+        raise ValueError("source_topics must be a list of int")
+    if type(record["seed"]) not in (int, type(None)):
+        raise ValueError("seed must be an int or null")
+    # A bank saved without solutions has neither field.
+    solution, permutation = record.get("solution"), record.get("permutation", [])
+    if ("solution" in record or "permutation" in record) and not (
+        type(solution) is int and is_list_of(permutation, (int,), len(words))
+    ):
+        raise ValueError(
+            "solution and permutation must be an int and one int per word"
+        )
+    return Puzzle(
+        kind=record["kind"],
+        words=tuple(words),
+        solution=solution,
+        band=DifficultyBand(band["eta1"], band["eta2"], band["name"]),
+        sigma=record["sigma"],
+        source_topics=tuple(record["source_topics"]),
+        seed=record["seed"],
+        permutation=tuple(permutation),
+        stem=tuple(record["stem"]) if "stem" in record else None,
+    )
 
 
 def load_puzzle_bank(path):
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            out.append(
-                Puzzle(
-                    kind=record["kind"],
-                    words=tuple(record["words"]),
-                    solution=record["solution"],
-                    band=DifficultyBand(
-                        record["band"]["eta1"],
-                        record["band"]["eta2"],
-                        record["band"]["name"],
-                    ),
-                    sigma=record["sigma"],
-                    source_topics=tuple(record["source_topics"]),
-                    seed=record["seed"],
-                    permutation=tuple(record["permutation"]),
-                    stem=tuple(record["stem"]) if "stem" in record else None,
-                )
-            )
-    return out
+    """Read a bank written by ``save_puzzle_bank``, with or without
+    solutions; ValueError names the first line that is not valid JSON or
+    not a well-typed puzzle."""
+    return load_jsonl_records(path, _parse_puzzle)

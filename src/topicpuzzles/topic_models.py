@@ -19,11 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import RAW_COUNT, DocTermMatrix, load_versioned_json, write_json
+from .corpus import (
+    RAW_COUNT,
+    DocTermMatrix,
+    is_list_of,
+    load_versioned_json,
+    write_json_lines,
+)
 
 MODEL_LSA = "lsa"
 MODEL_LDA = "lda"
 MODEL_DICTLEARN = "dictlearn"
+MODELS = (MODEL_LSA, MODEL_LDA, MODEL_DICTLEARN)
 
 # Desk-scale defaults; production-size corpora in the reference setting use
 # many more topics.
@@ -32,6 +39,7 @@ DEFAULT_TOP_K = 4
 
 L1 = "l1"
 GROUP_L2 = "group-l2"
+REGULARIZERS = (L1, GROUP_L2)
 
 
 @dataclass
@@ -57,6 +65,9 @@ class TopicDictionary:
         """Check that every value is finite and the per-model column
         invariants hold; raises ValueError."""
         w = self.weights
+        vocab = self.vocab
+        if vocab is not None and not is_list_of(vocab, (str,), self.n_words):
+            raise ValueError(f"vocab must list n_words = {self.n_words} strings")
         if not np.all(np.isfinite(w)):
             raise ValueError("topic dictionary weights must be finite")
         sv = self.singular_values
@@ -98,7 +109,6 @@ class DictLearnConfig:
     kappa: float = 0.1
     rho: float = 0.0
     regularizer: str = L1
-    groups: tuple[tuple[int, ...], ...] | None = None
     n_groups: int = 2
     epochs: int = 5
     seed: int = 0
@@ -110,17 +120,10 @@ class DictLearnConfig:
             raise ValueError("kappa must be > 0")
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
-        if self.regularizer not in (L1, GROUP_L2):
+        if self.regularizer not in REGULARIZERS:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-
-    def resolved_groups(self):
-        if self.regularizer == L1:
-            return None
-        if self.groups is not None:
-            return self.groups
-        return contiguous_groups(self.n_topics, self.n_groups)
 
 
 def contiguous_groups(n, n_groups):
@@ -153,7 +156,13 @@ def _as_matrix(X):
 # ---------------------------------------------------------------------------
 
 
-def lsa_fit(X, n_topics, seed=0, n_power_iters=16, oversampling=8):
+# Randomized range finder (Halko, Martinsson & Tropp 2011): sample columns
+# beyond K, and subspace iterations that separate close singular values.
+LSA_OVERSAMPLING = 8
+LSA_POWER_ITERS = 16
+
+
+def lsa_fit(X, n_topics, seed=0):
     """Top-K left singular vectors of X by seeded randomized subspace
     iteration, sign-normalized so each column's largest-magnitude entry
     is positive. Singular values are attached in descending order.
@@ -169,10 +178,10 @@ def lsa_fit(X, n_topics, seed=0, n_power_iters=16, oversampling=8):
             f"got {n_topics}"
         )
     rng = np.random.default_rng(seed)
-    width = min(n_topics + oversampling, m)
+    width = min(n_topics + LSA_OVERSAMPLING, m)
     omega = rng.standard_normal((m, width))
     q, _ = np.linalg.qr(A @ omega)
-    for _ in range(n_power_iters):
+    for _ in range(LSA_POWER_ITERS):
         w, _ = np.linalg.qr(A.T @ q)
         q, _ = np.linalg.qr(A @ w)
     b = (A.T @ q).T
@@ -195,8 +204,8 @@ def lsa_fit(X, n_topics, seed=0, n_power_iters=16, oversampling=8):
         meta={
             "n_topics": n_topics,
             "seed": seed,
-            "n_power_iters": n_power_iters,
-            "oversampling": oversampling,
+            "n_power_iters": LSA_POWER_ITERS,
+            "oversampling": LSA_OVERSAMPLING,
         },
         vocab=vocab,
         singular_values=s[:n_topics].copy(),
@@ -439,7 +448,7 @@ def sparse_code(
     k = d.shape[1]
     if regularizer == GROUP_L2:
         if groups is None:
-            groups = contiguous_groups(k, 2)
+            groups = contiguous_groups(k, DictLearnConfig.n_groups)
     elif regularizer != L1:
         raise ValueError(f"unknown regularizer {regularizer!r}")
 
@@ -514,19 +523,6 @@ def recency_weights(n_docs, rho):
     return ((np.arange(1, n_docs + 1)) / n_docs) ** rho
 
 
-def dictionary_objective(X, dictionary, kappa, regularizer=L1, rho=0.0, groups=None):
-    """Weighted empirical sparse-coding cost of a dictionary over a corpus:
-    sum_i (i/M)^rho * l(x_i, D) / sum_j (j/M)^rho, with l computed fresh
-    by ``sparse_code`` for every document."""
-    A, _ = _as_matrix(X)
-    m = A.shape[1]
-    w = recency_weights(m, rho)
-    total = 0.0
-    for wi, x in zip(w, _columns(A)):
-        total += wi * sparse_code(x, dictionary, kappa, regularizer, groups).objective
-    return total / float(np.sum(w))
-
-
 def _columns(A):
     """Each column of A as a dense vector, in index order. A sparse matrix
     is read through its CSC arrays, one slice per column."""
@@ -560,7 +556,7 @@ def dict_learn_fit(X, config):
     if m == 0:
         raise ValueError("empty document-term matrix")
     k = config.n_topics
-    groups = config.resolved_groups()
+    groups = None if config.regularizer == L1 else contiguous_groups(k, config.n_groups)
     rng = np.random.default_rng(config.seed)
     d = rng.standard_normal((n, k))
     d /= np.linalg.norm(d, axis=0, keepdims=True)
@@ -662,7 +658,7 @@ def save_topic_dictionary(dictionary, path):
         ),
         "weights": dictionary.weights.flatten(order="F").astype(np.float64).tolist(),
     }
-    write_json(payload, path)
+    write_json_lines([payload], path)
 
 
 _MODEL_KEYS = ("model", "n_words", "n_topics", "weights")
@@ -675,10 +671,8 @@ def load_topic_dictionary(path):
     n_words, n_topics = payload["n_words"], payload["n_topics"]
     weights = payload["weights"]
     if not (
-        type(n_words) is int
-        and type(n_topics) is int
-        and isinstance(weights, list)
-        and len(weights) == n_words * n_topics
+        is_list_of([n_words, n_topics], (int,))
+        and is_list_of(weights, (int, float), n_words * n_topics)
     ):
         raise ValueError(
             f"{path}: weights must be a list of n_words * n_topics = "

@@ -4,6 +4,7 @@ import pytest
 from topicpuzzles.corpus import build_doc_term_matrix, build_vocabulary
 from topicpuzzles.esa import EsaIndex
 from topicpuzzles.synthetic import planted_topic_corpus
+from topicpuzzles.topic_models import sparse_code
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,16 @@ def make_sparse_planted_instance(seed, n=20, k=6, m=50, atoms_per_doc=2):
         chosen = rng.choice(k, size=atoms_per_doc, replace=False)
         astar[chosen, j] = rng.standard_normal(atoms_per_doc)
     return dstar @ astar, dstar, astar
+
+
+def dictionary_objective(x, dictionary, kappa):
+    """Mean l1 sparse-coding cost of a dictionary over the columns of a
+    dense matrix, each coded fresh by ``sparse_code``: the batch objective
+    that online dictionary learning lowers (at rho = 0)."""
+    total = 0.0
+    for i in range(x.shape[1]):
+        total += sparse_code(x[:, i], dictionary, kappa).objective
+    return total / x.shape[1]
 
 
 def hand_index(vectors, n_concepts):

@@ -116,8 +116,8 @@ def widest_path_sim(graph, node_a, node_b):
     are pruned, which preserves exactness."""
     if node_a == node_b:
         raise ValueError("widest path requires two distinct nodes")
-    start = graph.position(node_a)
-    goal = graph.position(node_b)
+    start = graph.nodes.index(node_a)
+    goal = graph.nodes.index(node_b)
     size = len(graph)
     weights = graph.weights
     best = -np.inf

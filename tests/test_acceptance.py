@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import hand_index, make_sparse_planted_instance
+from conftest import dictionary_objective, hand_index, make_sparse_planted_instance
 from oracles import (
     grid_search_lasso_objective,
     jacobi_singular_values,
@@ -37,7 +37,6 @@ from topicpuzzles.topic_models import (
     DictLearnConfig,
     LdaConfig,
     dict_learn_fit,
-    dictionary_objective,
     extract_top_k,
     lda_fit,
     lsa_fit,

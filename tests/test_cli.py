@@ -1,10 +1,11 @@
+import argparse
 import json
 from types import SimpleNamespace
 
 import pytest
 from conftest import INDEX_CORRUPTIONS, mangle_index
 
-from topicpuzzles.cli import main
+from topicpuzzles.cli import build_parser, main
 from topicpuzzles.corpus import Document, save_corpus_jsonl
 from topicpuzzles.synthetic import planted_topic_corpus
 
@@ -444,6 +445,26 @@ class TestLoadErrors:
         assert not out.exists()
 
 
+    def test_model_vocab_shorter_than_weights_exits_2(self, pipeline, capsys):
+        self.extract(pipeline)
+        model = self.rewrite(
+            pipeline, pipeline["tmp"] / "lsa.json",
+            lambda p: {**p, "vocab": p["vocab"][:-1]},
+        )
+        assert self.extract(pipeline, model=model) == 2
+        assert "vocab must list n_words" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("vocab", 5), ("doc_ids", [1]), ("n_docs", "6"), ("triplets", [5]),
+    ])
+    def test_mistyped_matrix_header_exits_2(self, pipeline, capsys, key, value):
+        matrix = self.rewrite(pipeline, pipeline["matrix"], lambda p: {**p, key: value})
+        code = main(["train", "--model", "lsa", "--matrix", matrix,
+                     "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+
 class TestYieldCurveType:
     def test_validate_accepts_monotone(self):
         from topicpuzzles.cli import YieldCurve
@@ -481,6 +502,69 @@ class TestConfigFile:
         code = main(["extract-sets", "--model", "x", "--index", pipeline["index"],
                      "--out", "y", "--config", "/nonexistent.json"])
         assert code == 2
+
+
+class TestConfigValueTypes:
+    """A config value of the wrong type exits 2 naming its key."""
+
+    def run(self, pipeline, config, argv):
+        path = pipeline["tmp"] / "config.json"
+        path.write_text(json.dumps(config))
+        return main(argv + ["--config", str(path)])
+
+    def eval_yield(self, pipeline):
+        return ["eval-yield", "--matrix", pipeline["matrix"],
+                "--index", pipeline["index"], "--models", "lsa",
+                "--delta-grid", "0.1", "--num-topics", "2"]
+
+    @pytest.mark.parametrize("config", [{"models": [1]}, {"models": {"lsa": [1]}}])
+    def test_eval_yield_models_not_objects_exit_2(self, pipeline, capsys, config):
+        assert self.run(pipeline, config, self.eval_yield(pipeline)) == 2
+        err = capsys.readouterr().err
+        assert "'models'" in err
+        assert "Traceback" not in err
+
+    def test_generate_kinds_not_string_exits_2(self, pipeline, capsys):
+        sets = pipeline["tmp"] / "sets.jsonl"
+        sets.write_text("")
+        assert self.run(pipeline, {"kinds": 5}, [
+            "generate", "--sets", str(sets), "--index", pipeline["index"],
+            "--out", str(pipeline["tmp"] / "b.jsonl")]) == 2
+        assert "config key 'kinds'" in capsys.readouterr().err
+
+    def test_train_null_num_topics_exits_2(self, pipeline, capsys):
+        assert self.run(pipeline, {"num-topics": None}, [
+            "train", "--model", "lda", "--matrix", pipeline["matrix"],
+            "--out", str(pipeline["tmp"] / "m.json")]) == 2
+        assert "config key 'num-topics'" in capsys.readouterr().err
+
+    def test_per_model_value_is_checked(self, pipeline, capsys):
+        config = {"models": {"lsa": {"seed": "one"}}}
+        assert self.run(pipeline, config, self.eval_yield(pipeline)) == 2
+        assert "config key 'seed'" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_train_and_eval_yield_accept_the_same_hyperparameters(self):
+        parser = build_parser()
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: set(sub._option_string_actions)
+            for name, sub in subparsers.choices.items()
+        }
+        hyperparameters = flags["train"] - {"--model", "--matrix", "--out"}
+        assert {"--num-topics", "--regularizer", "--n-groups"} <= hyperparameters
+        assert hyperparameters <= flags["eval-yield"]
+
+    def test_eval_yield_takes_regularizer_flags(self, pipeline, capsys):
+        assert main(["eval-yield", "--matrix", pipeline["matrix"],
+                     "--index", pipeline["index"], "--models", "dictlearn",
+                     "--delta-grid", "0.0,0.1", "--num-topics", "4",
+                     "--epochs", "1", "--regularizer", "group-l2",
+                     "--n-groups", "2"]) == 0
+        assert capsys.readouterr().out.startswith("delta,dictlearn\n")
 
 
 class TestEndToEndPlanted:

@@ -10,7 +10,6 @@ from topicpuzzles.corpus import (
     CorpusFormatError,
     Document,
     EmptyVocabularyError,
-    TokenizerConfig,
     build_doc_term_matrix,
     build_vocabulary,
     load_corpus_jsonl,
@@ -19,7 +18,7 @@ from topicpuzzles.corpus import (
     save_doc_term_matrix,
     tfidf_transform,
     tokenize,
-    write_json,
+    write_json_lines,
 )
 from topicpuzzles.synthetic import planted_topic_corpus
 from topicpuzzles.topic_models import (
@@ -46,10 +45,6 @@ class TestTokenize:
     def test_order_preserved(self):
         assert tokenize("zebra apple zebra") == ["zebra", "apple", "zebra"]
 
-    def test_no_lowercasing_when_disabled(self):
-        config = TokenizerConfig(lowercase=False, stopwords=frozenset())
-        assert tokenize("Vote now", config) == ["Vote", "now"]
-
 
 class TestBuildVocabulary:
     def test_max_df_ratio_excludes_ubiquitous_word(self):
@@ -59,15 +54,15 @@ class TestBuildVocabulary:
             Document("3", "ubiquitous cherry"),
         ]
         vocab = build_vocabulary(docs, max_df_ratio=0.5)
-        assert "ubiquitous" not in vocab
+        assert "ubiquitous" not in vocab.index
         assert set(vocab.words) == {"apple", "banana", "cherry"}
 
     def test_lexicographic_indices(self):
         docs = [Document(str(i), "alpha beta") for i in range(3)]
         vocab = build_vocabulary(docs, min_df=1)
         assert len(vocab) == 2
-        assert vocab.word_index("alpha") == 0
-        assert vocab.word_index("beta") == 1
+        assert vocab.index["alpha"] == 0
+        assert vocab.index["beta"] == 1
 
     def test_min_df_excludes_rare_word(self):
         docs = [Document("1", "common rare"), Document("2", "common common")]
@@ -100,8 +95,8 @@ class TestBuildVocabulary:
     def test_doc_freq_recorded(self):
         docs = [Document("1", "apple banana"), Document("2", "apple")]
         vocab = build_vocabulary(docs)
-        assert vocab.doc_freq[vocab.word_index("apple")] == 2
-        assert vocab.doc_freq[vocab.word_index("banana")] == 1
+        assert vocab.doc_freq[vocab.index["apple"]] == 2
+        assert vocab.doc_freq[vocab.index["banana"]] == 1
 
 
 class TestBuildDocTermMatrix:
@@ -135,7 +130,7 @@ class TestBuildDocTermMatrix:
             1
             for doc in docs
             for tok in tokenize(doc.text)
-            if tok in vocab
+            if tok in vocab.index
         )
         assert dtm.matrix.sum() == retained
 
@@ -151,8 +146,8 @@ class TestBuildDocTermMatrix:
             doc = next(d for d in docs if d.id == doc_id)
             expected = np.zeros(len(vocab))
             for tok in tokenize(doc.text):
-                if tok in vocab:
-                    expected[vocab.word_index(tok)] += 1
+                if tok in vocab.index:
+                    expected[vocab.index[tok]] += 1
             np.testing.assert_array_equal(dtm.matrix[:, j].toarray().ravel(), expected)
 
     def test_all_entries_positive(self):
@@ -176,7 +171,7 @@ class TestTfidf:
         vocab = build_vocabulary(docs)
         dtm = build_doc_term_matrix(docs, vocab)
         weighted = tfidf_transform(dtm)
-        row = vocab.word_index("shared")
+        row = vocab.index["shared"]
         np.testing.assert_array_equal(
             weighted.matrix[row].toarray().ravel(), np.zeros(2)
         )
@@ -187,7 +182,7 @@ class TestTfidf:
         vocab = build_vocabulary(docs)
         dtm = build_doc_term_matrix(docs, vocab)
         weighted = tfidf_transform(dtm)
-        row = vocab.word_index("rare")
+        row = vocab.index["rare"]
         assert weighted.matrix[row, 0] == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_nnz_does_not_grow(self):
@@ -259,7 +254,7 @@ FAILING_WRITES = {
         [ConsistentSet(0, (1, 2), ("b", "c"), 0.75, 0.2),
          ConsistentSet(1, (3, 4), ("d", "e"), object(), 0.2)], path
     ),
-    "json": lambda path: write_json({"ok": 1, "bad": object()}, path),
+    "json": lambda path: write_json_lines([{"ok": 1, "bad": object()}], path),
 }
 
 
@@ -292,7 +287,7 @@ class TestAtomicWrites:
         link = tmp_path / "link.json"
         target.write_text("previous contents\n")
         link.symlink_to(target)
-        write_json({"a": 1}, link)
+        write_json_lines([{"a": 1}], link)
         assert link.is_symlink()
         assert target.read_text() == '{"a":1}\n'
 

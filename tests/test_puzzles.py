@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import hand_index
@@ -392,6 +394,48 @@ class TestPuzzleBank:
         path = tmp_path / "bank.jsonl"
         save_puzzle_bank(bank, path)
         assert load_puzzle_bank(path) == bank
+
+    def test_round_trip_public_bank(self, provider, theme_a, theme_b, tmp_path):
+        bank, _ = self.bank(provider, theme_a, theme_b)
+        path = tmp_path / "public.jsonl"
+        save_puzzle_bank(bank, path, include_solutions=False)
+        public = [replace(p, solution=None, permutation=()) for p in bank]
+        assert load_puzzle_bank(path) == public
+
+    @pytest.mark.parametrize("change,message", [
+        ({"kind": "riddle"}, "unknown puzzle kind"),
+        ({"words": ["a", 1]}, "words and stem must be lists of str"),
+        ({"stem": "ab"}, "words and stem must be lists of str"),
+        ({"band": {"name": "x", "eta1": "low", "eta2": 0.5}}, "band must hold"),
+        ({"band": {"name": "x", "eta1": 0.6, "eta2": 0.5}}, "band requires"),
+        ({"sigma": None}, "sigma must be a finite number"),
+        ({"source_topics": [0, True]}, "source_topics must be a list of int"),
+        ({"seed": 1.5}, "seed must be an int or null"),
+        ({"solution": "0"}, "solution and permutation"),
+        ({"permutation": [0]}, "solution and permutation"),
+        ({"solution": None, "permutation": None}, "solution and permutation"),
+    ])
+    def test_mistyped_record_rejected_naming_line(
+        self, provider, theme_a, theme_b, tmp_path, change, message
+    ):
+        import json
+
+        bank, _ = self.bank(provider, theme_a, theme_b)
+        path = tmp_path / "bank.jsonl"
+        save_puzzle_bank(bank[:2], path)
+        first, second = path.read_text().splitlines()
+        path.write_text(first + "\n" + json.dumps({**json.loads(second), **change}) + "\n")
+        with pytest.raises(ValueError, match=f"line 2: .*{message}"):
+            load_puzzle_bank(path)
+
+    def test_missing_field_and_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "bank.jsonl"
+        path.write_text('{"kind": "odd-one-out"}\n')
+        with pytest.raises(ValueError, match="line 1: missing key"):
+            load_puzzle_bank(path)
+        path.write_text("\n[1, 2\n")
+        with pytest.raises(ValueError, match="line 2: invalid JSON"):
+            load_puzzle_bank(path)
 
     def test_no_solutions_file_withholds_fields(self, provider, theme_a, theme_b, tmp_path):
         import json

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from conftest import make_sparse_planted_instance
+from conftest import dictionary_objective, make_sparse_planted_instance
 from oracles import grid_search_lasso_objective, naive_cd_lasso
 
 from topicpuzzles.topic_models import (
     DictLearnConfig,
     contiguous_groups,
     dict_learn_fit,
-    dictionary_objective,
     load_topic_dictionary,
     recency_weights,
     save_topic_dictionary,
