@@ -93,13 +93,21 @@ def _setting(args, config, key, default, kind):
         raise UsageError(f"config key {key!r}: {exc}") from exc
 
 
+def _given(args, config, kinds):
+    """Keyword arguments for the keys of ``kinds`` (key -> type) that a
+    flag or the config sets; the others keep the library's defaults."""
+    values = {key: _setting(args, config, key, None, kinds[key]) for key in kinds}
+    return {k.replace("-", "_"): v for k, v in values.items() if v is not None}
+
+
+_DF_KEYS = {"min-df": int, "max-df-ratio": float}
+_GENERATE_KEYS = {"n-distractors": int, "eta2-cross": float, "max-attempts": int}
+
+
 def _tokenizer_config(args, config):
-    kwargs = {}
+    kwargs = _given(args, config, {"min-token-len": int})
     if _setting(args, config, "keep-stopwords", False, bool):
         kwargs["stopwords"] = frozenset()
-    min_token_len = _setting(args, config, "min-token-len", None, int)
-    if min_token_len is not None:
-        kwargs["min_token_len"] = min_token_len
     return corpus.TokenizerConfig(**kwargs) if kwargs else corpus.DEFAULT_TOKENIZER
 
 
@@ -108,10 +116,7 @@ def cmd_ingest(args):
     docs = corpus.load_corpus_jsonl(args.corpus)
     tokenizer = _tokenizer_config(args, config)
     vocab = corpus.build_vocabulary(
-        docs,
-        min_df=_setting(args, config, "min-df", 1, int),
-        max_df_ratio=_setting(args, config, "max-df-ratio", 1.0, float),
-        config=tokenizer,
+        docs, config=tokenizer, **_given(args, config, _DF_KEYS)
     )
     dtm = corpus.build_doc_term_matrix(docs, vocab, tokenizer)
     if _setting(args, config, "tfidf", False, bool):
@@ -161,12 +166,8 @@ def cmd_index(args):
     config = _load_config(args.config)
     concepts = corpus.load_corpus_jsonl(args.concepts)
     esa_config = esa.EsaConfig(
-        max_concepts_per_word=_setting(
-            args, config, "max-concepts-per-word", esa.DEFAULT_TRUNCATION, int
-        ),
-        min_df=_setting(args, config, "min-df", 1, int),
-        max_df_ratio=_setting(args, config, "max-df-ratio", 1.0, float),
         tokenizer=_tokenizer_config(args, config),
+        **_given(args, config, {"max-concepts-per-word": int, **_DF_KEYS}),
     )
     index = esa.build_esa_index(concepts, esa_config)
     if not len(index):
@@ -231,9 +232,7 @@ def cmd_generate(args):
         band,
         kinds=kinds,
         master_seed=_setting(args, config, "seed", 0, int),
-        n_distractors=_setting(args, config, "n-distractors", 3, int),
-        eta2_cross=_setting(args, config, "eta2-cross", None, float),
-        max_attempts=_setting(args, config, "max-attempts", None, int),
+        **_given(args, config, _GENERATE_KEYS),
     )
     puzzles.save_puzzle_bank(bank, args.out, include_solutions=True)
     if args.no_solutions:

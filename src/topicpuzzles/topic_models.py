@@ -12,9 +12,17 @@ Three interchangeable models produce an N x K dictionary of topic columns:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import platform
+import secrets
+import subprocess
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -218,16 +226,6 @@ def lsa_fit(X, n_topics, seed=0):
 
 LdaState = namedtuple("LdaState", "sweep word_topic topic_counts doc_topic")
 
-# Topic count from which lda_fit samples with the numpy row kernel. Below it a
-# Python loop over K costs less per token than the row kernel's fixed numpy
-# call overhead. Measured, not tuned per corpus; see the crossover table in
-# CHANGES.md.
-_ROW_KERNEL_MIN_TOPICS = 20
-
-# Uniforms are drawn this many at a time. rng.random(n) continues the same
-# PCG64 stream as n calls of rng.random(), so the chunk size changes no draw.
-_UNIFORM_CHUNK = 4096
-
 
 def _token_stream(matrix):
     """Flatten a raw-count matrix into parallel word/doc index arrays,
@@ -239,100 +237,126 @@ def _token_stream(matrix):
     return np.repeat(m.indices.astype(np.int64), counts), np.repeat(cols, counts)
 
 
-def _count_table(rows, z, n_rows, k):
-    """rows x K table of token counts per (row, topic), as nested lists."""
-    flat = np.bincount(rows * k + z, minlength=n_rows * k)
-    return flat.reshape(n_rows, k).tolist()
-
-
-def _uniform_chunks(rng, n_tokens):
-    """(first token, uniforms) for consecutive chunks of one sweep."""
-    for start in range(0, n_tokens, _UNIFORM_CHUNK):
-        yield start, rng.random(min(_UNIFORM_CHUNK, n_tokens - start)).tolist()
-
-
-def _sweep_lists(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, rng):
-    """One Gibbs sweep with each token's K weights built in a Python loop."""
+def _sweep_lists(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
+    """One Gibbs sweep in Python, each token's K weights built in a loop
+    over lists. The int64 tables are read into lists and written back once."""
     k = len(n_t)
+    z_list, wt, dt, nt = z.tolist(), n_wt.tolist(), n_dt.tolist(), n_t.tolist()
     p = [0.0] * k
     topics = range(k)
-    for start, uniforms in _uniform_chunks(rng, len(z)):
-        for idx, r in enumerate(uniforms, start):
-            t_old = z[idx]
-            nw = n_wt[words[idx]]
-            nd = n_dt[docs[idx]]
-            nw[t_old] -= 1
-            nd[t_old] -= 1
-            n_t[t_old] -= 1
-            total = 0.0
-            for t in topics:
-                pt = (nw[t] + beta) * (nd[t] + alpha) / (n_t[t] + nbeta)
-                p[t] = pt
-                total += pt
-            u = r * total
-            acc = 0.0
-            t_new = k - 1
-            for t in topics:
-                acc += p[t]
-                if u < acc:
-                    t_new = t
-                    break
-            z[idx] = t_new
-            nw[t_new] += 1
-            nd[t_new] += 1
-            n_t[t_new] += 1
+    for idx, (w, d, r) in enumerate(zip(words.tolist(), docs.tolist(), uniforms.tolist())):
+        t_old = z_list[idx]
+        nw = wt[w]
+        nd = dt[d]
+        nw[t_old] -= 1
+        nd[t_old] -= 1
+        nt[t_old] -= 1
+        total = 0.0
+        for t in topics:
+            pt = (nw[t] + beta) * (nd[t] + alpha) / (nt[t] + nbeta)
+            p[t] = pt
+            total += pt
+        u = r * total
+        acc = 0.0
+        t_new = k - 1
+        for t in topics:
+            acc += p[t]
+            if u < acc:
+                t_new = t
+                break
+        z_list[idx] = t_new
+        nw[t_new] += 1
+        nd[t_new] += 1
+        nt[t_new] += 1
+    z[:], n_wt[:], n_dt[:], n_t[:] = z_list, wt, dt, nt
 
 
-def _sweep_rows(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, rng):
-    """One Gibbs sweep with each token's K weights built by numpy row ops.
+# _sweep_lists in C. Each weight is formed and summed in the same order, and
+# -ffp-contract=off forbids fusing a multiply and an add, so both kernels
+# draw the same topics from the same uniforms.
+_SWEEP_C = r"""
+#include <stdint.h>
+void sweep(int64_t n_tokens, int64_t k, const int64_t *words,
+           const int64_t *docs, int64_t *z, int64_t *n_wt, int64_t *n_dt,
+           int64_t *n_t, double alpha, double beta, double nbeta,
+           const double *uniforms, double *p) {
+    for (int64_t idx = 0; idx < n_tokens; idx++) {
+        int64_t t = z[idx];
+        int64_t *nw = n_wt + words[idx] * k, *nd = n_dt + docs[idx] * k;
+        nw[t] -= 1, nd[t] -= 1, n_t[t] -= 1;
+        double total = 0.0, acc = 0.0;
+        for (t = 0; t < k; t++) {
+            p[t] = (nw[t] + beta) * (nd[t] + alpha) / (n_t[t] + nbeta);
+            total += p[t];
+        }
+        double u = uniforms[idx] * total;
+        for (t = 0; t < k - 1; t++) {  /* t = k - 1 if no break */
+            acc += p[t];
+            if (u < acc)
+                break;
+        }
+        z[idx] = t;
+        nw[t] += 1, nd[t] += 1, n_t[t] += 1;
+    }
+}
+"""
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-    Float tables hold count + prior beside the integer counts. A changed
-    cell is assigned ``count + prior`` from its integer count, never
-    incremented in place, so every operand equals the list kernel's. The
-    weights are then formed in the list kernel's order (multiply, divide)
-    and accumulated left to right by cumsum, and searchsorted(side="right")
-    finds the same first partial sum above u: the draws are bit-identical.
-    """
-    last = len(n_t) - 1
-    # Lists of row views: a list lookup costs less than indexing a 2-D array.
-    f_wt = list(np.array(n_wt, dtype=np.float64) + beta)
-    f_dt = list(np.array(n_dt, dtype=np.float64) + alpha)
-    f_t = np.array(n_t, dtype=np.float64) + nbeta
-    acc = np.empty(len(n_t))
-    multiply, divide, cumsum = np.multiply, np.divide, np.add.accumulate
-    searchsorted = acc.searchsorted
-    for start, uniforms in _uniform_chunks(rng, len(z)):
-        for idx, r in enumerate(uniforms, start):
-            t = z[idx]
-            w = words[idx]
-            d = docs[idx]
-            nw, fw = n_wt[w], f_wt[w]
-            nd, fd = n_dt[d], f_dt[d]
-            c = nw[t] - 1
-            nw[t] = c
-            fw[t] = c + beta
-            c = nd[t] - 1
-            nd[t] = c
-            fd[t] = c + alpha
-            c = n_t[t] - 1
-            n_t[t] = c
-            f_t[t] = c + nbeta
-            multiply(fw, fd, acc)
-            divide(acc, f_t, acc)
-            cumsum(acc, out=acc)
-            t = int(searchsorted(r * acc[last], "right"))
-            if t > last:
-                t = last
-            z[idx] = t
-            c = nw[t] + 1
-            nw[t] = c
-            fw[t] = c + beta
-            c = nd[t] + 1
-            nd[t] = c
-            fd[t] = c + alpha
-            c = n_t[t] + 1
-            n_t[t] = c
-            f_t[t] = c + nbeta
+
+def _private(path):
+    """``path`` is owned by this user and no one else can write to it."""
+    st = os.stat(path)
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _compile_sweep(lib):
+    """Build _SWEEP_C with the system ``cc`` beside ``lib``, then move it in."""
+    tmp = lib.with_name(f".{lib.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        subprocess.run(
+            ["cc", *_CC_FLAGS, "-o", tmp, "-x", "c", "-"],
+            input=_SWEEP_C.encode(), capture_output=True, check=True, timeout=300,
+        )
+        data = tmp.read_bytes()  # loads check the digest: dlopen can crash on torn files
+        tmp.write_bytes(data + hashlib.sha256(data).digest())
+        tmp.chmod(0o700)
+        tmp.replace(lib)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@functools.cache
+def _native_sweep():
+    """The C sweep with _sweep_lists' signature, or None where it cannot be
+    built or loaded. The library is cached in ~/.cache/topicpuzzles, named by
+    the hash of source, flags and machine, and loaded only from an intact,
+    private file in a private directory; any other file there is rebuilt."""
+    key = "\0".join((_SWEEP_C, *_CC_FLAGS, platform.machine())).encode()
+    try:
+        cache = Path.home() / ".cache" / "topicpuzzles"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _private(cache):
+            return None
+        lib = cache / f"gibbs-{hashlib.sha256(key).hexdigest()}.so"
+        try:
+            data = lib.read_bytes()
+            if not _private(lib) or hashlib.sha256(data[:-32]).digest() != data[-32:]:
+                raise OSError(f"{lib} is damaged or writable by others")
+            fn = ctypes.CDLL(str(lib)).sweep
+        except OSError:
+            _compile_sweep(lib)
+            fn = ctypes.CDLL(str(lib)).sweep
+    except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError):
+        return None
+    i64, f64 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.int64, np.float64))
+    fn.argtypes = [ctypes.c_int64] * 2 + [i64] * 6 + [ctypes.c_double] * 3 + [f64] * 2
+    fn.restype = None
+
+    def sweep(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
+        fn(z.size, n_t.size, words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta,
+           uniforms, np.empty(n_t.size))
+
+    return sweep
 
 
 def lda_fit(X, config, sweep_hook=None):
@@ -342,10 +366,10 @@ def lda_fit(X, config, sweep_hook=None):
     (count(word, topic) + beta) / (count(topic) + N*beta), averaged over
     the final 20% of sweeps. Deterministic for a fixed seed.
 
-    Each sweep runs one of two kernels chosen by the topic count: a Python
-    loop over K below ``_ROW_KERNEL_MIN_TOPICS`` topics, numpy row ops from
-    there on. Both compute the same arithmetic in the same order from the
-    same uniforms, so the weights do not depend on which one ran.
+    Each sweep runs a C kernel, compiled with the system ``cc`` on the first
+    call and cached per user, or ``_sweep_lists`` where it cannot be built or
+    loaded. Both draw one uniform per token and form every weight and partial
+    sum in the same order, so the weights do not depend on which one ran.
 
     ``sweep_hook(state)`` is called after every sweep with copies of the
     count tables (an LdaState), for diagnostics and invariant checks.
@@ -360,48 +384,31 @@ def lda_fit(X, config, sweep_hook=None):
     n, m = X.matrix.shape
     if m == 0 or n == 0:
         raise ValueError("empty document-term matrix")
-    k = config.n_topics
-    alpha, beta = config.alpha, config.beta
+    k, alpha, beta = config.n_topics, config.alpha, config.beta
     nbeta = n * beta
     words, docs = _token_stream(X.matrix)
     rng = np.random.default_rng(config.seed)
     z = rng.integers(0, k, words.size)
-    n_wt = _count_table(words, z, n, k)
-    n_dt = _count_table(docs, z, m, k)
-    n_t = np.bincount(z, minlength=k).tolist()
-    words, docs, z = words.tolist(), docs.tolist(), z.tolist()
+    n_wt = np.bincount(words * k + z, minlength=n * k).reshape(n, k)
+    n_dt = np.bincount(docs * k + z, minlength=m * k).reshape(m, k)
+    n_t = np.bincount(z, minlength=k)
 
-    sweep_once = _sweep_rows if k >= _ROW_KERNEL_MIN_TOPICS else _sweep_lists
+    sweep_once = _native_sweep() or _sweep_lists
     n_avg = max(1, config.iterations // 5)
     avg_start = config.iterations - n_avg
     phi_acc = np.zeros((n, k))
     for sweep in range(config.iterations):
-        sweep_once(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, rng)
+        uniforms = rng.random(z.size)
+        sweep_once(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms)
         if sweep_hook is not None:
-            sweep_hook(
-                LdaState(
-                    sweep=sweep,
-                    word_topic=np.array(n_wt, dtype=np.int64),
-                    topic_counts=np.array(n_t, dtype=np.int64),
-                    doc_topic=np.array(n_dt, dtype=np.int64),
-                )
-            )
+            sweep_hook(LdaState(sweep, n_wt.copy(), n_t.copy(), n_dt.copy()))
         if sweep >= avg_start:
-            counts = np.array(n_wt, dtype=np.float64)
-            totals = np.array(n_t, dtype=np.float64)
-            phi_acc += (counts + beta) / (totals + nbeta)
+            phi_acc += (n_wt + beta) / (n_t + nbeta)
 
-    weights = phi_acc / n_avg
     return TopicDictionary(
-        weights=weights,
+        weights=phi_acc / n_avg,
         model=MODEL_LDA,
-        meta={
-            "n_topics": k,
-            "alpha": alpha,
-            "beta": beta,
-            "iterations": config.iterations,
-            "seed": config.seed,
-        },
+        meta=asdict(config),
         vocab=list(X.vocab.words),
     )
 
@@ -579,15 +586,7 @@ def dict_learn_fit(X, config):
     return TopicDictionary(
         weights=d,
         model=MODEL_DICTLEARN,
-        meta={
-            "n_topics": k,
-            "kappa": config.kappa,
-            "rho": config.rho,
-            "regularizer": config.regularizer,
-            "n_groups": config.n_groups,
-            "epochs": config.epochs,
-            "seed": config.seed,
-        },
+        meta=asdict(config),
         vocab=vocab,
     )
 
@@ -682,6 +681,8 @@ def load_topic_dictionary(path):
         (n_words, n_topics), order="F"
     )
     sv = payload.get("singular_values")
+    if sv is not None and not is_list_of(sv, (int, float)):
+        raise ValueError(f"{path}: singular_values must be null or a list of numbers")
     model = TopicDictionary(
         weights=weights,
         model=payload["model"],

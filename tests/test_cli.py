@@ -5,8 +5,14 @@ from types import SimpleNamespace
 import pytest
 from conftest import INDEX_CORRUPTIONS, mangle_index
 
+from topicpuzzles import esa, puzzles
 from topicpuzzles.cli import build_parser, main
-from topicpuzzles.corpus import Document, save_corpus_jsonl
+from topicpuzzles.corpus import (
+    Document,
+    build_vocabulary,
+    load_doc_term_matrix,
+    save_corpus_jsonl,
+)
 from topicpuzzles.synthetic import planted_topic_corpus
 
 TINY_DOCS = [
@@ -89,7 +95,7 @@ class TestTrain:
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_lda_row_kernel_deterministic_files(self, pipeline):
+    def test_lda_large_k_deterministic_files(self, pipeline):
         out1 = str(pipeline["tmp"] / "r1.json")
         out2 = str(pipeline["tmp"] / "r2.json")
         args = ["train", "--model", "lda", "--matrix", pipeline["matrix"],
@@ -418,6 +424,16 @@ class TestLoadErrors:
         assert self.extract(pipeline, model=model) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [{"0": 1.0}, "1.0", [1.0, "2"], [True, 1.0]])
+    def test_model_singular_values_not_numbers_exit_2(self, pipeline, capsys, value):
+        self.extract(pipeline)
+        model = self.rewrite(
+            pipeline, pipeline["tmp"] / "lsa.json",
+            lambda p: {**p, "singular_values": value},
+        )
+        assert self.extract(pipeline, model=model) == 2
+        assert "singular_values must be null or a list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,how,message", INDEX_CORRUPTIONS)
     def test_inconsistent_index_exits_2(self, pipeline, capsys, key, how, message):
         index = self.rewrite(
@@ -502,6 +518,55 @@ class TestConfigFile:
         code = main(["extract-sets", "--model", "x", "--index", pipeline["index"],
                      "--out", "y", "--config", "/nonexistent.json"])
         assert code == 2
+
+
+class TestLibraryDefaults:
+    """A flag or config value reaches the library; one that is not given is
+    left to the library's own default, which the CLI does not repeat."""
+
+    def test_ingest_min_df(self, tmp_path, corpus_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min-df": 3}))
+        words = {}
+        for name, extra in [("default", []), ("flag", ["--min-df", "3"]),
+                            ("config", ["--config", str(config)])]:
+            out = str(tmp_path / f"{name}.json")
+            assert main(["ingest", "--corpus", corpus_path, "--out", out, *extra]) == 0
+            words[name] = load_doc_term_matrix(out).vocab.words
+        assert words["default"] == build_vocabulary(TINY_DOCS).words
+        assert words["flag"] == words["config"] == build_vocabulary(TINY_DOCS, 3).words
+        assert words["flag"] != words["default"]
+
+    @pytest.mark.parametrize("extra,expected", [
+        ([], esa.EsaConfig()),
+        (["--max-concepts-per-word", "5", "--max-df-ratio", "0.9"],
+         esa.EsaConfig(max_concepts_per_word=5, max_df_ratio=0.9)),
+    ])
+    def test_index_config(self, pipeline, monkeypatch, extra, expected):
+        seen = []
+        build = esa.build_esa_index
+
+        def recording_build(concepts, config):
+            seen.append(config)
+            return build(concepts, config)
+
+        monkeypatch.setattr(esa, "build_esa_index", recording_build)
+        assert main(["index", "--concepts", pipeline["corpus"],
+                     "--out", str(pipeline["tmp"] / "i.json"), *extra]) == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("extra,expected", [([], 3), (["--n-distractors", "2"], 2)])
+    def test_generate_n_distractors(self, pipeline, monkeypatch, extra, expected):
+        seen = []
+        # gen_choose_related(cset, sim, band, n_distractors, ...)
+        monkeypatch.setattr(
+            puzzles, "gen_choose_related", lambda *args, **kw: seen.append(args[3])
+        )
+        sets = TestGenerate().make_sets(pipeline)
+        assert main(["generate", "--sets", sets, "--index", pipeline["index"],
+                     "--out", str(pipeline["tmp"] / "b.jsonl"),
+                     "--kinds", "choose-related", *extra]) == 0
+        assert seen and set(seen) == {expected}
 
 
 class TestConfigValueTypes:

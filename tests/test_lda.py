@@ -1,7 +1,16 @@
+import hashlib
+import itertools
+import os
+import re
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from oracles import list_gibbs_lda_weights
 
+from topicpuzzles import topic_models
 from topicpuzzles.corpus import (
     Document,
     build_doc_term_matrix,
@@ -10,7 +19,6 @@ from topicpuzzles.corpus import (
 )
 from topicpuzzles.synthetic import planted_topic_corpus
 from topicpuzzles.topic_models import (
-    _ROW_KERNEL_MIN_TOPICS,
     LdaConfig,
     extract_top_k,
     lda_fit,
@@ -133,14 +141,37 @@ def planted_small():
     return build_doc_term_matrix(docs, vocab)
 
 
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+
+
+@pytest.fixture
+def home(tmp_path, monkeypatch):
+    """A fresh home directory, with the kernel loader's memo cleared before
+    and after, so the test builds (or fails to build) its own kernel."""
+    loader = topic_models._native_sweep
+    monkeypatch.setenv("HOME", str(tmp_path))
+    loader.cache_clear()
+    yield tmp_path
+    loader.cache_clear()
+
+
+def use_kernel(kernel, monkeypatch):
+    """Run lda_fit on the C kernel, asserting it loads, or on _sweep_lists."""
+    if kernel == "native":
+        assert topic_models._native_sweep() is not None
+    else:
+        monkeypatch.setattr(topic_models, "_native_sweep", lambda: None)
+
+
+@pytest.mark.parametrize("kernel", [pytest.param("native", marks=needs_cc), "fallback"])
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize(
-    "n_topics",
-    [3, 8, _ROW_KERNEL_MIN_TOPICS - 1, _ROW_KERNEL_MIN_TOPICS, 100],
-)
-def test_weights_bit_identical_to_list_sampler(planted_small, n_topics, seed):
+@pytest.mark.parametrize("n_topics", [3, 8, 19, 20, 100])
+def test_weights_bit_identical_to_list_sampler(
+    planted_small, home, monkeypatch, kernel, n_topics, seed
+):
     """Both sweep kernels reproduce the original sampler's weights exactly,
     and keep the count tables consistent after every sweep."""
+    use_kernel(kernel, monkeypatch)
     config = LdaConfig(n_topics=n_topics, iterations=10, seed=seed)
     sweeps_seen = []
     td = lda_fit(
@@ -152,3 +183,152 @@ def test_weights_bit_identical_to_list_sampler(planted_small, n_topics, seed):
         config.iterations, seed,
     )
     np.testing.assert_array_equal(td.weights, expected)
+
+
+@needs_cc
+@pytest.mark.parametrize("n_topics", [3, 20])
+def test_native_and_fallback_count_tables_equal_after_every_sweep(
+    planted_small, home, monkeypatch, n_topics
+):
+    """Equal weights can hide a last-ulp or count slip that the averaging
+    washes out; the count tables after each sweep cannot."""
+    config = LdaConfig(n_topics=n_topics, iterations=8, seed=5)
+    states = {}
+    for kernel in ("native", "fallback"):
+        use_kernel(kernel, monkeypatch)
+        states[kernel] = []
+        lda_fit(planted_small, config, sweep_hook=states[kernel].append)
+    assert len(states["native"]) == len(states["fallback"]) == 8
+    for a, b in zip(states["native"], states["fallback"]):
+        assert a.sweep == b.sweep
+        for name in ("word_topic", "doc_topic", "topic_counts"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@needs_cc
+def test_kernels_draw_alike_next_to_every_partial_sum(home):
+    """One-token sweeps with uniforms a few ulps either side of each
+    boundary u == acc pick the same topic in both kernels. Random draws
+    almost never land there, so a weight or sum that differs only in its
+    last ulp (reassociated, or fused into a multiply-add) shows only here."""
+    native = topic_models._native_sweep()
+    assert native is not None
+    rng = np.random.default_rng(0)
+    k, alpha, beta, nbeta = 7, 0.1, 0.01, 0.5
+    words = docs = np.zeros(1, dtype=np.int64)
+    for _ in range(40):
+        n_wt, n_dt = rng.integers(1, 30, (2, 1, k))
+        n_t = n_wt[0] + rng.integers(0, 300, k)
+        z = rng.integers(0, k, 1)
+        nw, nd, nt = n_wt[0].tolist(), n_dt[0].tolist(), n_t.tolist()
+        for counts in (nw, nd, nt):
+            counts[z[0]] -= 1
+        partial = list(itertools.accumulate(
+            (nw[t] + beta) * (nd[t] + alpha) / (nt[t] + nbeta) for t in range(k)
+        ))
+        for acc in partial[:-1]:
+            r = acc / partial[-1]
+            for _ in range(4):
+                r = np.nextafter(r, 0.0)
+            for _ in range(9):
+                drawn = []
+                for sweep in (native, topic_models._sweep_lists):
+                    tables = [a.copy() for a in (z, n_wt, n_dt, n_t)]
+                    sweep(words, docs, *tables, alpha, beta, nbeta, np.array([r]))
+                    drawn.append(tables[0][0])
+                assert drawn[0] == drawn[1], (acc, r)
+                r = np.nextafter(r, 1.0)
+
+
+class TestKernelCache:
+    """Whatever state the per-user kernel cache is in, lda_fit gives the
+    oracle's weights, prints nothing and leaves no temporary file."""
+
+    def fit_and_check(self, dtm, cache_dir, capfd):
+        config = LdaConfig(n_topics=5, iterations=6, seed=2)
+        td = lda_fit(dtm, config)
+        expected = list_gibbs_lda_weights(
+            dtm.matrix, 5, config.alpha, config.beta, config.iterations, 2
+        )
+        np.testing.assert_array_equal(td.weights, expected)
+        out, err = capfd.readouterr()
+        assert out == err == ""
+        if cache_dir.is_dir():
+            for name in os.listdir(cache_dir):
+                assert re.fullmatch(r"gibbs-[0-9a-f]{64}\.so", name), name
+
+    def built_library(self, home):
+        """Build the kernel into ``home``'s cache in another process, so this
+        one has not mapped the file that the test then changes."""
+        subprocess.run(
+            [sys.executable, "-c", "from topicpuzzles.topic_models import "
+             "_native_sweep; assert _native_sweep()"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True,
+        )
+        cache_dir = home / ".cache" / "topicpuzzles"
+        (lib,) = cache_dir.iterdir()
+        return cache_dir, lib
+
+    @needs_cc
+    def test_native_kernel_is_built_with_private_modes(
+        self, planted_small, home, capfd
+    ):
+        cache_dir, lib = self.built_library(home)
+        assert cache_dir.stat().st_mode & 0o777 == 0o700
+        assert not lib.stat().st_mode & 0o022
+        self.fit_and_check(planted_small, cache_dir, capfd)
+        assert topic_models._native_sweep() is not None
+
+    @needs_cc
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "unloadable"])
+    def test_damaged_library_is_rebuilt(self, planted_small, home, capfd, damage):
+        """A truncated or garbage file fails its digest check; one whose
+        digest matches but that is no library fails to load."""
+        cache_dir, lib = self.built_library(home)
+        data = lib.read_bytes()
+        junk = b"\x7fELF not a library"
+        lib.write_bytes({
+            "truncated": data[: len(data) // 2],
+            "garbage": junk,
+            "unloadable": junk + hashlib.sha256(junk).digest(),
+        }[damage])
+        self.fit_and_check(planted_small, cache_dir, capfd)
+        assert topic_models._native_sweep() is not None
+        assert lib.read_bytes() == data
+
+    @needs_cc
+    def test_library_writable_by_others_is_not_loaded(
+        self, planted_small, home, capfd
+    ):
+        cache_dir, lib = self.built_library(home)
+        lib.chmod(0o666)
+        self.fit_and_check(planted_small, cache_dir, capfd)
+        assert topic_models._native_sweep() is not None
+        assert not lib.stat().st_mode & 0o022
+
+    def test_cache_that_cannot_be_created_falls_back(self, planted_small, home, capfd):
+        (home / ".cache").write_text("not a directory")
+        self.fit_and_check(planted_small, home / ".cache" / "topicpuzzles", capfd)
+        assert topic_models._native_sweep() is None
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root can write to read-only dirs")
+    def test_read_only_cache_falls_back(self, planted_small, home, capfd):
+        cache_dir = home / ".cache" / "topicpuzzles"
+        cache_dir.mkdir(parents=True, mode=0o700)
+        cache_dir.chmod(0o500)
+        try:
+            self.fit_and_check(planted_small, cache_dir, capfd)
+            assert topic_models._native_sweep() is None
+            assert not any(cache_dir.iterdir())
+        finally:
+            cache_dir.chmod(0o700)
+
+    def test_no_compiler_on_path_falls_back(
+        self, planted_small, home, monkeypatch, capfd
+    ):
+        monkeypatch.setenv("PATH", str(home))
+        assert shutil.which("cc") is None
+        cache_dir = home / ".cache" / "topicpuzzles"
+        self.fit_and_check(planted_small, cache_dir, capfd)
+        assert topic_models._native_sweep() is None
+        assert not any(cache_dir.iterdir())
