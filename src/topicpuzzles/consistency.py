@@ -61,26 +61,6 @@ class SpanningTree:
         return float(min(w for _, _, w in self.edges))
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def max_spanning_tree(graph):
     """Kruskal on descending edge weight; ties prefer the lexicographically
     smaller (node, node) pair, so the tree is deterministic."""
@@ -95,10 +75,13 @@ def max_spanning_tree(graph):
                 a, b = b, a
             edges.append((a, b, float(graph.weights[i, j])))
     edges.sort(key=lambda e: (-e[2], e[0], e[1]))
-    uf = _UnionFind(graph.nodes)
+    # component label per node; b's component takes the label of a's
+    label = {node: node for node in graph.nodes}
     chosen = []
     for a, b, w in edges:
-        if uf.union(a, b):
+        kept, merged = label[a], label[b]
+        if kept != merged:
+            label = {n: kept if c == merged else c for n, c in label.items()}
             chosen.append((a, b, w))
             if len(chosen) == size - 1:
                 break

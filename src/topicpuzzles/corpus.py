@@ -392,15 +392,28 @@ def load_doc_term_matrix(path):
             f"{path}: n_words, n_docs and vocab_n_docs must be ints, vocab and "
             f"doc_freq lists of n_words strs and ints, doc_ids of n_docs strs"
         )
+    if payload["weighting"] not in (RAW_COUNT, TFIDF):
+        raise ValueError(f"{path}: weighting must be {RAW_COUNT!r} or {TFIDF!r}")
     if not (isinstance(payload["triplets"], list) and all(
         type(t) is list and len(t) == 3 and type(t[0]) is int
         and type(t[1]) is int and type(t[2]) in (int, float)
+        and 0 <= t[0] < n_words and 0 <= t[1] < n_docs
         for t in payload["triplets"]
     )):
-        raise ValueError(f"{path}: triplets must be [int, int, number] lists")
-    rows = [t[0] for t in payload["triplets"]]
-    cols = [t[1] for t in payload["triplets"]]
-    data = [t[2] for t in payload["triplets"]]
+        raise ValueError(
+            f"{path}: triplets must be [int, int, number] lists inside "
+            f"n_words x n_docs"
+        )
+    rows = np.array([t[0] for t in payload["triplets"]], dtype=np.int64)
+    cols = np.array([t[1] for t in payload["triplets"]], dtype=np.int64)
+    data = np.array([t[2] for t in payload["triplets"]], dtype=np.float64)
+    if not np.all(np.isfinite(data) & (data > 0)):
+        raise ValueError(f"{path}: triplet values must be finite and > 0")
+    if payload["weighting"] == RAW_COUNT and np.any(data != np.floor(data)):
+        raise ValueError(f"{path}: raw-count values must be whole numbers")
+    order = np.lexsort((rows, cols))
+    if np.any((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)):
+        raise ValueError(f"{path}: triplets repeat a (row, col) entry")
     matrix = sp.csc_matrix(
         (data, (rows, cols)),
         shape=(payload["n_words"], payload["n_docs"]),

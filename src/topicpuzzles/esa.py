@@ -2,9 +2,9 @@
 repository, and pairwise word relatedness as the cosine of those vectors.
 
 The vectors are the rows of one CSR matrix; with rows scaled to unit norm
-(``R``), relatedness is a dot product of rows, served in blocks such as
-``R[S] R[S]^T`` for a word set. A product entry sums the shared concepts'
-terms in ascending concept order, as the scalar path does, so all agree.
+(``R``), relatedness is a dot product of rows, served only as entries of
+block products such as ``R[S] R[S]^T`` for a word set. A single pair is
+the 1x1 block, so every path returns the same float for it.
 """
 
 from __future__ import annotations
@@ -98,9 +98,6 @@ class EsaIndex:
     def n_concepts(self):
         return len(self.concept_ids)
 
-    def __contains__(self, word):
-        return word in self._row
-
     def __len__(self):
         return len(self._words)
 
@@ -169,9 +166,6 @@ class SimilarityProvider:
         """R^T as a concepts x words CSR matrix, for set-versus-all products."""
         return self.index.R.T.tocsr()
 
-    def is_indexed(self, word):
-        return word in self.index
-
     def word_for_index(self, i):
         if self.vocabulary is None:
             raise ValueError("similarity provider has no vocabulary attached")
@@ -191,24 +185,9 @@ class SimilarityProvider:
         return rows
 
     def relatedness(self, word_a, word_b):
-        """Cosine of the two concept vectors; 0 if either is missing. Sums
-        the products over the shared concepts in ascending order, as the
-        block products do, so it equals their entry bit for bit."""
-        ra, rb = self.index.row(word_a), self.index.row(word_b)
-        if ra < 0 or rb < 0:
-            self._rows((word_a, word_b))  # records the missing word
-            return 0.0
-        if ra == rb:
-            return 1.0
-        R = self.index.R
-        sa = slice(R.indptr[ra], R.indptr[ra + 1])
-        sb = slice(R.indptr[rb], R.indptr[rb + 1])
-        _, pa, pb = np.intersect1d(
-            R.indices[sa], R.indices[sb], assume_unique=True, return_indices=True
-        )
-        if pa.size == 0:
-            return 0.0
-        return min(float(np.cumsum(R.data[sa][pa] * R.data[sb][pb])[-1]), 1.0)
+        """Cosine of the two concept vectors; 0 if either is missing. This
+        is the 1x1 block; a loop over pairs should ask for one block."""
+        return float(self.cross_relatedness([word_a], [word_b])[0, 0])
 
     def similarity_submatrix(self, words):
         """Symmetric relatedness matrix over a word set (indices into the

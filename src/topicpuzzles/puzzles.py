@@ -144,6 +144,46 @@ def resolve_solution(puzzle):
     return perm[puzzle.solution]
 
 
+def _attempt_budget(max_attempts, vocab):
+    """``max_attempts``, or its default for ``vocab`` when None; ValueError
+    when it is below 1."""
+    if max_attempts is None:
+        return default_max_attempts(len(vocab))
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    return max_attempts
+
+
+def _draw_in_band(anchors, exclude, n, sim, band, vocab, rng, max_attempts):
+    """Draw uniform random vocabulary words until ``n`` distinct words
+    outside ``exclude`` have max relatedness sigma to the anchors strictly
+    inside the band; returns (words, sigmas) in draw order, or None after
+    ``max_attempts`` draws. Sigma is computed for every vocabulary word
+    before the first draw, and each draw looks it up. An unindexed word has
+    sigma 0, which no band holds, so it only uses up an attempt."""
+    sigmas = sim.max_relatedness(anchors, vocab).tolist()
+    words, drawn_sigmas = [], []
+    for _ in range(max_attempts):
+        drawn = int(rng.integers(0, len(vocab)))
+        word, sigma = vocab[drawn], sigmas[drawn]
+        if word in exclude or word in words or not band.contains(sigma):
+            continue
+        words.append(word)
+        drawn_sigmas.append(sigma)
+        if len(words) == n:
+            return words, drawn_sigmas
+    return None
+
+
+def _shuffled_puzzle(
+    kind, canonical, solution, band, sigma, sources, seed, rng, stem=None
+):
+    """The Puzzle presenting ``canonical`` (``solution`` in its coordinates)
+    in an order shuffled by ``rng``."""
+    presented, solution, perm = shuffle_and_render(canonical, solution, kind, rng)
+    return Puzzle(kind, presented, solution, band, sigma, sources, seed, perm, stem)
+
+
 def gen_odd_one_out(
     cset, sim, band, vocab, rng, max_attempts=None, seed=None
 ):
@@ -151,39 +191,22 @@ def gen_odd_one_out(
     max relatedness sigma strictly inside the band, then emit the shuffled
     set plus that word with the odd position hidden.
 
-    Sigma is computed for every vocabulary word before the first draw, and
-    each draw looks it up. Draws that land inside the set or on words
-    without a nonzero concept vector consume attempts, so the loop always
-    terminates; returns Exhausted after max_attempts failures.
+    Draws that land inside the set or on words without a concept vector
+    (sigma 0) consume attempts, so the loop always terminates; returns
+    Exhausted after max_attempts failures.
     """
-    if max_attempts is None:
-        max_attempts = default_max_attempts(len(vocab))
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    members = set(cset.words)
-    sigmas = sim.max_relatedness(cset.words, vocab).tolist()
-    for _ in range(max_attempts):
-        drawn = int(rng.integers(0, len(vocab)))
-        word = vocab[drawn]
-        if word in members or not sim.is_indexed(word):
-            continue
-        sigma = sigmas[drawn]
-        if band.contains(sigma):
-            canonical = tuple(cset.words) + (word,)
-            presented, solution, perm = shuffle_and_render(
-                canonical, len(canonical) - 1, ODD_ONE_OUT, rng
-            )
-            return Puzzle(
-                kind=ODD_ONE_OUT,
-                words=presented,
-                solution=solution,
-                band=band,
-                sigma=sigma,
-                source_topics=(cset.topic_index,),
-                seed=seed,
-                permutation=perm,
-            )
-    return Exhausted(ODD_ONE_OUT, (cset.topic_index,), max_attempts)
+    sources = (cset.topic_index,)
+    max_attempts = _attempt_budget(max_attempts, vocab)
+    drawn = _draw_in_band(
+        cset.words, set(cset.words), 1, sim, band, vocab, rng, max_attempts
+    )
+    if drawn is None:
+        return Exhausted(ODD_ONE_OUT, sources, max_attempts)
+    (word,), (sigma,) = drawn
+    canonical = tuple(cset.words) + (word,)
+    return _shuffled_puzzle(
+        ODD_ONE_OUT, canonical, len(canonical) - 1, band, sigma, sources, seed, rng
+    )
 
 
 def gen_choose_related(
@@ -192,46 +215,26 @@ def gen_choose_related(
     """Hold out one uniformly chosen word of the set as the answer; present
     the rest as the stem plus distractors whose max relatedness to the stem
     lies strictly in the band. The recorded sigma is the hardest
-    distractor's. As for odd-one-out, sigma is computed for every vocabulary
-    word once (after the answer is drawn) and looked up per draw."""
+    distractor's. Distractors are drawn as odd-one-out draws its odd word,
+    against the stem, once the answer is drawn; a word without a concept
+    vector has sigma 0 and is never one."""
     if len(cset.words) < 3:
         raise ValueError("choose-related needs a consistent set of >= 3 words")
     if n_distractors < 1:
         raise ValueError("n_distractors must be >= 1")
-    if max_attempts is None:
-        max_attempts = default_max_attempts(len(vocab))
+    sources = (cset.topic_index,)
+    max_attempts = _attempt_budget(max_attempts, vocab)
     held = int(rng.integers(0, len(cset.words)))
-    answer = cset.words[held]
     stem = tuple(w for i, w in enumerate(cset.words) if i != held)
-    members = set(cset.words)
-    stem_sigmas = sim.max_relatedness(stem, vocab).tolist()
-    distractors = []
-    sigmas = []
-    for _ in range(max_attempts):
-        if len(distractors) == n_distractors:
-            break
-        drawn = int(rng.integers(0, len(vocab)))
-        word = vocab[drawn]
-        if word in members or word in distractors or not sim.is_indexed(word):
-            continue
-        sigma = stem_sigmas[drawn]
-        if band.contains(sigma):
-            distractors.append(word)
-            sigmas.append(sigma)
-    if len(distractors) < n_distractors:
-        return Exhausted(CHOOSE_RELATED, (cset.topic_index,), max_attempts)
-    canonical = (answer,) + tuple(distractors)
-    presented, solution, perm = shuffle_and_render(canonical, 0, CHOOSE_RELATED, rng)
-    return Puzzle(
-        kind=CHOOSE_RELATED,
-        words=presented,
-        solution=solution,
-        band=band,
-        sigma=max(sigmas),
-        source_topics=(cset.topic_index,),
-        seed=seed,
-        permutation=perm,
-        stem=stem,
+    drawn = _draw_in_band(
+        stem, set(cset.words), n_distractors, sim, band, vocab, rng, max_attempts
+    )
+    if drawn is None:
+        return Exhausted(CHOOSE_RELATED, sources, max_attempts)
+    distractors, sigmas = drawn
+    canonical = (cset.words[held],) + tuple(distractors)
+    return _shuffled_puzzle(
+        CHOOSE_RELATED, canonical, 0, band, max(sigmas), sources, seed, rng, stem
     )
 
 
@@ -253,18 +256,9 @@ def gen_separate_topics(cset_a, cset_b, sim, eta2_cross, rng, seed=None):
         )
     canonical = tuple(cset_a.words) + tuple(cset_b.words)
     mask = ((1 << len(cset_b.words)) - 1) << len(cset_a.words)
-    presented, solution, perm = shuffle_and_render(
-        canonical, mask, SEPARATE_TOPICS, rng
-    )
-    return Puzzle(
-        kind=SEPARATE_TOPICS,
-        words=presented,
-        solution=solution,
-        band=DifficultyBand(0.0, eta2_cross, "cross-cap"),
-        sigma=cross,
-        source_topics=sources,
-        seed=seed,
-        permutation=perm,
+    band = DifficultyBand(0.0, eta2_cross, "cross-cap")
+    return _shuffled_puzzle(
+        SEPARATE_TOPICS, canonical, mask, band, cross, sources, seed, rng
     )
 
 

@@ -221,6 +221,22 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "exhausted" in out
 
+    @pytest.mark.parametrize("attempts", ["0", "-3"])
+    def test_choose_related_max_attempts_below_1_exits_2(
+        self, pipeline, capsys, attempts
+    ):
+        sets = self.make_sets(pipeline)
+        assert open(sets).read().strip()
+        bank = pipeline["tmp"] / "bank.jsonl"
+        code = main(["generate", "--sets", sets, "--index", pipeline["index"],
+                     "--out", str(bank), "--eta1", "0.01", "--eta2", "0.9",
+                     "--kinds", "choose-related", "--max-attempts", attempts])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "max_attempts must be >= 1" in err
+        assert "Traceback" not in err
+        assert not bank.exists()
+
     @pytest.mark.parametrize("key,value,message", [
         ("words", "vote", "equal-length lists"),
         ("word_indices", [0.0, 1.0], "equal-length lists"),
@@ -479,6 +495,39 @@ class TestLoadErrors:
                      "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda t: [t[0][:2] + [-1]] + t[1:], "finite and > 0"),
+        (lambda t: [t[0][:2] + [0]] + t[1:], "finite and > 0"),
+        (lambda t: [t[0][:2] + [float("nan")]] + t[1:], "finite and > 0"),
+        (lambda t: [t[0][:2] + [float("inf")]] + t[1:], "finite and > 0"),
+        (lambda t: [t[0][:2] + [0.4]] + t[1:], "whole numbers"),
+        (lambda t: t + [t[0]], "repeat a (row, col)"),
+        (lambda t: [[-1] + t[0][1:]] + t[1:], "inside n_words x n_docs"),
+    ], ids=["negative", "zero", "nan", "infinite", "fractional-count",
+            "duplicate", "row-out-of-range"])
+    def test_bad_matrix_values_exit_2(self, pipeline, capsys, change, message):
+        matrix = self.rewrite(
+            pipeline, pipeline["matrix"],
+            lambda p: {**p, "triplets": change(p["triplets"])},
+        )
+        code = main(["train", "--model", "lsa", "--matrix", matrix,
+                     "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{matrix}: " in err and message in err
+        assert "Traceback" not in err
+
+    def test_unknown_weighting_exits_2(self, pipeline, capsys):
+        matrix = self.rewrite(
+            pipeline, pipeline["matrix"], lambda p: {**p, "weighting": "bogus"}
+        )
+        code = main(["train", "--model", "lsa", "--matrix", matrix,
+                     "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{matrix}: weighting must be" in err
+        assert "Traceback" not in err
 
 
 class TestYieldCurveType:

@@ -30,7 +30,7 @@ class TestBuildEsaIndex:
 
     def test_absent_word_not_indexed(self):
         index = build_esa_index(CONCEPTS)
-        assert "zeppelin" not in index
+        assert index.row("zeppelin") == -1
 
     def test_support_follows_occurrences(self):
         index = build_esa_index(CONCEPTS)
@@ -72,7 +72,7 @@ class TestBuildEsaIndex:
     def test_word_in_every_concept_has_no_vector(self):
         concepts = [Document(str(i), f"everywhere word{i}") for i in range(3)]
         index = build_esa_index(concepts)
-        assert "everywhere" not in index
+        assert index.row("everywhere") == -1
 
     def test_single_concept_indexes_no_word(self):
         # one concept document: every word has idf 0, so no word has a vector
@@ -109,17 +109,22 @@ class TestRelatedness:
     def test_symmetry_exact(self):
         provider = SimilarityProvider(build_esa_index(CONCEPTS))
         words = provider.index.words()
-        for a in words:
-            for b in words:
-                assert provider.relatedness(a, b) == provider.relatedness(b, a)
+        block = provider.cross_relatedness(words, words)
+        for i in range(len(words)):
+            for j in range(len(words)):
+                assert block[i, j] == block[j, i]
+        assert provider.relatedness("vote", "wizard") == provider.relatedness(
+            "wizard", "vote"
+        )
 
     def test_values_in_unit_interval(self):
         provider = SimilarityProvider(build_esa_index(CONCEPTS))
         words = provider.index.words()
+        block = provider.cross_relatedness(words, words)
         rng = np.random.default_rng(0)
         for _ in range(200):
             a, b = rng.choice(words, 2)
-            value = provider.relatedness(a, b)
+            value = block[provider.index.row(a), provider.index.row(b)]
             assert 0.0 <= value <= 1.0
 
 class TestSimilaritySubmatrix:
@@ -167,38 +172,50 @@ class TestKernelAgreement:
         docs, _, _, _ = planted_mixed
         return build_esa_index(docs)
 
-    def test_every_path_equal_exactly(self, planted_index):
+    @pytest.fixture(scope="class")
+    def block(self, planted_index):
+        """All-pairs relatedness as one cross block, the reference for
+        every other path."""
+        words = planted_index.words()
+        return SimilarityProvider(planted_index).cross_relatedness(words, words)
+
+    def test_every_path_equal_exactly(self, planted_index, block):
         words = planted_index.words()
         provider = SimilarityProvider(planted_index, vocabulary=words)
-        scalar = np.array([[provider.relatedness(a, b) for b in words] for a in words])
-        np.testing.assert_array_equal(provider.similarity_submatrix(words), scalar)
+        np.testing.assert_array_equal(provider.similarity_submatrix(words), block)
         np.testing.assert_array_equal(
-            provider.similarity_submatrix(range(len(words))), scalar
+            provider.similarity_submatrix(range(len(words))), block
         )
-        np.testing.assert_array_equal(provider.cross_relatedness(words, words), scalar)
         for i, word in enumerate(words):
             np.testing.assert_array_equal(
-                provider.max_relatedness([word], words), scalar[i]
+                provider.max_relatedness([word], words), block[i]
             )
+            np.testing.assert_array_equal(
+                provider.cross_relatedness([word], words), block[i:i + 1]
+            )
+        # the scalar is the 1x1 block: a sample of pairs, the diagonal included
+        rng = np.random.default_rng(3)
+        pairs = [(0, 0)] + [tuple(rng.integers(0, len(words), 2)) for _ in range(50)]
+        for i, j in pairs:
+            assert provider.relatedness(words[i], words[j]) == block[i, j]
 
-    def test_set_sigma_is_max_of_scalar(self, planted_index):
+    def test_set_sigma_is_max_of_block(self, planted_index, block):
         words = planted_index.words()
         provider = SimilarityProvider(planted_index)
         rng = np.random.default_rng(5)
         for _ in range(20):
             anchors = list(rng.choice(words, 4, replace=False))
             sigma = provider.max_relatedness(anchors, words)
-            expected = [max(provider.relatedness(t, w) for t in anchors) for w in words]
-            assert sigma.tolist() == expected
+            expected = block[[planted_index.row(t) for t in anchors]].max(axis=0)
+            assert sigma.tolist() == expected.tolist()
 
-    def test_agrees_with_intersect1d_oracle(self, planted_index):
+    def test_agrees_with_intersect1d_oracle(self, planted_index, block):
         words = planted_index.words()
-        provider = SimilarityProvider(planted_index)
-        for a, b in itertools.combinations(words, 2):
+        for (i, a), (j, b) in itertools.combinations(enumerate(words), 2):
             expected = intersect1d_cosine(
                 index_vector(planted_index, a), index_vector(planted_index, b)
             )
-            assert abs(provider.relatedness(a, b) - expected) <= 1e-12
+            assert abs(block[i, j] - expected) <= 1e-12
 
     def test_submatrix_exactly_symmetric(self, planted_index):
         words = planted_index.words()

@@ -245,6 +245,14 @@ class TestGenOddOneOut:
         }
         assert accepted_tight <= accepted_loose
 
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_max_attempts_below_1_forbidden(self, provider, theme_a, attempts):
+        with pytest.raises(ValueError, match="max_attempts"):
+            gen_odd_one_out(
+                theme_a, provider, midband(provider, theme_a), VOCAB,
+                np.random.default_rng(0), max_attempts=attempts,
+            )
+
     def test_default_max_attempts_formula(self):
         assert default_max_attempts(100) == 100
         assert default_max_attempts(10_000) == 1000
@@ -280,6 +288,14 @@ class TestGenChooseRelated:
             gen_choose_related(
                 tiny, provider, DifficultyBand(0.1, 0.2), 1, VOCAB,
                 np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_max_attempts_below_1_forbidden(self, provider, theme_a, attempts):
+        with pytest.raises(ValueError, match="max_attempts"):
+            gen_choose_related(
+                theme_a, provider, midband(provider, theme_a), 2, VOCAB,
+                np.random.default_rng(0), max_attempts=attempts,
             )
 
     def test_exhausted_when_not_enough_distractors(self, provider, theme_a):
