@@ -93,6 +93,20 @@ def _setting(args, config, key, default, kind):
         raise UsageError(f"config key {key!r}: {exc}") from exc
 
 
+def _names(names, known, what):
+    """``names``, a list or a comma-separated str (split and stripped), if
+    each is one of ``known``; a usage error if one is not, or if a str
+    names none."""
+    if isinstance(names, str):
+        names = [name.strip() for name in names.split(",") if name.strip()]
+        if not names:
+            raise UsageError(f"no {what} given; {what}s: {','.join(known)}")
+    unknown = set(names) - set(known)
+    if unknown:
+        raise UsageError(f"unknown {what}s: {sorted(unknown)}")
+    return names
+
+
 def _given(args, config, kinds):
     """Keyword arguments for the keys of ``kinds`` (key -> type) that a
     flag or the config sets; the others keep the library's defaults."""
@@ -216,10 +230,7 @@ def _resolve_band(args, config):
     if eta1 is not None or eta2 is not None:
         if eta1 is None or eta2 is None:
             raise UsageError("--eta1 and --eta2 must be given together")
-        try:
-            return puzzles.DifficultyBand(eta1, eta2, name or "custom")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return puzzles.DifficultyBand(eta1, eta2, name or "custom")
     if name is None:
         name = "beginner"
     if name not in puzzles.BAND_PRESETS:
@@ -236,13 +247,10 @@ def cmd_generate(args):
     provider = esa.SimilarityProvider(index)
     vocab = index.words()
     band = _resolve_band(args, config)
-    kinds_value = _setting(args, config, "kinds", ",".join(puzzles.KINDS), _text)
-    kinds = [k.strip() for k in kinds_value.split(",") if k.strip()]
-    if not kinds:
-        raise UsageError(f"no puzzle kind given; kinds: {','.join(puzzles.KINDS)}")
-    unknown = set(kinds) - set(puzzles.KINDS)
-    if unknown:
-        raise UsageError(f"unknown puzzle kinds: {sorted(unknown)}")
+    kinds = _names(
+        _setting(args, config, "kinds", ",".join(puzzles.KINDS), _text),
+        puzzles.KINDS, "puzzle kind",
+    )
     bank, skipped = puzzles.generate_puzzle_bank(
         sets,
         provider,
@@ -286,16 +294,14 @@ def cmd_eval_yield(args):
         raise UsageError("delta grid values must be in [0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError("delta grid must be strictly increasing")
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    unknown = set(models) - set(topic_models.MODELS)
-    if unknown:
-        raise UsageError(f"unknown models: {sorted(unknown)}")
+    models = _names(args.models, topic_models.MODELS, "model")
     model_configs = config.get("models", {})
     if not (
         isinstance(model_configs, dict)
         and all(isinstance(v, dict) for v in model_configs.values())
     ):
         raise UsageError("config key 'models' must map model names to objects")
+    _names(list(model_configs), topic_models.MODELS, "model")
 
     curve = {}
     for name in models:

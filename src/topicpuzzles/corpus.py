@@ -1,5 +1,7 @@
 """Corpus ingestion: tokenization, vocabulary construction, and sparse
-document-term matrices with optional TF-IDF weighting.
+document-term matrices with optional TF-IDF weighting; also the file
+helpers of every module, among them the checker of the compressed sparse
+arrays that the matrix and the ESA index files both hold.
 
 All builders are deterministic: the same documents and config produce
 bit-identical vocabularies and matrices. Built structures are treated as
@@ -144,10 +146,10 @@ def build_vocabulary(docs, min_df=1, max_df_ratio=1.0, config=DEFAULT_TOKENIZER)
 
 @dataclass
 class DocTermMatrix:
-    """Sparse word-by-document weight matrix (words are rows).
+    """Sparse word-by-document weight matrix (words are rows, CSC form).
 
-    All stored entries are positive; documents left with no in-vocabulary
-    tokens are dropped at build time, so there are no all-zero columns.
+    All stored entries are positive. Documents with no in-vocabulary tokens
+    are dropped at build time, but TF-IDF can empty a document's column.
     """
 
     matrix: sp.csc_matrix
@@ -172,8 +174,7 @@ def build_doc_term_matrix(docs, vocab, config=DEFAULT_TOKENIZER):
     """
     docs = list(docs)
     _check_unique_ids(docs)
-    rows, cols, data = [], [], []
-    doc_ids = []
+    indptr, indices, data, doc_ids = [0], [], [], []
     for doc in docs:
         counts = Counter(
             vocab.index[t] for t in tokenize(doc.text, config) if t in vocab.index
@@ -183,16 +184,14 @@ def build_doc_term_matrix(docs, vocab, config=DEFAULT_TOKENIZER):
                 f"document {doc.id!r} has no in-vocabulary tokens and was dropped"
             )
             continue
-        j = len(doc_ids)
         doc_ids.append(doc.id)
-        for i in sorted(counts):
-            rows.append(i)
-            cols.append(j)
-            data.append(float(counts[i]))
+        indices.extend(sorted(counts))
+        data.extend(float(counts[i]) for i in indices[indptr[-1]:])
+        indptr.append(len(indices))
     matrix = sp.csc_matrix(
-        (data, (rows, cols)), shape=(len(vocab), len(doc_ids)), dtype=np.float64
+        (np.array(data, dtype=np.float64), indices, indptr),
+        shape=(len(vocab), len(doc_ids)),
     )
-    matrix.sort_indices()
     return DocTermMatrix(matrix=matrix, vocab=vocab, doc_ids=doc_ids)
 
 
@@ -204,13 +203,12 @@ def tfidf_transform(dtm):
     """
     if dtm.weighting != RAW_COUNT:
         raise ValueError(f"tfidf_transform requires raw counts, got {dtm.weighting!r}")
-    m = dtm.matrix.tocoo()
     df = dtm.matrix.getnnz(axis=1)
     idf = np.zeros(dtm.n_words)
     present = df > 0
     idf[present] = np.log(dtm.n_docs / df[present])
-    data = m.data * idf[m.row]
-    out = sp.csc_matrix((data, (m.row, m.col)), shape=m.shape, dtype=np.float64)
+    out = dtm.matrix.tocsc(copy=True)
+    out.data *= idf[out.indices]
     out.eliminate_zeros()
     out.sort_indices()
     return DocTermMatrix(
@@ -247,17 +245,14 @@ def save_corpus_jsonl(docs, path):
 
 
 DTM_FORMAT = "doc-term-matrix"
-DTM_VERSION = 1
+DTM_VERSION = 2
 
 
 def save_doc_term_matrix(dtm, path):
-    """Persist a matrix as a versioned JSON header plus (row, col, value)
-    triplets in column-major order. Round-trips bit-exactly."""
+    """Persist a matrix as a versioned JSON header plus the flat CSC arrays
+    (indptr, indices, data; one slice per document), the layout of the ESA
+    index file. Round-trips bit-exactly."""
     m = dtm.matrix
-    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
-    triplets = list(
-        zip(m.indices.tolist(), cols.tolist(), m.data.astype(np.float64).tolist())
-    )
     payload = {
         "format": DTM_FORMAT,
         "version": DTM_VERSION,
@@ -268,14 +263,16 @@ def save_doc_term_matrix(dtm, path):
         "doc_freq": list(dtm.vocab.doc_freq),
         "vocab_n_docs": dtm.vocab.n_docs,
         "doc_ids": list(dtm.doc_ids),
-        "triplets": triplets,
+        "indptr": m.indptr.tolist(),
+        "indices": m.indices.tolist(),
+        "data": m.data.astype(np.float64).tolist(),
     }
     write_json_lines([payload], path)
 
 
 _DTM_KEYS = (
     "weighting", "n_words", "n_docs", "vocab", "doc_freq", "vocab_n_docs",
-    "doc_ids", "triplets",
+    "doc_ids", "indptr", "indices", "data",
 )
 
 
@@ -316,22 +313,24 @@ def write_json_lines(records, path, separators=(",", ":")):
             fh.write("\n")
 
 
-def load_versioned_json(path, fmt, kind, version, keys, stale=""):
-    """Payload of a JSON object file after checking its format tag, version
-    and required keys; ValueError names what is wrong (``kind`` names the
-    file type, ``stale`` extends a version mismatch message)."""
+def load_versioned_json(path, fmt, kind, version, keys, build, stale=""):
+    """``build(payload)`` for a JSON object file after checking its format
+    tag, version and keys (``kind`` names the file type, ``stale`` extends a
+    version mismatch message). Any ValueError, TypeError or OverflowError
+    becomes a ValueError that starts with the path."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("format") != fmt:
-        raise ValueError(f"{path}: not {kind} file")
-    if payload.get("version") != version:
-        raise ValueError(
-            f"{path}: unsupported version {payload.get('version')}{stale}"
-        )
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    return payload
+        try:
+            payload = json.load(fh)
+            if not isinstance(payload, dict) or payload.get("format") != fmt:
+                raise ValueError(f"not {kind} file")
+            if payload.get("version") != version:
+                raise ValueError(
+                    f"unsupported version {payload.get('version')}{stale}"
+                )
+            require_keys(payload, keys)
+            return build(payload)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def is_list_of(value, types, length=None):
@@ -340,8 +339,48 @@ def is_list_of(value, types, length=None):
     return (
         isinstance(value, list)
         and (length is None or len(value) == length)
-        and all(type(v) in types for v in value)
+        and set(map(type, value)) <= set(types)
     )
+
+
+def _flat_array(values, name, dtype):
+    """``values`` as a flat int64 or float64 array; ValueError unless it is
+    an array of such a dtype or a list of exact ints (or floats too, for
+    float64), so that a bool is no number."""
+    ints = dtype == np.int64
+    if isinstance(values, np.ndarray):
+        ok = values.ndim == 1 and values.dtype.kind in ("i" if ints else "if")
+    else:
+        ok = is_list_of(values, (int,) if ints else (int, float))
+    if not ok:
+        raise ValueError(f"{name} must be a flat list of {'ints' if ints else 'numbers'}")
+    return np.asarray(values, dtype=dtype)
+
+
+def compressed_arrays(indptr, indices, data, n_slices, n_inner, inner, outer):
+    """The checked int64, int64 and float64 arrays of a compressed sparse
+    matrix (CSC or CSR) of ``n_slices`` slices over ``n_inner`` positions:
+    ``indptr`` rises from 0 to nnz in n_slices + 1 non-decreasing entries
+    (a slice may be empty), each slice's indices lie in [0, n_inner) and
+    ascend strictly, data are finite and > 0. ValueError says what is wrong,
+    calling an index ``inner`` and a slice ``outer``."""
+    indptr = _flat_array(indptr, "indptr", np.int64)
+    indices = _flat_array(indices, f"{inner} indices", np.int64)
+    data = _flat_array(data, "data", np.float64)
+    nnz, lengths = len(indices), np.diff(indptr)
+    if not (len(indptr) == n_slices + 1 and indptr[0] == 0 and indptr[-1] == nnz
+            and np.all(lengths >= 0)):
+        raise ValueError(
+            f"indptr must rise from 0 to {nnz} in {n_slices + 1} non-decreasing entries"
+        )
+    # (slice, index) pairs ascend strictly iff each slice's indices do
+    key = np.repeat(np.arange(n_slices), lengths) * n_inner + indices
+    if not (np.all((indices >= 0) & (indices < n_inner)) and np.all(np.diff(key) > 0)):
+        raise ValueError(f"{inner} indices must lie in [0, {n_inner}) and ascend "
+                         f"strictly within each {outer}")
+    if not (len(data) == nnz and np.all(np.isfinite(data) & (data > 0))):
+        raise ValueError(f"data must hold {nnz} finite positive weights")
+    return indptr, indices, data
 
 
 def is_finite_number(value):
@@ -378,9 +417,13 @@ def load_jsonl_records(path, parse):
 
 
 def load_doc_term_matrix(path):
-    payload = load_versioned_json(
-        path, DTM_FORMAT, "a document-term matrix", DTM_VERSION, _DTM_KEYS
+    return load_versioned_json(
+        path, DTM_FORMAT, "a document-term matrix", DTM_VERSION, _DTM_KEYS,
+        _doc_term_matrix, stale="; re-run `ingest` to rebuild it",
     )
+
+
+def _doc_term_matrix(payload):
     n_words, n_docs = payload["n_words"], payload["n_docs"]
     if not (
         is_list_of([n_words, n_docs, payload["vocab_n_docs"]], (int,))
@@ -389,45 +432,20 @@ def load_doc_term_matrix(path):
         and is_list_of(payload["doc_ids"], (str,), n_docs)
     ):
         raise ValueError(
-            f"{path}: n_words, n_docs and vocab_n_docs must be ints, vocab and "
-            f"doc_freq lists of n_words strs and ints, doc_ids of n_docs strs"
+            "n_words, n_docs and vocab_n_docs must be ints, vocab and "
+            "doc_freq lists of n_words strs and ints, doc_ids of n_docs strs"
         )
     if payload["weighting"] not in (RAW_COUNT, TFIDF):
-        raise ValueError(f"{path}: weighting must be {RAW_COUNT!r} or {TFIDF!r}")
-    if not (isinstance(payload["triplets"], list) and all(
-        type(t) is list and len(t) == 3 and type(t[0]) is int
-        and type(t[1]) is int and type(t[2]) in (int, float)
-        and 0 <= t[0] < n_words and 0 <= t[1] < n_docs
-        for t in payload["triplets"]
-    )):
-        raise ValueError(
-            f"{path}: triplets must be [int, int, number] lists inside "
-            f"n_words x n_docs"
-        )
-    rows = np.array([t[0] for t in payload["triplets"]], dtype=np.int64)
-    cols = np.array([t[1] for t in payload["triplets"]], dtype=np.int64)
-    data = np.array([t[2] for t in payload["triplets"]], dtype=np.float64)
-    if not np.all(np.isfinite(data) & (data > 0)):
-        raise ValueError(f"{path}: triplet values must be finite and > 0")
+        raise ValueError(f"weighting must be {RAW_COUNT!r} or {TFIDF!r}")
+    indptr, indices, data = compressed_arrays(
+        payload["indptr"], payload["indices"], payload["data"], n_docs, n_words,
+        "word", "document",
+    )
     if payload["weighting"] == RAW_COUNT and np.any(data != np.floor(data)):
-        raise ValueError(f"{path}: raw-count values must be whole numbers")
-    order = np.lexsort((rows, cols))
-    if np.any((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)):
-        raise ValueError(f"{path}: triplets repeat a (row, col) entry")
-    matrix = sp.csc_matrix(
-        (data, (rows, cols)),
-        shape=(payload["n_words"], payload["n_docs"]),
-        dtype=np.float64,
-    )
-    matrix.sort_indices()
-    vocab = Vocabulary(
-        words=list(payload["vocab"]),
-        doc_freq=list(payload["doc_freq"]),
-        n_docs=payload["vocab_n_docs"],
-    )
+        raise ValueError("raw-count values must be whole numbers")
     return DocTermMatrix(
-        matrix=matrix,
-        vocab=vocab,
-        doc_ids=list(payload["doc_ids"]),
-        weighting=payload["weighting"],
+        sp.csc_matrix((data, indices, indptr), shape=(n_words, n_docs)),
+        Vocabulary(payload["vocab"], payload["doc_freq"], payload["vocab_n_docs"]),
+        payload["doc_ids"],
+        payload["weighting"],
     )

@@ -20,6 +20,8 @@ from .corpus import (
     TokenizerConfig,
     build_doc_term_matrix,
     build_vocabulary,
+    compressed_arrays,
+    is_list_of,
     load_versioned_json,
     tfidf_transform,
     write_json_lines,
@@ -39,24 +41,12 @@ class EsaConfig:
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
 
 
-def _check(ok, message):
-    if not ok:
-        raise ValueError(f"ESA index {message}")
-
-
-def _int_array(values, name):
-    array = np.asarray(values)
-    _check(array.ndim == 1 and (array.size == 0 or array.dtype.kind in "iu"),
-           f"{name} must be a flat list of integers")
-    return array.astype(np.int64)
-
-
 class EsaIndex:
     """Sparse TF-IDF concept vectors of the indexed words, one CSR row each.
 
-    Row i belongs to ``words()[i]``; words are sorted and unique. Within a
-    row, concept positions (``indices``) strictly ascend and weights
-    (``data``) are finite and positive; no row is empty, so words without a
+    Row i belongs to ``words()[i]``; words are sorted, unique strs, concept
+    ids are strs and ``truncation`` is an int >= 1. The arrays pass
+    ``corpus.compressed_arrays`` and no row is empty, so words without a
     concept vector are simply absent. ``R`` is the same matrix with
     unit-norm rows. The constructor checks all of this (ValueError).
     """
@@ -64,30 +54,22 @@ class EsaIndex:
     def __init__(
         self, concept_ids, words, indptr, indices, data, truncation=DEFAULT_TRUNCATION
     ):
-        self.concept_ids = list(concept_ids)
-        self._words = list(words)
+        if not is_list_of(concept_ids, (str,)):
+            raise ValueError("ESA index concept_ids must be a list of str")
+        if type(truncation) is not int or truncation < 1:
+            raise ValueError("ESA index truncation must be an int >= 1")
+        if not (is_list_of(words, (str,)) and words == sorted(set(words))):
+            raise ValueError("ESA index words must be unique strings in sorted order")
+        self.concept_ids, self._words = list(concept_ids), list(words)
         self.truncation = truncation
-        self.indptr = _int_array(indptr, "indptr")
-        self.indices = _int_array(indices, "indices")
-        self.data = np.asarray(data, dtype=np.float64)
-        n_words, n_concepts, nnz = len(self._words), self.n_concepts, len(self.indices)
-        _check(all(isinstance(w, str) for w in self._words)
-               and self._words == sorted(set(self._words)),
-               "words must be unique strings in sorted order")
+        n_words, n_concepts = len(words), self.n_concepts
+        self.indptr, self.indices, self.data = compressed_arrays(
+            indptr, indices, data, n_words, n_concepts, "concept", "row"
+        )
         lengths = np.diff(self.indptr)
-        _check(len(self.indptr) == n_words + 1 and self.indptr[0] == 0
-               and self.indptr[-1] == nnz and np.all(lengths > 0),
-               f"indptr must rise strictly from 0 to {nnz} in {n_words + 1} entries")
-        _check(self.data.shape == (nnz,)
-               and np.all(np.isfinite(self.data) & (self.data > 0)),
-               f"data must hold {nnz} finite positive weights")
-        # (row, concept) pairs ascend strictly iff each row's concepts do
-        key = np.repeat(np.arange(n_words), lengths) * n_concepts + self.indices
-        _check(np.all((self.indices >= 0) & (self.indices < n_concepts))
-               and np.all(np.diff(key) > 0),
-               f"concept indices must lie in [0, {n_concepts}) and ascend "
-               f"strictly within each row")
-        self._row = {word: i for i, word in enumerate(self._words)}
+        if not np.all(lengths > 0):
+            raise ValueError("ESA index indptr must rise strictly: no row is empty")
+        self._row = {word: i for i, word in enumerate(words)}
         norms = np.sqrt(np.add.reduceat(self.data * self.data, self.indptr[:-1]))
         self.R = sp.csr_matrix(
             (self.data / np.repeat(norms, lengths), self.indices, self.indptr),
@@ -247,13 +229,13 @@ def save_esa_index(index, path):
 def load_esa_index(path):
     """Read and check an index file; raises ValueError on a file of another
     format or version, a missing key, no words, or inconsistent arrays."""
-    payload = load_versioned_json(
-        path, ESA_FORMAT, "an ESA index", ESA_VERSION, _ESA_KEYS,
+    return load_versioned_json(
+        path, ESA_FORMAT, "an ESA index", ESA_VERSION, _ESA_KEYS, _esa_index,
         stale="; re-run `index` to rebuild it",
     )
+
+
+def _esa_index(payload):
     if not payload["words"]:
-        raise ValueError(f"{path}: ESA index has no words")
-    try:
-        return EsaIndex(*(payload[key] for key in _ESA_KEYS))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError("ESA index has no words")
+    return EsaIndex(*(payload[key] for key in _ESA_KEYS))

@@ -270,51 +270,47 @@ def derive_seed(master_seed, label):
 
 
 def generate_puzzle_bank(
-    consistent_sets,
-    sim,
-    vocab,
-    band,
-    kinds=KINDS,
-    master_seed=0,
-    n_distractors=3,
-    eta2_cross=None,
-    max_attempts=None,
+    consistent_sets, sim, vocab, band, kinds=KINDS, master_seed=0,
+    n_distractors=3, eta2_cross=None, max_attempts=None,
 ):
     """Generate puzzles of the requested kinds over the consistent sets.
 
     Each (kind, set) task runs with its own seed derived from the master
     seed and the set's topic index, so the bank is byte-identical across
     runs regardless of scheduling. separate-topics pairs consecutive sets
-    (first with second, third with fourth, ...). Returns (puzzles, skipped)
-    where skipped collects Exhausted/Rejected markers.
+    (first with second, third with fourth, ...). choose-related rejects a
+    set of fewer than 3 words, which leaves no stem. Returns (puzzles,
+    skipped) where skipped collects Exhausted/Rejected markers.
     """
     if eta2_cross is None:
         eta2_cross = band.eta2
+
+    def choose_related(cset, rng, seed):
+        if len(cset.words) < 3:
+            return Rejected(CHOOSE_RELATED, (cset.topic_index,), "fewer than 3 words")
+        return gen_choose_related(
+            cset, sim, band, n_distractors, vocab, rng, max_attempts, seed=seed
+        )
+
+    singles = [(cset,) for cset in consistent_sets]
+    tasks = {  # kind -> (groups of sets, generator of one group's puzzle)
+        ODD_ONE_OUT: (singles, lambda cset, rng, seed: gen_odd_one_out(
+            cset, sim, band, vocab, rng, max_attempts, seed=seed)),
+        CHOOSE_RELATED: (singles, choose_related),
+        SEPARATE_TOPICS: (list(zip(consistent_sets[::2], consistent_sets[1::2])),
+                          lambda a, b, rng, seed: gen_separate_topics(
+                              a, b, sim, eta2_cross, rng, seed=seed)),
+    }
     puzzles, skipped = [], []
-
-    def run(label, generate):
-        seed = derive_seed(master_seed, label)
-        result = generate(np.random.default_rng(seed), seed)
-        (puzzles if isinstance(result, Puzzle) else skipped).append(result)
-
     for kind in kinds:
-        if kind == ODD_ONE_OUT:
-            for cset in consistent_sets:
-                run(f"{kind}:{cset.topic_index}", lambda rng, seed: gen_odd_one_out(
-                    cset, sim, band, vocab, rng, max_attempts, seed=seed
-                ))
-        elif kind == CHOOSE_RELATED:
-            for cset in consistent_sets:
-                run(f"{kind}:{cset.topic_index}", lambda rng, seed: gen_choose_related(
-                    cset, sim, band, n_distractors, vocab, rng, max_attempts, seed=seed
-                ))
-        elif kind == SEPARATE_TOPICS:
-            for a, b in zip(consistent_sets[::2], consistent_sets[1::2]):
-                run(f"{kind}:{a.topic_index}:{b.topic_index}", lambda rng, seed: (
-                    gen_separate_topics(a, b, sim, eta2_cross, rng, seed=seed)
-                ))
-        else:
+        if kind not in tasks:
             raise ValueError(f"unknown puzzle kind {kind!r}")
+        groups, generate = tasks[kind]
+        for group in groups:
+            seed = derive_seed(master_seed, ":".join(
+                [kind, *(str(cset.topic_index) for cset in group)]))
+            result = generate(*group, np.random.default_rng(seed), seed)
+            (puzzles if isinstance(result, Puzzle) else skipped).append(result)
     return puzzles, skipped
 
 

@@ -759,9 +759,13 @@ _MODEL_KEYS = ("model", "n_words", "n_topics", "weights")
 
 
 def load_topic_dictionary(path):
-    payload = load_versioned_json(
-        path, MODEL_FORMAT, "a topic dictionary", MODEL_VERSION, _MODEL_KEYS
+    return load_versioned_json(
+        path, MODEL_FORMAT, "a topic dictionary", MODEL_VERSION, _MODEL_KEYS,
+        _topic_dictionary,
     )
+
+
+def _topic_dictionary(payload):
     n_words, n_topics = payload["n_words"], payload["n_topics"]
     weights = payload["weights"]
     if not (
@@ -769,23 +773,14 @@ def load_topic_dictionary(path):
         and is_list_of(weights, (int, float), n_words * n_topics)
     ):
         raise ValueError(
-            f"{path}: weights must be a list of n_words * n_topics = "
+            f"weights must be a list of n_words * n_topics = "
             f"{n_words} * {n_topics} values"
         )
-    weights = np.array(weights, dtype=np.float64).reshape(
-        (n_words, n_topics), order="F"
-    )
+    weights = np.array(weights, dtype=np.float64).reshape((n_words, n_topics), order="F")
     sv = payload.get("singular_values")
     if sv is not None and not is_list_of(sv, (int, float)):
-        raise ValueError(f"{path}: singular_values must be null or a list of numbers")
-    model = TopicDictionary(
-        weights=weights,
-        model=payload["model"],
-        meta=payload.get("config", {}),
-        vocab=payload.get("vocab"),
-        singular_values=None if sv is None else np.array(sv, dtype=np.float64),
-    )
-    try:
-        return model.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError("singular_values must be null or a list of numbers")
+    return TopicDictionary(
+        weights, payload["model"], payload.get("config", {}), payload.get("vocab"),
+        None if sv is None else np.array(sv, dtype=np.float64),
+    ).validate()

@@ -102,6 +102,16 @@ INDEX_CORRUPTIONS = [
     ("data", "negative", "positive"),
     ("data", "nan", "positive"),
     ("data", "short", "positive"),
+    ("concept_ids", "c0", "concept_ids must be a list of str"),
+    ("concept_ids", [0, 1], "concept_ids must be a list of str"),
+    ("truncation", 0, "truncation must be an int >= 1"),
+    ("truncation", True, "truncation must be an int >= 1"),
+    ("truncation", 2.5, "truncation must be an int >= 1"),
+    ("truncation", "1000", "truncation must be an int >= 1"),
+    ("truncation", None, "truncation must be an int >= 1"),
+    ("indices", "true", "concept indices must be a flat list of ints"),
+    ("indptr", "false", "indptr must be a flat list of ints"),
+    ("data", "true", "data must be a flat list of numbers"),
 ]
 
 
@@ -133,6 +143,8 @@ def mangle_index(payload, key, how):
         value = [float("nan")] + value[1:]
     elif how == "short":
         value = value[:-1]
+    elif how in ("true", "false"):
+        value = [how == "true"] + value[1:]
     else:
         value = how
     broken[key] = value

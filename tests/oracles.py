@@ -78,27 +78,28 @@ def grid_search_lasso_objective(x, dictionary, kappa, lo=-2.0, hi=2.0, step=1e-2
     b = d.T @ x
     xx = float(x @ x)
     a2, a3 = np.meshgrid(grid, grid, indexing="ij")
-    # terms not involving the first coefficient
-    tail = (
-        gram[1, 1] * a2 * a2
+    # the terms not involving the first coefficient, computed once
+    base = 0.5 * (
+        xx
+        + gram[1, 1] * a2 * a2
         + gram[2, 2] * a3 * a3
         + 2.0 * gram[1, 2] * a2 * a3
         - 2.0 * b[1] * a2
         - 2.0 * b[2] * a3
-    )
-    tail_pen = kappa * (np.abs(a2) + np.abs(a3))
+    ) + kappa * (np.abs(a2) + np.abs(a3))
     cross = gram[0, 1] * a2 + gram[0, 2] * a3
+    total = np.empty_like(base)
     best_value = np.inf
     best_point = None
     for a1 in grid:
-        total = (
-            0.5 * (xx + tail + gram[0, 0] * a1 * a1 + 2.0 * a1 * cross - 2.0 * b[0] * a1)
-            + tail_pen
-            + kappa * abs(a1)
-        )
+        np.multiply(cross, a1, out=total)
+        total += base
         pos = np.unravel_index(np.argmin(total), total.shape)
-        if total[pos] < best_value:
-            best_value = float(total[pos])
+        value = float(total[pos]) + (
+            0.5 * gram[0, 0] * a1 * a1 - b[0] * a1 + kappa * abs(a1)
+        )
+        if value < best_value:
+            best_value = value
             best_point = np.array([a1, a2[pos], a3[pos]])
     refined = minimize(
         lambda a: lasso_objective_value(x, d, kappa, a),

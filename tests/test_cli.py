@@ -1,11 +1,12 @@
 import argparse
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
 from conftest import INDEX_CORRUPTIONS, mangle_index, needs_cc, use_kernel
 
-from topicpuzzles import esa, puzzles
+from topicpuzzles import consistency, esa, puzzles
 from topicpuzzles.cli import build_parser, main
 from topicpuzzles.corpus import (
     Document,
@@ -104,15 +105,15 @@ class TestTrain:
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_matrix_without_triplets_exits_2(self, pipeline, capsys):
+    def test_matrix_without_indices_exits_2(self, pipeline, capsys):
         payload = json.loads(open(pipeline["matrix"]).read())
-        del payload["triplets"]
-        broken = pipeline["tmp"] / "no_triplets.json"
+        del payload["indices"]
+        broken = pipeline["tmp"] / "no_indices.json"
         broken.write_text(json.dumps(payload))
         code = main(["train", "--model", "lda", "--matrix", str(broken),
                      "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
         assert code == 2
-        assert "triplets" in capsys.readouterr().err
+        assert "missing key(s) indices" in capsys.readouterr().err
 
     def test_lsa_k_too_large_exits_2(self, pipeline, capsys):
         code = main(["train", "--model", "lsa", "--matrix", pipeline["matrix"],
@@ -238,6 +239,35 @@ class TestGenerate:
         assert "no puzzle kind given" in err
         assert not bank.exists()
         assert not (pipeline["tmp"] / "bank.nosolutions.jsonl").exists()
+
+    def test_two_word_sets_keep_their_other_puzzles(self, tmp_path, capsys):
+        docs, _ = planted_topic_corpus(n_docs=120, seed=1, background_fraction=0.15)
+        corpus_file = tmp_path / "planted.jsonl"
+        save_corpus_jsonl(docs, corpus_file)
+        matrix, index, model, sets, bank = (
+            str(tmp_path / name)
+            for name in ("m.json", "i.json", "t.json", "s.jsonl", "b.jsonl")
+        )
+        assert main(["ingest", "--corpus", str(corpus_file), "--out", matrix]) == 0
+        assert main(["index", "--concepts", str(corpus_file), "--out", index]) == 0
+        assert main(["train", "--model", "lsa", "--matrix", matrix, "--out", model,
+                     "--num-topics", "8"]) == 0
+        assert main(["extract-sets", "--model", model, "--index", index,
+                     "--out", sets, "--top-k", "2"]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--sets", sets, "--index", index, "--out", bank,
+                     "--band", "beginner"]) == 0
+        summary = capsys.readouterr().out
+        short = consistency.load_consistent_sets(sets)
+        assert len(short) >= 2 and all(len(cs.words) == 2 for cs in short)
+        assert int(re.search(r"rejected (\d+)", summary).group(1)) >= len(short)
+        bank_puzzles = puzzles.load_puzzle_bank(bank)
+        assert bank_puzzles
+        assert {p.kind for p in bank_puzzles} <= {"odd-one-out", "separate-topics"}
+        sim = esa.SimilarityProvider(esa.load_esa_index(index))
+        by_topic = {cs.topic_index: cs for cs in short}
+        for puzzle in bank_puzzles:
+            assert puzzles.verify_puzzle(puzzle, sim, by_topic) == []
 
     def test_unknown_band_exits_2(self, pipeline, capsys):
         sets = self.make_sets(pipeline)
@@ -385,6 +415,33 @@ class TestEvalYield:
         assert "--top-k must be at least 2, got 1" in err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("models", [",", " , ,", ""])
+    def test_empty_model_list_exits_2(self, pipeline, capsys, models):
+        csv_path = pipeline["tmp"] / "yield.csv"
+        code = main(["eval-yield", "--matrix", pipeline["matrix"],
+                     "--index", pipeline["index"], "--models", models,
+                     "--delta-grid", "0.1", "--out", str(csv_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no model given; models: lsa,lda,dictlearn" in err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("names", [["bert"], ["lsa", ""], ["LDA"]])
+    def test_unknown_model_in_config_exits_2(self, pipeline, capsys, names):
+        config = pipeline["tmp"] / "config.json"
+        config.write_text(json.dumps({"models": {name: {} for name in names}}))
+        csv_path = pipeline["tmp"] / "yield.csv"
+        code = main(["eval-yield", "--matrix", pipeline["matrix"],
+                     "--index", pipeline["index"], "--models", "lsa",
+                     "--delta-grid", "0.1", "--num-topics", "2",
+                     "--config", str(config), "--out", str(csv_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unknown models: {sorted(set(names) - {'lsa'})}" in err
+        assert not csv_path.exists()
+
     def test_unknown_model_exits_2(self, pipeline, capsys):
         code = main(["eval-yield", "--matrix", pipeline["matrix"],
                      "--index", pipeline["index"], "--models", "bert",
@@ -491,6 +548,11 @@ class TestFallbackNote:
         assert [line.split()[1] for line in notes] == ["lda", "dictlearn"]
 
 
+def first(key, value):
+    """A payload change that makes ``value`` the first item of list ``key``."""
+    return lambda p: {**p, key: [value] + p[key][1:]}
+
+
 class TestLoadErrors:
     """A corrupt or inconsistent input file exits 2 with a message, never a
     traceback, and ``index`` refuses to write an index without words."""
@@ -541,6 +603,17 @@ class TestLoadErrors:
         assert self.extract(pipeline, model=model) == 2
         assert message in capsys.readouterr().err
 
+    def test_model_weight_too_large_for_a_float_exits_2(self, pipeline, capsys):
+        self.extract(pipeline)
+        model = self.rewrite(
+            pipeline, pipeline["tmp"] / "lsa.json",
+            lambda p: {**p, "weights": [10**400] + p["weights"][1:]},
+        )
+        assert self.extract(pipeline, model=model) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: " in err and "too large" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", [{"0": 1.0}, "1.0", [1.0, "2"], [True, 1.0]])
     def test_model_singular_values_not_numbers_exit_2(self, pipeline, capsys, value):
         self.extract(pipeline)
@@ -557,7 +630,9 @@ class TestLoadErrors:
             pipeline, pipeline["index"], lambda p: mangle_index(p, key, how)
         )
         assert self.extract(pipeline, index=index) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{index}: " in err and message in err
+        assert "Traceback" not in err
 
     def test_version_1_index_exits_2(self, pipeline, capsys):
         index = self.rewrite(pipeline, pipeline["index"], lambda p: {
@@ -567,6 +642,15 @@ class TestLoadErrors:
         })
         assert self.extract(pipeline, index=index) == 2
         assert "re-run `index`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_index_truncation_below_1_exits_2(self, corpus_path, tmp_path, capsys, limit):
+        out = tmp_path / "index.json"
+        code = main(["index", "--concepts", corpus_path, "--out", str(out),
+                     "--max-concepts-per-word", limit])
+        assert code == 2
+        assert "truncation must be an int >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_concept_document_index_exits_2(self, tmp_path, capsys):
         concepts = tmp_path / "one.jsonl"
@@ -588,7 +672,7 @@ class TestLoadErrors:
         assert "vocab must list n_words" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("vocab", 5), ("doc_ids", [1]), ("n_docs", "6"), ("triplets", [5]),
+        ("vocab", 5), ("doc_ids", [1]), ("n_docs", "6"), ("indices", ["5"]),
     ])
     def test_mistyped_matrix_header_exits_2(self, pipeline, capsys, key, value):
         matrix = self.rewrite(pipeline, pipeline["matrix"], lambda p: {**p, key: value})
@@ -598,26 +682,47 @@ class TestLoadErrors:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("change,message", [
-        (lambda t: [t[0][:2] + [-1]] + t[1:], "finite and > 0"),
-        (lambda t: [t[0][:2] + [0]] + t[1:], "finite and > 0"),
-        (lambda t: [t[0][:2] + [float("nan")]] + t[1:], "finite and > 0"),
-        (lambda t: [t[0][:2] + [float("inf")]] + t[1:], "finite and > 0"),
-        (lambda t: [t[0][:2] + [0.4]] + t[1:], "whole numbers"),
-        (lambda t: t + [t[0]], "repeat a (row, col)"),
-        (lambda t: [[-1] + t[0][1:]] + t[1:], "inside n_words x n_docs"),
+        (first("data", -1), "finite positive"),
+        (first("data", 0), "finite positive"),
+        (first("data", float("nan")), "finite positive"),
+        (first("data", float("inf")), "finite positive"),
+        (first("data", 0.4), "whole numbers"),
+        # the first document holds at least two words: repeat its first row
+        (lambda p: {**p, "indices": p["indices"][:1] * 2 + p["indices"][2:]},
+         "ascend strictly within each document"),
+        (first("indices", -1), "word indices must lie in [0, "),
+        (lambda p: first("indices", p["n_words"])(p), "word indices must lie in [0, "),
+        (lambda p: {**p, "indptr": [0, p["indptr"][2], p["indptr"][1]] + p["indptr"][3:]},
+         "non-decreasing"),
+        (lambda p: {**p, "indptr": p["indptr"][:-1]}, "non-decreasing"),
+        (first("indices", True), "word indices must be a flat list of ints"),
+        (first("indptr", False), "indptr must be a flat list of ints"),
+        (first("data", True), "data must be a flat list of numbers"),
+        (first("indices", 10**30), "too large"),
     ], ids=["negative", "zero", "nan", "infinite", "fractional-count",
-            "duplicate", "row-out-of-range"])
+            "duplicate", "row-out-of-range", "row-past-end", "indptr-not-monotone",
+            "indptr-wrong-length", "true-in-indices", "false-in-indptr",
+            "true-in-data", "huge-index"])
     def test_bad_matrix_values_exit_2(self, pipeline, capsys, change, message):
-        matrix = self.rewrite(
-            pipeline, pipeline["matrix"],
-            lambda p: {**p, "triplets": change(p["triplets"])},
-        )
+        matrix = self.rewrite(pipeline, pipeline["matrix"], change)
         code = main(["train", "--model", "lsa", "--matrix", matrix,
                      "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
         assert code == 2
         err = capsys.readouterr().err
         assert f"{matrix}: " in err and message in err
         assert "Traceback" not in err
+
+    def test_version_1_matrix_exits_2(self, pipeline, capsys):
+        matrix = self.rewrite(pipeline, pipeline["matrix"], lambda p: {
+            **{k: v for k, v in p.items() if k not in ("indptr", "indices", "data")},
+            "version": 1, "triplets": [[0, 0, 1.0]],
+        })
+        code = main(["train", "--model", "lsa", "--matrix", matrix,
+                     "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{matrix}: unsupported version 1; re-run `ingest`" in err
+        assert not (pipeline["tmp"] / "m.json").exists()
 
     def test_unknown_weighting_exits_2(self, pipeline, capsys):
         matrix = self.rewrite(

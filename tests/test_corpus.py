@@ -329,13 +329,41 @@ class TestMatrixPersistence:
         save_doc_term_matrix(dtm, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_triplets_column_major(self, tmp_path):
+    def test_arrays_are_csc_one_slice_per_document(self, tmp_path):
         dtm = self._matrix()
         path = tmp_path / "matrix.json"
         save_doc_term_matrix(dtm, path)
         payload = json.loads(path.read_text())
-        order = [(t[1], t[0]) for t in payload["triplets"]]
-        assert order == sorted(order)
+        assert payload["version"] == 2
+        assert len(payload["indptr"]) == dtm.n_docs + 1
+        assert payload["indptr"] == dtm.matrix.indptr.tolist()
+        assert payload["indices"] == dtm.matrix.indices.tolist()
+        assert payload["data"] == dtm.matrix.data.tolist()
+        for start, end in zip(payload["indptr"], payload["indptr"][1:]):
+            rows = payload["indices"][start:end]
+            assert rows == sorted(set(rows))
+
+    def test_tfidf_empty_document_column_round_trips(self, tmp_path):
+        # "apple" is in every document, so TF-IDF empties the second column
+        docs = [Document("1", "apple banana"), Document("2", "apple apple")]
+        weighted = tfidf_transform(build_doc_term_matrix(docs, build_vocabulary(docs)))
+        assert np.diff(weighted.matrix.indptr).tolist() == [1, 0]
+        path = tmp_path / "matrix.json"
+        save_doc_term_matrix(weighted, path)
+        loaded = load_doc_term_matrix(path)
+        assert loaded.matrix.shape == weighted.matrix.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(loaded.matrix, name), getattr(weighted.matrix, name)
+            )
+        assert loaded.matrix.data.tobytes() == weighted.matrix.data.tobytes()
+        assert loaded.doc_ids == weighted.doc_ids
+
+    def test_version_1_asks_for_ingest(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format": "doc-term-matrix", "version": 1}))
+        with pytest.raises(ValueError, match="unsupported version 1; re-run `ingest`"):
+            load_doc_term_matrix(path)
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "other.json"
@@ -345,10 +373,11 @@ class TestMatrixPersistence:
 
 
 class TestWrittenBytes:
-    """Matrix and model files keep their exact bytes: the digests below were
+    """Matrix and model files keep their exact bytes: the model digests were
     recorded from the per-element writers that preceded the vectorised
-    ones. Raw counts and a small-K LDA fit use only exactly rounded
-    arithmetic, so the bytes do not depend on the BLAS build."""
+    ones; the matrix digest is that of the version 1 writer's triplets
+    re-encoded by hand as version 2 CSC arrays. Raw counts and a small-K LDA fit use only exactly
+    rounded arithmetic, so the bytes do not depend on the BLAS build."""
 
     @staticmethod
     def digest(path):
@@ -369,7 +398,7 @@ class TestWrittenBytes:
         )
         save_topic_dictionary(hand, tmp_path / "h.json")
         assert self.digest(tmp_path / "m.json") == (
-            "076300a6e09ecd60d0e380068410e380be20b6fc63fa0ab382e54600f7d56a3a"
+            "65430dd16cd43eb8c735f69b30bdaa7a3e97c8c3944ec4d9f0d8fc3f2a7177f2"
         )
         assert self.digest(tmp_path / "t.json") == (
             "8c1d93e67a60d195e230d352e548a54fc8c7b0a61c91634988521ce5e7cefdc6"
