@@ -1,7 +1,8 @@
 """Corpus ingestion: tokenization, vocabulary construction, and sparse
 document-term matrices with optional TF-IDF weighting; also the file
-helpers of every module, among them the checker of the compressed sparse
-arrays that the matrix and the ESA index files both hold.
+helpers of every module, among them ``ArrayFile``, the container of the
+matrix, model and ESA index files, and the checker of the compressed
+sparse arrays that the matrix and the index both hold.
 
 All builders are deterministic: the same documents and config produce
 bit-identical vocabularies and matrices. Built structures are treated as
@@ -244,18 +245,13 @@ def save_corpus_jsonl(docs, path):
     write_json_lines(records, path, separators=None)
 
 
-DTM_FORMAT = "doc-term-matrix"
-DTM_VERSION = 2
-
-
 def save_doc_term_matrix(dtm, path):
-    """Persist a matrix as a versioned JSON header plus the flat CSC arrays
-    (indptr, indices, data; one slice per document), the layout of the ESA
-    index file. Round-trips bit-exactly."""
+    """Persist a matrix as an array file: the header (weighting, vocabulary,
+    document frequencies, document ids) plus the CSC arrays (indptr,
+    indices, data; one slice per document), the layout of the ESA index
+    file. Round-trips bit-exactly."""
     m = dtm.matrix
-    payload = {
-        "format": DTM_FORMAT,
-        "version": DTM_VERSION,
+    fields = {
         "weighting": dtm.weighting,
         "n_words": dtm.n_words,
         "n_docs": dtm.n_docs,
@@ -263,22 +259,14 @@ def save_doc_term_matrix(dtm, path):
         "doc_freq": list(dtm.vocab.doc_freq),
         "vocab_n_docs": dtm.vocab.n_docs,
         "doc_ids": list(dtm.doc_ids),
-        "indptr": m.indptr.tolist(),
-        "indices": m.indices.tolist(),
-        "data": m.data.astype(np.float64).tolist(),
     }
-    write_json_lines([payload], path)
-
-
-_DTM_KEYS = (
-    "weighting", "n_words", "n_docs", "vocab", "doc_freq", "vocab_n_docs",
-    "doc_ids", "indptr", "indices", "data",
-)
+    DTM_FILE.save(path, fields, {"indptr": m.indptr, "indices": m.indices, "data": m.data})
 
 
 @contextmanager
-def atomic_write(path):
-    """Text handle for writing ``path`` all at once or not at all.
+def atomic_write(path, binary=False):
+    """Text (or ``binary``) handle for writing ``path`` all at once or not
+    at all.
 
     Writes go to a temporary file in the target's directory, which replaces
     ``path`` only when the block exits normally; on an error it is removed
@@ -286,15 +274,16 @@ def atomic_write(path):
     A target that exists but is not a regular file (a device such as
     /dev/null, a pipe) is written in place, since it cannot be replaced.
     """
+    mode, kwargs = ("b", {}) if binary else ("", {"encoding": "utf-8"})
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w" + mode, **kwargs) as fh:
             yield fh
         return
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "x" + mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -313,24 +302,107 @@ def write_json_lines(records, path, separators=(",", ":")):
             fh.write("\n")
 
 
-def load_versioned_json(path, fmt, kind, version, keys, build, stale=""):
-    """``build(payload)`` for a JSON object file after checking its format
-    tag, version and keys (``kind`` names the file type, ``stale`` extends a
-    version mismatch message). Any ValueError, TypeError or OverflowError
-    becomes a ValueError that starts with the path."""
-    with open(path, encoding="utf-8") as fh:
+INT64, FLOAT64 = "<i8", "<f8"
+
+
+@dataclass(frozen=True)
+class ArrayFile:
+    """A file type that holds a JSON header and flat numeric arrays.
+
+    Line 1 is the header, one sorted-key compact JSON object: ``format``,
+    ``version``, the type's fields and ``arrays``, a list of
+    [name, dtype, length] in write order. The raw bytes of each array
+    follow, back to back with no padding. ``arrays`` gives the type's
+    (name, dtype) pairs in that order; an array named in ``optional`` may
+    be left out. ``keys`` are the header fields a loader needs, ``kind``
+    names the type in messages and ``stale`` extends a version mismatch
+    message.
+    """
+
+    format: str
+    version: int
+    kind: str
+    keys: tuple
+    arrays: tuple
+    stale: str = ""
+    optional: tuple = ()
+
+    def save(self, path, fields, arrays):
+        """Write ``fields`` and ``arrays`` (name -> values, None to leave
+        out an optional array) through ``atomic_write``."""
+        values = [
+            (name, dtype, np.ascontiguousarray(arrays[name], dtype=dtype))
+            for name, dtype in self.arrays
+            if arrays[name] is not None
+        ]
+        header = {
+            **fields,
+            "format": self.format,
+            "version": self.version,
+            "arrays": [[name, dtype, len(a)] for name, dtype, a in values],
+        }
+        with atomic_write(path, binary=True) as fh:
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+            fh.write(b"\n")
+            for _, _, a in values:
+                fh.write(a)
+
+    def load(self, path, build):
+        """``build(payload)`` for the header's fields plus each array by
+        name (None for an optional one left out), after checking the
+        format tag, version, keys, the array list against the type's and
+        the byte count against the list's. The arrays are writable. Any
+        ValueError, TypeError or OverflowError becomes a ValueError that
+        starts with the path."""
+        with open(path, "rb") as fh:
+            try:
+                payload = self._header(fh.readline())
+                layout = payload.pop("arrays")
+                body = bytearray(fh.read())
+                total = sum(length * np.dtype(dtype).itemsize for _, dtype, length in layout)
+                if len(body) != total:
+                    raise ValueError(
+                        f"the header declares {total} bytes of arrays, "
+                        f"the file holds {len(body)}"
+                    )
+                payload.update(dict.fromkeys(self.optional))
+                offset = 0
+                for name, dtype, length in layout:
+                    payload[name] = np.frombuffer(body, dtype, length, offset)
+                    offset += payload[name].nbytes
+                return build(payload)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+
+    def _header(self, line):
+        """The header object of line 1, if it tags this type and version,
+        holds every key and lists this type's arrays."""
         try:
-            payload = json.load(fh)
-            if not isinstance(payload, dict) or payload.get("format") != fmt:
-                raise ValueError(f"not {kind} file")
-            if payload.get("version") != version:
-                raise ValueError(
-                    f"unsupported version {payload.get('version')}{stale}"
-                )
-            require_keys(payload, keys)
-            return build(payload)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            header = json.loads(line)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != self.format:
+            raise ValueError(f"not {self.kind} file")
+        if header.get("version") != self.version:
+            raise ValueError(f"unsupported version {header.get('version')}{self.stale}")
+        require_keys(header, self.keys + ("arrays",))
+        layout = header["arrays"]
+        if isinstance(layout, list) and all(
+            isinstance(entry, list) and len(entry) == 3
+            and type(entry[2]) is int and entry[2] >= 0
+            for entry in layout
+        ):
+            names = [entry[0] for entry in layout]
+            expected = [[name, dtype] for name, dtype in self.arrays
+                        if name not in self.optional or name in names]
+            if [entry[:2] for entry in layout] == expected:
+                return header
+        listed = ", ".join(f"{name} {dtype}" for name, dtype in self.arrays)
+        left_out = f" ({', '.join(self.optional)} may be left out)" if self.optional else ""
+        raise ValueError(
+            f"arrays must list [name, dtype, length >= 0] for {listed} in this "
+            f"order{left_out}"
+        )
 
 
 def is_list_of(value, types, length=None):
@@ -416,11 +488,16 @@ def load_jsonl_records(path, parse):
     return out
 
 
+DTM_FILE = ArrayFile(
+    "doc-term-matrix", 3, "a document-term matrix",
+    ("weighting", "n_words", "n_docs", "vocab", "doc_freq", "vocab_n_docs", "doc_ids"),
+    (("indptr", INT64), ("indices", INT64), ("data", FLOAT64)),
+    stale="; re-run `ingest` to rebuild it",
+)
+
+
 def load_doc_term_matrix(path):
-    return load_versioned_json(
-        path, DTM_FORMAT, "a document-term matrix", DTM_VERSION, _DTM_KEYS,
-        _doc_term_matrix, stale="; re-run `ingest` to rebuild it",
-    )
+    return DTM_FILE.load(path, _doc_term_matrix)
 
 
 def _doc_term_matrix(payload):

@@ -17,14 +17,15 @@ import scipy.sparse as sp
 
 from .corpus import (
     DEFAULT_TOKENIZER,
+    FLOAT64,
+    INT64,
+    ArrayFile,
     TokenizerConfig,
     build_doc_term_matrix,
     build_vocabulary,
     compressed_arrays,
     is_list_of,
-    load_versioned_json,
     tfidf_transform,
-    write_json_lines,
 )
 
 DEFAULT_TRUNCATION = 1000
@@ -204,38 +205,37 @@ class SimilarityProvider:
         return sigma[[self.index.row(w) for w in candidates]]
 
 
-ESA_FORMAT = "esa-index"
-ESA_VERSION = 2
-# in the order of the EsaIndex constructor's parameters
-_ESA_KEYS = ("concept_ids", "words", "indptr", "indices", "data", "truncation")
+ESA_FILE = ArrayFile(
+    "esa-index", 3, "an ESA index", ("concept_ids", "words", "truncation"),
+    (("indptr", INT64), ("indices", INT64), ("data", FLOAT64)),
+    stale="; re-run `index` to rebuild it",
+)
 
 
 def save_esa_index(index, path):
-    """Versioned JSON header plus the flat CSR arrays (words, indptr,
-    indices, data) of the raw TF-IDF rows; round-trips bit-exactly."""
-    payload = {
-        "format": ESA_FORMAT,
-        "version": ESA_VERSION,
+    """An array file: the header (concept ids, truncation, words) plus the
+    CSR arrays (indptr, indices, data) of the raw TF-IDF rows; round-trips
+    bit-exactly."""
+    fields = {
         "concept_ids": index.concept_ids,
         "truncation": index.truncation,
         "words": index.words(),
-        "indptr": index.indptr.tolist(),
-        "indices": index.indices.tolist(),
-        "data": index.data.tolist(),
     }
-    write_json_lines([payload], path)
+    ESA_FILE.save(
+        path, fields, {"indptr": index.indptr, "indices": index.indices, "data": index.data}
+    )
 
 
 def load_esa_index(path):
     """Read and check an index file; raises ValueError on a file of another
     format or version, a missing key, no words, or inconsistent arrays."""
-    return load_versioned_json(
-        path, ESA_FORMAT, "an ESA index", ESA_VERSION, _ESA_KEYS, _esa_index,
-        stale="; re-run `index` to rebuild it",
-    )
+    return ESA_FILE.load(path, _esa_index)
 
 
 def _esa_index(payload):
     if not payload["words"]:
         raise ValueError("ESA index has no words")
-    return EsaIndex(*(payload[key] for key in _ESA_KEYS))
+    return EsaIndex(
+        payload["concept_ids"], payload["words"], payload["indptr"],
+        payload["indices"], payload["data"], payload["truncation"],
+    )

@@ -281,9 +281,16 @@ def generate_puzzle_bank(
     (first with second, third with fourth, ...). choose-related rejects a
     set of fewer than 3 words, which leaves no stem. Returns (puzzles,
     skipped) where skipped collects Exhausted/Rejected markers.
+    ``max_attempts``, ``n_distractors`` and ``eta2_cross`` are checked
+    before any kind runs (ValueError), whether or not a kind uses them.
     """
+    max_attempts = _attempt_budget(max_attempts, vocab)
+    if n_distractors < 1:
+        raise ValueError("n_distractors must be >= 1")
     if eta2_cross is None:
         eta2_cross = band.eta2
+    if eta2_cross <= 0.0:
+        raise ValueError("eta2_cross must be > 0")
 
     def choose_related(cset, rng, seed):
         if len(cset.words) < 3:

@@ -27,13 +27,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import (
-    RAW_COUNT,
-    DocTermMatrix,
-    is_list_of,
-    load_versioned_json,
-    write_json_lines,
-)
+from .corpus import FLOAT64, RAW_COUNT, ArrayFile, DocTermMatrix, is_list_of
 
 MODEL_LSA = "lsa"
 MODEL_LDA = "lda"
@@ -729,58 +723,46 @@ def extract_top_k(dictionary, k):
 # Persistence
 # ---------------------------------------------------------------------------
 
-MODEL_FORMAT = "topic-dictionary"
-MODEL_VERSION = 1
+MODEL_FILE = ArrayFile(
+    "topic-dictionary", 2, "a topic dictionary", ("model", "n_words", "n_topics"),
+    (("weights", FLOAT64), ("singular_values", FLOAT64)),
+    stale="; re-run `train` to rebuild it",
+    optional=("singular_values",),
+)
 
 
 def save_topic_dictionary(dictionary, path):
-    """Versioned JSON header plus a dense column-major weight payload;
+    """An array file: the header (model, shape, config, seed, vocabulary)
+    plus the column-major weights and the singular values, if any;
     round-trips bit-exactly."""
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
+    fields = {
         "model": dictionary.model,
         "n_words": dictionary.n_words,
         "n_topics": dictionary.n_topics,
         "config": dictionary.meta,
         "seed": dictionary.meta.get("seed"),
         "vocab": dictionary.vocab,
-        "singular_values": (
-            None
-            if dictionary.singular_values is None
-            else np.asarray(dictionary.singular_values, dtype=np.float64).tolist()
-        ),
-        "weights": dictionary.weights.flatten(order="F").astype(np.float64).tolist(),
     }
-    write_json_lines([payload], path)
-
-
-_MODEL_KEYS = ("model", "n_words", "n_topics", "weights")
+    MODEL_FILE.save(path, fields, {
+        "weights": dictionary.weights.flatten(order="F"),
+        "singular_values": dictionary.singular_values,
+    })
 
 
 def load_topic_dictionary(path):
-    return load_versioned_json(
-        path, MODEL_FORMAT, "a topic dictionary", MODEL_VERSION, _MODEL_KEYS,
-        _topic_dictionary,
-    )
+    return MODEL_FILE.load(path, _topic_dictionary)
 
 
 def _topic_dictionary(payload):
     n_words, n_topics = payload["n_words"], payload["n_topics"]
     weights = payload["weights"]
-    if not (
-        is_list_of([n_words, n_topics], (int,))
-        and is_list_of(weights, (int, float), n_words * n_topics)
-    ):
+    if not (is_list_of([n_words, n_topics], (int,)) and len(weights) == n_words * n_topics):
         raise ValueError(
-            f"weights must be a list of n_words * n_topics = "
-            f"{n_words} * {n_topics} values"
+            f"weights must hold n_words * n_topics = {n_words} * {n_topics} values"
         )
-    weights = np.array(weights, dtype=np.float64).reshape((n_words, n_topics), order="F")
-    sv = payload.get("singular_values")
-    if sv is not None and not is_list_of(sv, (int, float)):
-        raise ValueError("singular_values must be null or a list of numbers")
+    if payload["model"] not in MODELS:
+        raise ValueError(f"model must be one of {', '.join(MODELS)}")
     return TopicDictionary(
-        weights, payload["model"], payload.get("config", {}), payload.get("vocab"),
-        None if sv is None else np.array(sv, dtype=np.float64),
+        weights.reshape((n_words, n_topics), order="F"), payload["model"],
+        payload.get("config", {}), payload.get("vocab"), payload["singular_values"],
     ).validate()

@@ -1,4 +1,6 @@
+import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,10 +88,94 @@ def index_vector(index, word):
     return index.indices[span], index.data[span]
 
 
-# (key, how to corrupt it, message fragment) for a saved ESA index payload
+def _header_line(header):
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def decode_array_file(raw):
+    """The bytes of an array file as one dict: the header's fields,
+    "arrays" (its [name, dtype, length] entries) among them, plus each
+    array as a list under its name."""
+    line, body = raw.split(b"\n", 1)
+    payload = json.loads(line)
+    offset = 0
+    for name, dtype, length in payload["arrays"]:
+        values = np.frombuffer(body, dtype, length, offset)
+        payload[name] = values.tolist()
+        offset += values.nbytes
+    return payload
+
+
+def encode_array_file(payload):
+    """The bytes of a dict of the form ``decode_array_file`` returns: each
+    array that "arrays" lists and the dict holds, in that order and with
+    its dtype, its length set to that of its list."""
+    layout = payload["arrays"]
+    header = {k: v for k, v in payload.items() if k not in {name for name, *_ in layout}}
+    header["arrays"] = [[name, dtype, len(payload[name])]
+                        for name, dtype, _ in layout if name in payload]
+    return _header_line(header) + b"".join(
+        np.array(payload[name], dtype=dtype).tobytes()
+        for name, dtype, _ in header["arrays"]
+    )
+
+
+def _edit_header(change):
+    """A change of an array file's bytes that applies ``change`` to the
+    header object alone and keeps the arrays' bytes."""
+    def apply(raw):
+        line, body = raw.split(b"\n", 1)
+        header = json.loads(line)
+        change(header)
+        return _header_line(header) + body
+    return apply
+
+
+def _swap_first_arrays(raw):
+    """The first two arrays swapped, bytes and header entries alike."""
+    payload = decode_array_file(raw)
+    payload["arrays"][:2] = payload["arrays"][1::-1]
+    return encode_array_file(payload)
+
+
+def _grow_first_length(header):
+    header["arrays"][0][2] += 1
+
+
+def _rename_first_array(header):
+    header["arrays"][0][0] += "s"
+
+
+# (id, change of an array file's bytes, message fragment); each applies to
+# the matrix, index and LSA model files
+CONTAINER_CORRUPTIONS = [
+    ("truncated", lambda raw: raw[:-1], "bytes of arrays"),
+    ("trailing-byte", lambda raw: raw + b"\0", "bytes of arrays"),
+    ("length-off-by-one", _edit_header(_grow_first_length), "bytes of arrays"),
+    ("misnamed-array", _edit_header(_rename_first_array), "arrays must list"),
+    ("arrays-out-of-order", _swap_first_arrays, "arrays must list"),
+    ("header-not-json", lambda raw: raw[1:], "not a"),
+]
+
+
+def redeclare(payload, key, dtype):
+    """A decoded array file whose array ``key`` is declared, and so
+    encoded, as ``dtype``."""
+    return {**payload, "arrays": [[name, dtype if name == key else d, n]
+                                  for name, d, n in payload["arrays"]]}
+
+
+def rewrite_array_file(path, change, out):
+    """Write to ``out`` the array file ``path`` with ``change`` applied to
+    its decoded dict, and return ``out`` as a str."""
+    Path(out).write_bytes(encode_array_file(change(decode_array_file(Path(path).read_bytes()))))
+    return str(out)
+
+
+# (key, how to corrupt it, message fragment) for a decoded ESA index file
 INDEX_CORRUPTIONS = [
     ("words", "delete", "missing key"),
-    ("indptr", "delete", "missing key"),
+    ("indptr", "delete", "arrays must list"),
     ("truncation", "delete", "missing key"),
     ("indptr", [0, 1], "indptr"),
     ("indptr", "tail", "indptr"),
@@ -109,19 +195,22 @@ INDEX_CORRUPTIONS = [
     ("truncation", 2.5, "truncation must be an int >= 1"),
     ("truncation", "1000", "truncation must be an int >= 1"),
     ("truncation", None, "truncation must be an int >= 1"),
-    ("indices", "true", "concept indices must be a flat list of ints"),
-    ("indptr", "false", "indptr must be a flat list of ints"),
-    ("data", "true", "data must be a flat list of numbers"),
+    ("indices", "|b1", "arrays must list"),
+    ("indptr", "<f4", "arrays must list"),
+    ("data", ">i8", "arrays must list"),
 ]
 
 
 def mangle_index(payload, key, how):
-    """An ESA index payload with one field deleted or made inconsistent."""
+    """A decoded ESA index file with one field or array deleted or made
+    inconsistent, or with an array declared (and encoded) in another dtype."""
     broken = dict(payload)
     value = payload.get(key)
     if how == "delete":
         del broken[key]
         return broken
+    if how in ("|b1", "<f4", ">i8"):
+        return redeclare(payload, key, how)
     if how == "tail":
         value = value[:-1] + [value[-1] + 1]
     elif how == "dip":
@@ -143,8 +232,6 @@ def mangle_index(payload, key, how):
         value = [float("nan")] + value[1:]
     elif how == "short":
         value = value[:-1]
-    elif how in ("true", "false"):
-        value = [how == "true"] + value[1:]
     else:
         value = how
     broken[key] = value

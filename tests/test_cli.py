@@ -1,10 +1,20 @@
 import argparse
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import INDEX_CORRUPTIONS, mangle_index, needs_cc, use_kernel
+from conftest import (
+    CONTAINER_CORRUPTIONS,
+    INDEX_CORRUPTIONS,
+    decode_array_file,
+    mangle_index,
+    needs_cc,
+    redeclare,
+    rewrite_array_file,
+    use_kernel,
+)
 
 from topicpuzzles import consistency, esa, puzzles
 from topicpuzzles.cli import build_parser, main
@@ -48,7 +58,7 @@ class TestIngest:
         out = str(tmp_path / "matrix.json")
         assert main(["ingest", "--corpus", corpus_path, "--out", out]) == 0
         assert "ingested 6 documents" in capsys.readouterr().out
-        payload = json.loads(open(out).read())
+        payload = decode_array_file(Path(out).read_bytes())
         assert payload["n_docs"] == 6
         assert payload["weighting"] == "raw-count"
 
@@ -68,7 +78,7 @@ class TestIngest:
     def test_tfidf_flag(self, tmp_path, corpus_path):
         out = str(tmp_path / "matrix.json")
         assert main(["ingest", "--corpus", corpus_path, "--out", out, "--tfidf"]) == 0
-        assert json.loads(open(out).read())["weighting"] == "tfidf"
+        assert decode_array_file(Path(out).read_bytes())["weighting"] == "tfidf"
 
     def test_corpus_directory_exits_2(self, tmp_path, capsys):
         code = main(["ingest", "--corpus", str(tmp_path), "--out",
@@ -106,14 +116,14 @@ class TestTrain:
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     def test_matrix_without_indices_exits_2(self, pipeline, capsys):
-        payload = json.loads(open(pipeline["matrix"]).read())
-        del payload["indices"]
-        broken = pipeline["tmp"] / "no_indices.json"
-        broken.write_text(json.dumps(payload))
-        code = main(["train", "--model", "lda", "--matrix", str(broken),
+        broken = rewrite_array_file(
+            pipeline["matrix"], lambda p: {k: v for k, v in p.items() if k != "indices"},
+            pipeline["tmp"] / "no_indices.json",
+        )
+        code = main(["train", "--model", "lda", "--matrix", broken,
                      "--out", str(pipeline["tmp"] / "m.json"), "--num-topics", "2"])
         assert code == 2
-        assert "missing key(s) indices" in capsys.readouterr().err
+        assert f"{broken}: arrays must list" in capsys.readouterr().err
 
     def test_lsa_k_too_large_exits_2(self, pipeline, capsys):
         code = main(["train", "--model", "lsa", "--matrix", pipeline["matrix"],
@@ -135,7 +145,7 @@ class TestTrain:
         out = str(pipeline["tmp"] / "dl.json")
         assert main(["train", "--model", "dictlearn", "--matrix", pipeline["matrix"],
                      "--out", out, "--num-topics", "2", "--epochs", "2"]) == 0
-        assert json.loads(open(out).read())["model"] == "dictlearn"
+        assert decode_array_file(Path(out).read_bytes())["model"] == "dictlearn"
 
 
 class TestExtractSets:
@@ -301,6 +311,38 @@ class TestGenerate:
         assert "max_attempts must be >= 1" in err
         assert "Traceback" not in err
         assert not bank.exists()
+
+    @pytest.mark.parametrize("kinds", ["separate-topics", "odd-one-out"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("max-attempts", 0, "max_attempts must be >= 1"),
+        ("n-distractors", 0, "n_distractors must be >= 1"),
+        ("n-distractors", -2, "n_distractors must be >= 1"),
+        ("eta2-cross", 0.0, "eta2_cross must be > 0"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_generator_setting_exits_2_for_any_kinds(
+        self, pipeline, capsys, kinds, key, value, message, source
+    ):
+        """A setting is checked before any kind runs, also when no kind of
+        the list uses it."""
+        sets = self.make_sets(pipeline)
+        bank = pipeline["tmp"] / "bank.jsonl"
+        argv = ["generate", "--sets", sets, "--index", pipeline["index"],
+                "--out", str(bank), "--kinds", kinds, "--no-solutions"]
+        if source == "flag":
+            argv += [f"--{key}", str(value)]
+        else:
+            config = pipeline["tmp"] / "config.json"
+            config.write_text(json.dumps({key: value}))
+            argv += ["--config", str(config)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+        assert not bank.exists()
+        assert not (pipeline["tmp"] / "bank.nosolutions.jsonl").exists()
 
     @pytest.mark.parametrize("key,value,message", [
         ("words", "vote", "equal-length lists"),
@@ -553,6 +595,11 @@ def first(key, value):
     return lambda p: {**p, key: [value] + p[key][1:]}
 
 
+def declare(key, dtype):
+    """A payload change that declares (and encodes) array ``key`` as ``dtype``."""
+    return lambda p: redeclare(p, key, dtype)
+
+
 class TestLoadErrors:
     """A corrupt or inconsistent input file exits 2 with a message, never a
     traceback, and ``index`` refuses to write an index without words."""
@@ -567,9 +614,15 @@ class TestLoadErrors:
                      "--out", str(pipeline["tmp"] / "sets.jsonl")])
 
     def rewrite(self, pipeline, path, change):
-        payload = json.loads(open(path).read())
+        return rewrite_array_file(path, change, pipeline["tmp"] / "broken.json")
+
+    def write_json(self, pipeline, path, change):
+        """A JSON file holding ``change`` of an array file's decoded dict,
+        as the files were written before they held binary arrays."""
+        payload = decode_array_file(Path(path).read_bytes())
+        del payload["arrays"]
         broken = pipeline["tmp"] / "broken.json"
-        broken.write_text(json.dumps(change(payload)))
+        broken.write_text(json.dumps(change(payload)) + "\n")
         return str(broken)
 
     def test_model_without_weights_exits_2(self, pipeline, capsys):
@@ -579,7 +632,7 @@ class TestLoadErrors:
             lambda p: {k: v for k, v in p.items() if k != "weights"},
         )
         assert self.extract(pipeline, model=model) == 2
-        assert "missing key(s) weights" in capsys.readouterr().err
+        assert f"{model}: arrays must list" in capsys.readouterr().err
 
     def test_model_weights_length_mismatch_exits_2(self, pipeline, capsys):
         self.extract(pipeline)
@@ -603,26 +656,29 @@ class TestLoadErrors:
         assert self.extract(pipeline, model=model) == 2
         assert message in capsys.readouterr().err
 
-    def test_model_weight_too_large_for_a_float_exits_2(self, pipeline, capsys):
+    @pytest.mark.parametrize("dtype", ["|b1", "<f4", ">i8", "<i8"])
+    def test_model_singular_values_not_float64_exit_2(self, pipeline, capsys, dtype):
         self.extract(pipeline)
         model = self.rewrite(
-            pipeline, pipeline["tmp"] / "lsa.json",
-            lambda p: {**p, "weights": [10**400] + p["weights"][1:]},
+            pipeline, pipeline["tmp"] / "lsa.json", declare("singular_values", dtype)
         )
         assert self.extract(pipeline, model=model) == 2
         err = capsys.readouterr().err
-        assert f"{model}: " in err and "too large" in err
+        assert f"{model}: arrays must list" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value", [{"0": 1.0}, "1.0", [1.0, "2"], [True, 1.0]])
-    def test_model_singular_values_not_numbers_exit_2(self, pipeline, capsys, value):
+    def test_unknown_model_name_exits_2(self, pipeline, capsys):
         self.extract(pipeline)
         model = self.rewrite(
-            pipeline, pipeline["tmp"] / "lsa.json",
-            lambda p: {**p, "singular_values": value},
+            pipeline, pipeline["tmp"] / "lsa.json", lambda p: {**p, "model": "bogus"}
         )
+        sets = pipeline["tmp"] / "sets.jsonl"
+        sets.unlink()
         assert self.extract(pipeline, model=model) == 2
-        assert "singular_values must be null or a list" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{model}: model must be one of lsa, lda, dictlearn" in err
+        assert "Traceback" not in err
+        assert not sets.exists()
 
     @pytest.mark.parametrize("key,how,message", INDEX_CORRUPTIONS)
     def test_inconsistent_index_exits_2(self, pipeline, capsys, key, how, message):
@@ -635,13 +691,49 @@ class TestLoadErrors:
         assert "Traceback" not in err
 
     def test_version_1_index_exits_2(self, pipeline, capsys):
-        index = self.rewrite(pipeline, pipeline["index"], lambda p: {
+        index = self.write_json(pipeline, pipeline["index"], lambda p: {
             "format": "esa-index", "version": 1, "concept_ids": p["concept_ids"],
             "n_concepts": len(p["concept_ids"]), "truncation": p["truncation"],
             "vectors": {},
         })
         assert self.extract(pipeline, index=index) == 2
         assert "re-run `index`" in capsys.readouterr().err
+
+    def test_version_2_json_index_exits_2(self, pipeline, capsys):
+        index = self.write_json(pipeline, pipeline["index"], lambda p: {**p, "version": 2})
+        assert self.extract(pipeline, index=index) == 2
+        err = capsys.readouterr().err
+        assert f"{index}: unsupported version 2; re-run `index` to rebuild it" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["matrix", "index", "model"])
+    @pytest.mark.parametrize("row,change,message", CONTAINER_CORRUPTIONS,
+                             ids=[row for row, *_ in CONTAINER_CORRUPTIONS])
+    def test_corrupt_array_file_exits_2(self, pipeline, capsys, name, row, change,
+                                        message):
+        """The command reading the file exits 2 and leaves no output file,
+        finished or temporary."""
+        tmp = pipeline["tmp"]
+        model = str(tmp / "lsa.json")
+        assert main(["train", "--model", "lsa", "--matrix", pipeline["matrix"],
+                     "--out", model, "--num-topics", "2"]) == 0
+        path = {"matrix": pipeline["matrix"], "index": pipeline["index"], "model": model}
+        broken = tmp / f"broken-{name}.json"
+        broken.write_bytes(change(Path(path[name]).read_bytes()))
+        out = tmp / "out" / "output"
+        out.parent.mkdir()
+        if name == "matrix":
+            argv = ["train", "--model", "lsa", "--matrix", str(broken), "--num-topics", "2"]
+        else:
+            argv = ["extract-sets", "--model", model, "--index", pipeline["index"]]
+            argv[argv.index(path[name])] = str(broken)
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith(f"error: {broken}: ") and message in err
+        assert "Traceback" not in err
+        assert list(out.parent.iterdir()) == []
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_index_truncation_below_1_exits_2(self, corpus_path, tmp_path, capsys, limit):
@@ -672,7 +764,7 @@ class TestLoadErrors:
         assert "vocab must list n_words" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("vocab", 5), ("doc_ids", [1]), ("n_docs", "6"), ("indices", ["5"]),
+        ("vocab", 5), ("doc_ids", [1]), ("n_docs", "6"),
     ])
     def test_mistyped_matrix_header_exits_2(self, pipeline, capsys, key, value):
         matrix = self.rewrite(pipeline, pipeline["matrix"], lambda p: {**p, key: value})
@@ -695,14 +787,14 @@ class TestLoadErrors:
         (lambda p: {**p, "indptr": [0, p["indptr"][2], p["indptr"][1]] + p["indptr"][3:]},
          "non-decreasing"),
         (lambda p: {**p, "indptr": p["indptr"][:-1]}, "non-decreasing"),
-        (first("indices", True), "word indices must be a flat list of ints"),
-        (first("indptr", False), "indptr must be a flat list of ints"),
-        (first("data", True), "data must be a flat list of numbers"),
-        (first("indices", 10**30), "too large"),
+        (declare("indices", "|b1"), "arrays must list"),
+        (declare("indptr", "<f4"), "arrays must list"),
+        (declare("data", ">i8"), "arrays must list"),
+        (first("indices", 2**62), "word indices must lie in [0, "),
     ], ids=["negative", "zero", "nan", "infinite", "fractional-count",
             "duplicate", "row-out-of-range", "row-past-end", "indptr-not-monotone",
-            "indptr-wrong-length", "true-in-indices", "false-in-indptr",
-            "true-in-data", "huge-index"])
+            "indptr-wrong-length", "bool-indices", "float32-indptr",
+            "int64-data", "huge-index"])
     def test_bad_matrix_values_exit_2(self, pipeline, capsys, change, message):
         matrix = self.rewrite(pipeline, pipeline["matrix"], change)
         code = main(["train", "--model", "lsa", "--matrix", matrix,
@@ -713,7 +805,7 @@ class TestLoadErrors:
         assert "Traceback" not in err
 
     def test_version_1_matrix_exits_2(self, pipeline, capsys):
-        matrix = self.rewrite(pipeline, pipeline["matrix"], lambda p: {
+        matrix = self.write_json(pipeline, pipeline["matrix"], lambda p: {
             **{k: v for k, v in p.items() if k not in ("indptr", "indices", "data")},
             "version": 1, "triplets": [[0, 0, 1.0]],
         })

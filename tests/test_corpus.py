@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import CONTAINER_CORRUPTIONS, decode_array_file
 
 from topicpuzzles.consistency import ConsistentSet, save_consistent_sets
 from topicpuzzles.corpus import (
+    DTM_FILE,
     CorpusFormatError,
     Document,
     EmptyVocabularyError,
@@ -21,10 +23,13 @@ from topicpuzzles.corpus import (
     write_json_lines,
 )
 from topicpuzzles.synthetic import planted_topic_corpus
+from topicpuzzles.esa import build_esa_index, load_esa_index, save_esa_index
 from topicpuzzles.topic_models import (
     LdaConfig,
     TopicDictionary,
     lda_fit,
+    load_topic_dictionary,
+    lsa_fit,
     save_topic_dictionary,
 )
 
@@ -245,7 +250,8 @@ class TestJsonlCorpus:
 
 
 # Each writer is handed a second record that cannot be encoded, so it fails
-# after part of the output has been written.
+# after part of the output has been written; the array file writer is
+# handed a header field that cannot be encoded.
 FAILING_WRITES = {
     "corpus": lambda path: save_corpus_jsonl(
         [Document("a", "apple pie"), Document("b", object())], path
@@ -255,6 +261,9 @@ FAILING_WRITES = {
          ConsistentSet(1, (3, 4), ("d", "e"), object(), 0.2)], path
     ),
     "json": lambda path: write_json_lines([{"ok": 1, "bad": object()}], path),
+    "array": lambda path: DTM_FILE.save(
+        path, {"bad": object()}, {"indptr": [0], "indices": [], "data": []}
+    ),
 }
 
 
@@ -333,15 +342,40 @@ class TestMatrixPersistence:
         dtm = self._matrix()
         path = tmp_path / "matrix.json"
         save_doc_term_matrix(dtm, path)
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        assert len(payload["indptr"]) == dtm.n_docs + 1
+        payload = decode_array_file(path.read_bytes())
+        assert payload["version"] == 3
+        assert payload["arrays"] == [
+            ["indptr", "<i8", dtm.n_docs + 1],
+            ["indices", "<i8", dtm.matrix.nnz],
+            ["data", "<f8", dtm.matrix.nnz],
+        ]
         assert payload["indptr"] == dtm.matrix.indptr.tolist()
         assert payload["indices"] == dtm.matrix.indices.tolist()
         assert payload["data"] == dtm.matrix.data.tolist()
         for start, end in zip(payload["indptr"], payload["indptr"][1:]):
             rows = payload["indices"][start:end]
             assert rows == sorted(set(rows))
+
+    def test_arrays_and_file_round_trip_bit_for_bit(self, tmp_path):
+        weighted = tfidf_transform(self._matrix())
+        path, again = tmp_path / "matrix.json", tmp_path / "again.json"
+        save_doc_term_matrix(weighted, path)
+        loaded = load_doc_term_matrix(path)
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
+                            ("data", np.float64)):
+            # scipy may hold the index arrays as int32 on either side
+            assert (getattr(loaded.matrix, name).astype(dtype).tobytes()
+                    == getattr(weighted.matrix, name).astype(dtype).tobytes())
+        save_doc_term_matrix(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_loaded_arrays_are_writable(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        save_doc_term_matrix(self._matrix(), path)
+        matrix = load_doc_term_matrix(path).matrix
+        assert all(getattr(matrix, name).flags.writeable
+                   for name in ("indptr", "indices", "data"))
+        matrix.data *= 2.0
 
     def test_tfidf_empty_document_column_round_trips(self, tmp_path):
         # "apple" is in every document, so TF-IDF empties the second column
@@ -365,6 +399,18 @@ class TestMatrixPersistence:
         with pytest.raises(ValueError, match="unsupported version 1; re-run `ingest`"):
             load_doc_term_matrix(path)
 
+    def test_version_2_json_file_asks_for_ingest(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        save_doc_term_matrix(self._matrix(), path)
+        payload = decode_array_file(path.read_bytes())
+        del payload["arrays"]
+        path.write_text(json.dumps({**payload, "version": 2}) + "\n")
+        with pytest.raises(ValueError) as caught:
+            load_doc_term_matrix(path)
+        assert str(caught.value) == (
+            f"{path}: unsupported version 2; re-run `ingest` to rebuild it"
+        )
+
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
@@ -373,17 +419,32 @@ class TestMatrixPersistence:
 
 
 class TestWrittenBytes:
-    """Matrix and model files keep their exact bytes: the model digests were
-    recorded from the per-element writers that preceded the vectorised
-    ones; the matrix digest is that of the version 1 writer's triplets
-    re-encoded by hand as version 2 CSC arrays. Raw counts and a small-K LDA fit use only exactly
-    rounded arithmetic, so the bytes do not depend on the BLAS build."""
+    """Matrix and model files keep their exact bytes. The container
+    digests were recorded when the files became array files; the same
+    header fields and arrays, written back as the JSON payloads that
+    preceded them, give the earlier digests: those of the version 1
+    matrix writer's triplets re-encoded by hand as version 2 CSC arrays,
+    and of the per-element model writers. Raw counts and a small-K LDA fit
+    use only exactly rounded arithmetic, so the bytes do not depend on the
+    BLAS build."""
 
     @staticmethod
-    def digest(path):
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+    def digest(raw):
+        return hashlib.sha256(raw).hexdigest()
 
-    def test_matrix_and_model_files(self, tmp_path):
+    def json_digest(self, path, version):
+        """Digest of the file's contents as one JSON object of the given
+        version, arrays as lists, an absent singular_values as null."""
+        payload = decode_array_file(path.read_bytes())
+        names = [name for name, *_ in payload.pop("arrays")]
+        if names[0] == "weights":
+            payload.setdefault("singular_values", None)
+        payload["version"] = version
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return self.digest(text.encode())
+
+    @pytest.fixture
+    def files(self, tmp_path):
         docs, _ = planted_topic_corpus(3, 4, 30, 20, seed=5, background_fraction=0.15)
         dtm = build_doc_term_matrix(docs, build_vocabulary(docs))
         save_doc_term_matrix(dtm, tmp_path / "m.json")
@@ -397,12 +458,71 @@ class TestWrittenBytes:
             singular_values=np.array([3.5, 1 / 3]),
         )
         save_topic_dictionary(hand, tmp_path / "h.json")
-        assert self.digest(tmp_path / "m.json") == (
+        return tmp_path
+
+    def test_matrix_and_model_files(self, files):
+        assert self.digest((files / "m.json").read_bytes()) == (
+            "3550c8c902cf5c419a1947326f9d2c2c9277e90852785684042ee7559f73db43"
+        )
+        assert self.digest((files / "t.json").read_bytes()) == (
+            "0ab86f587e9cef13f315063bad80e669aae761faa761aced0c60c7445901e1d5"
+        )
+        assert self.digest((files / "h.json").read_bytes()) == (
+            "44b89abacecb0b8623bf523b94be9346e3cd70758dba0a61129dd0a332223349"
+        )
+
+    def test_contents_equal_the_json_payloads(self, files):
+        assert self.json_digest(files / "m.json", 2) == (
             "65430dd16cd43eb8c735f69b30bdaa7a3e97c8c3944ec4d9f0d8fc3f2a7177f2"
         )
-        assert self.digest(tmp_path / "t.json") == (
+        assert self.json_digest(files / "t.json", 1) == (
             "8c1d93e67a60d195e230d352e548a54fc8c7b0a61c91634988521ce5e7cefdc6"
         )
-        assert self.digest(tmp_path / "h.json") == (
+        assert self.json_digest(files / "h.json", 1) == (
             "9583103f03b7e53f2bda7d138e6ceb1f671310ea190896483531e225d9da286f"
         )
+
+
+class TestArrayFiles:
+    """Each array file (matrix, index, LSA model) is rejected, with a
+    message that starts with its path, when its bytes or header do not
+    match the arrays its type lists."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("array-files")
+        docs = [
+            Document("1", "apple banana apple plum"),
+            Document("2", "banana cherry plum"),
+            Document("3", "cherry cherry cherry apple"),
+            Document("4", "plum banana cherry"),
+        ]
+        dtm = build_doc_term_matrix(docs, build_vocabulary(docs))
+        save_doc_term_matrix(dtm, tmp / "matrix.json")
+        save_esa_index(build_esa_index(docs), tmp / "index.json")
+        save_topic_dictionary(lsa_fit(dtm, 2), tmp / "model.json")
+        return {
+            "matrix": (tmp / "matrix.json", load_doc_term_matrix),
+            "index": (tmp / "index.json", load_esa_index),
+            "model": (tmp / "model.json", load_topic_dictionary),
+        }
+
+    @pytest.mark.parametrize("name", ["matrix", "index", "model"])
+    @pytest.mark.parametrize("row,change,message", CONTAINER_CORRUPTIONS,
+                             ids=[row for row, *_ in CONTAINER_CORRUPTIONS])
+    def test_corrupt_file_rejected(self, files, tmp_path, name, row, change, message):
+        path, load = files[name]
+        load(path)
+        broken = tmp_path / f"{name}.json"
+        broken.write_bytes(change(path.read_bytes()))
+        with pytest.raises(ValueError, match=message) as caught:
+            load(broken)
+        assert str(caught.value).startswith(f"{broken}: ")
+
+    @pytest.mark.parametrize("name", ["matrix", "index", "model"])
+    def test_empty_file_rejected(self, files, tmp_path, name):
+        load = files[name][1]
+        empty = tmp_path / "empty.json"
+        empty.write_bytes(b"")
+        with pytest.raises(ValueError, match=f"^{empty}: not an? "):
+            load(empty)

@@ -3,7 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from conftest import INDEX_CORRUPTIONS, hand_index, index_vector, mangle_index
+from conftest import (
+    INDEX_CORRUPTIONS,
+    decode_array_file,
+    hand_index,
+    index_vector,
+    mangle_index,
+    rewrite_array_file,
+)
 from oracles import intersect1d_cosine
 
 from topicpuzzles.corpus import Document
@@ -250,6 +257,33 @@ class TestEsaPersistence:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
         np.testing.assert_array_equal(loaded.R.toarray(), index.R.toarray())
 
+    def test_arrays_and_file_round_trip_bit_for_bit(self, tmp_path):
+        index = build_esa_index(CONCEPTS)
+        path, again = tmp_path / "index.json", tmp_path / "again.json"
+        save_esa_index(index, path)
+        loaded = load_esa_index(path)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(loaded, name).tobytes() == getattr(index, name).tobytes()
+        assert loaded.R.data.tobytes() == index.R.data.tobytes()
+        save_esa_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_header_line_and_arrays(self, tmp_path):
+        index = build_esa_index(CONCEPTS)
+        path = tmp_path / "index.json"
+        save_esa_index(index, path)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert header["format"] == "esa-index" and header["version"] == 3
+        assert header["arrays"] == [
+            ["indptr", "<i8", len(index) + 1],
+            ["indices", "<i8", len(index.indices)],
+            ["data", "<f8", len(index.data)],
+        ]
+        payload = decode_array_file(path.read_bytes())
+        assert payload["words"] == index.words()
+        assert payload["indices"] == index.indices.tolist()
+        assert payload["data"] == index.data.tolist()
+
     def test_deterministic_bytes(self, tmp_path):
         index = build_esa_index(CONCEPTS)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -269,11 +303,24 @@ class TestEsaPersistence:
         with pytest.raises(ValueError, match="re-run `index`"):
             load_esa_index(path)
 
+    def test_version_2_json_file_asks_for_rebuild(self, tmp_path):
+        path = tmp_path / "index.json"
+        save_esa_index(build_esa_index(CONCEPTS), path)
+        payload = decode_array_file(path.read_bytes())
+        del payload["arrays"]
+        path.write_text(json.dumps({**payload, "version": 2}) + "\n")
+        with pytest.raises(ValueError) as caught:
+            load_esa_index(path)
+        assert str(caught.value) == (
+            f"{path}: unsupported version 2; re-run `index` to rebuild it"
+        )
+
     @pytest.mark.parametrize("key,how,message", INDEX_CORRUPTIONS)
     def test_inconsistent_file_rejected(self, tmp_path, key, how, message):
         path = tmp_path / "index.json"
         save_esa_index(build_esa_index(CONCEPTS), path)
-        payload = json.loads(path.read_text())
-        path.write_text(json.dumps(mangle_index(payload, key, how)))
-        with pytest.raises(ValueError, match=message):
-            load_esa_index(path)
+        broken = rewrite_array_file(path, lambda p: mangle_index(p, key, how),
+                                    tmp_path / "broken.json")
+        with pytest.raises(ValueError, match=message) as caught:
+            load_esa_index(broken)
+        assert str(caught.value).startswith(f"{broken}: ")

@@ -1,9 +1,11 @@
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from conftest import decode_array_file, rewrite_array_file
 from oracles import jacobi_singular_values
 
 import topicpuzzles
@@ -14,6 +16,7 @@ from topicpuzzles.corpus import (
     save_doc_term_matrix,
 )
 from topicpuzzles.topic_models import (
+    TopicDictionary,
     load_topic_dictionary,
     lsa_fit,
     save_topic_dictionary,
@@ -118,6 +121,50 @@ class TestLsaPersistence:
         np.testing.assert_array_equal(loaded.singular_values, td.singular_values)
         assert loaded.model == "lsa"
         assert loaded.meta == td.meta
+
+    @pytest.mark.parametrize("singular_values", [[2.5, 0.75], None],
+                             ids=["singular-values", "no-singular-values"])
+    def test_arrays_and_file_round_trip_bit_for_bit(self, tmp_path, singular_values):
+        td = TopicDictionary(
+            weights=np.arange(1.0, 7.0).reshape(3, 2) / 7.0, model="lsa",
+            meta={"seed": 0}, vocab=["a", "b", "c"],
+            singular_values=None if singular_values is None else np.array(singular_values),
+        )
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_topic_dictionary(td, path)
+        loaded = load_topic_dictionary(path)
+        assert loaded.weights.tobytes() == td.weights.tobytes()
+        assert loaded.weights.tobytes(order="F") == td.weights.tobytes(order="F")
+        if singular_values is None:
+            assert loaded.singular_values is None
+            assert [name for name, *_ in decode_array_file(path.read_bytes())["arrays"]] == [
+                "weights"
+            ]
+        else:
+            assert loaded.singular_values.tobytes() == td.singular_values.tobytes()
+        save_topic_dictionary(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_unknown_model_name_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_topic_dictionary(lsa_fit(np.eye(3), 2), path)
+        broken = rewrite_array_file(path, lambda p: {**p, "model": "bogus"},
+                                    tmp_path / "bogus.json")
+        with pytest.raises(ValueError) as caught:
+            load_topic_dictionary(broken)
+        assert str(caught.value) == f"{broken}: model must be one of lsa, lda, dictlearn"
+
+    def test_version_1_json_file_asks_for_train(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_topic_dictionary(lsa_fit(np.eye(3), 2), path)
+        payload = decode_array_file(path.read_bytes())
+        del payload["arrays"]
+        path.write_text(json.dumps({**payload, "version": 1}) + "\n")
+        with pytest.raises(ValueError) as caught:
+            load_topic_dictionary(path)
+        assert str(caught.value) == (
+            f"{path}: unsupported version 1; re-run `train` to rebuild it"
+        )
 
     def test_deterministic_file_bytes(self, tmp_path):
         rng = np.random.default_rng(10)
