@@ -63,8 +63,12 @@ def _load_config(path):
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        config = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"cannot read config {path}: line {line}: {exc}") from exc
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
@@ -72,24 +76,26 @@ def _load_config(path):
     return config
 
 
-def _text(value):
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+# The JSON types a config value of each kind may have: exact types, so a
+# bool is not an int, and an int is also a float.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
 def _setting(args, config, key, default, kind):
-    """Flag > config file > default. ``kind`` converts a config value as
-    the flag's type converts the flag; a value it rejects is a usage error
-    naming the key."""
+    """Flag > config file > default. ``kind`` (int, float, bool or str) is
+    the flag's type; a config value whose JSON type does not fit it is a
+    usage error naming the key."""
     value = getattr(args, key.replace("-", "_"), None)
     if value is not None:
         return value
     if key not in config:
         return default
+    value = config[key]
+    if type(value) not in _JSON_TYPES[kind]:
+        raise UsageError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
     try:
-        return kind(config[key])
-    except (TypeError, ValueError) as exc:
+        return kind(value)
+    except OverflowError as exc:
         raise UsageError(f"config key {key!r}: {exc}") from exc
 
 
@@ -129,10 +135,9 @@ def cmd_ingest(args):
     config = _load_config(args.config)
     docs = corpus.load_corpus_jsonl(args.corpus)
     tokenizer = _tokenizer_config(args, config)
-    vocab = corpus.build_vocabulary(
+    dtm = corpus.build_doc_term_matrix(
         docs, config=tokenizer, **_given(args, config, _DF_KEYS)
     )
-    dtm = corpus.build_doc_term_matrix(docs, vocab, tokenizer)
     if _setting(args, config, "tfidf", False, bool):
         dtm = corpus.tfidf_transform(dtm)
     corpus.save_doc_term_matrix(dtm, args.out)
@@ -160,9 +165,8 @@ def fit_model(name, dtm, args, config):
     values = {"n_topics": n_topics, "seed": seed}
     for f in fields(cls):
         if f.name not in values:
-            kind = _text if isinstance(f.default, str) else type(f.default)
             key = f.name.replace("_", "-")
-            values[f.name] = _setting(args, config, key, f.default, kind)
+            values[f.name] = _setting(args, config, key, f.default, type(f.default))
     model = fit(dtm, cls(**values))
     if model.fallback:
         print(
@@ -226,7 +230,7 @@ def cmd_extract_sets(args):
 def _resolve_band(args, config):
     eta1 = _setting(args, config, "eta1", None, float)
     eta2 = _setting(args, config, "eta2", None, float)
-    name = _setting(args, config, "band", None, _text)
+    name = _setting(args, config, "band", None, str)
     if eta1 is not None or eta2 is not None:
         if eta1 is None or eta2 is None:
             raise UsageError("--eta1 and --eta2 must be given together")
@@ -248,7 +252,7 @@ def cmd_generate(args):
     vocab = index.words()
     band = _resolve_band(args, config)
     kinds = _names(
-        _setting(args, config, "kinds", ",".join(puzzles.KINDS), _text),
+        _setting(args, config, "kinds", ",".join(puzzles.KINDS), str),
         puzzles.KINDS, "puzzle kind",
     )
     bank, skipped = puzzles.generate_puzzle_bank(

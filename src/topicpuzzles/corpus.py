@@ -17,9 +17,10 @@ import os
 import re
 import secrets
 import warnings
-from collections import Counter
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,29 +121,58 @@ def _check_unique_ids(docs):
         seen.add(doc.id)
 
 
-def build_vocabulary(docs, min_df=1, max_df_ratio=1.0, config=DEFAULT_TOKENIZER):
-    """Build the vocabulary of words with document frequency in
-    [min_df, max_df_ratio * n_docs].
+def _count_words(docs, min_df, max_df_ratio, config):
+    """The vocabulary of ``docs`` (a list): the words with document
+    frequency in [min_df, max_df_ratio * n_docs], and the (document, word,
+    count) entries of those words, in document then word order.
 
-    Raises EmptyVocabularyError if the filters remove every word.
+    One pass tokenizes each document as ``tokenize`` does; the length and
+    stopword rules run once per distinct token. Raises ValueError for bad
+    filters or duplicate ids, EmptyVocabularyError if the filters remove
+    every word.
     """
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
     if not 0.0 < max_df_ratio <= 1.0:
         raise ValueError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
-    docs = list(docs)
     _check_unique_ids(docs)
-    df = Counter()
+    ids = defaultdict(count().__next__)  # distinct token -> id, first seen first
+    token_ids, lengths = [], []
     for doc in docs:
-        df.update(set(tokenize(doc.text, config)))
-    max_df = max_df_ratio * len(docs)
-    kept = sorted(w for w, c in df.items() if min_df <= c <= max_df)
-    if not kept:
+        tokens = TOKEN_PATTERN.findall(doc.text.lower())
+        lengths.append(len(tokens))
+        token_ids.extend(map(ids.__getitem__, tokens))
+    words = sorted(
+        t for t in ids if len(t) >= config.min_token_len and t not in config.stopwords
+    )
+    rank = {word: i for i, word in enumerate(words)}
+    word_of_id = np.fromiter((rank.get(t, -1) for t in ids), np.int64, len(ids))
+    token_word = word_of_id[np.fromiter(token_ids, np.int64, len(token_ids))]
+    del token_ids
+    keys = np.repeat(np.arange(len(docs), dtype=np.int64) * len(words), lengths)
+    keys += token_word
+    keys, counts = np.unique(keys[token_word >= 0], return_counts=True)
+    doc, word = np.divmod(keys, max(len(words), 1))
+    df = np.bincount(word, minlength=len(words))
+    in_vocab = (df >= min_df) & (df <= max_df_ratio * len(docs))
+    if not in_vocab.any():
         raise EmptyVocabularyError(
             f"no words survive document-frequency filtering "
             f"(min_df={min_df}, max_df_ratio={max_df_ratio}, n_docs={len(docs)})"
         )
-    return Vocabulary(words=kept, doc_freq=[df[w] for w in kept], n_docs=len(docs))
+    vocab = Vocabulary(
+        words=[w for w, keep in zip(words, in_vocab.tolist()) if keep],
+        doc_freq=df[in_vocab].tolist(),
+        n_docs=len(docs),
+    )
+    entry = in_vocab[word]
+    return vocab, doc[entry], (np.cumsum(in_vocab) - 1)[word[entry]], counts[entry]
+
+
+def build_vocabulary(docs, min_df=1, max_df_ratio=1.0, config=DEFAULT_TOKENIZER):
+    """The vocabulary that ``build_doc_term_matrix`` gives for the same
+    arguments, without its matrix or its warnings."""
+    return _count_words(list(docs), min_df, max_df_ratio, config)[0]
 
 
 @dataclass
@@ -167,32 +197,28 @@ class DocTermMatrix:
         return self.matrix.shape[1]
 
 
-def build_doc_term_matrix(docs, vocab, config=DEFAULT_TOKENIZER):
-    """Count in-vocabulary word occurrences per document into a sparse matrix.
+def build_doc_term_matrix(docs, min_df=1, max_df_ratio=1.0, config=DEFAULT_TOKENIZER):
+    """Count each document's words into a sparse matrix whose ``vocab`` holds
+    the words with document frequency in [min_df, max_df_ratio * n_docs].
 
-    Documents with no in-vocabulary tokens are dropped (with a warning)
-    rather than kept as zero columns.
+    Documents with no in-vocabulary tokens are dropped (with a warning each,
+    in document order) rather than kept as zero columns. Raises
+    EmptyVocabularyError if the filters remove every word.
     """
     docs = list(docs)
-    _check_unique_ids(docs)
-    indptr, indices, data, doc_ids = [0], [], [], []
-    for doc in docs:
-        counts = Counter(
-            vocab.index[t] for t in tokenize(doc.text, config) if t in vocab.index
+    vocab, doc, word, counts = _count_words(docs, min_df, max_df_ratio, config)
+    per_doc = np.bincount(doc, minlength=len(docs))
+    for i in np.flatnonzero(per_doc == 0):
+        warnings.warn(
+            f"document {docs[i].id!r} has no in-vocabulary tokens and was dropped"
         )
-        if not counts:
-            warnings.warn(
-                f"document {doc.id!r} has no in-vocabulary tokens and was dropped"
-            )
-            continue
-        doc_ids.append(doc.id)
-        indices.extend(sorted(counts))
-        data.extend(float(counts[i]) for i in indices[indptr[-1]:])
-        indptr.append(len(indices))
+    nonempty = per_doc > 0
+    indptr = np.concatenate(([0], np.cumsum(per_doc[nonempty])))
     matrix = sp.csc_matrix(
-        (np.array(data, dtype=np.float64), indices, indptr),
-        shape=(len(vocab), len(doc_ids)),
+        (counts.astype(np.float64), word, indptr),
+        shape=(len(vocab), int(nonempty.sum())),
     )
+    doc_ids = [d.id for d, keep in zip(docs, nonempty.tolist()) if keep]
     return DocTermMatrix(matrix=matrix, vocab=vocab, doc_ids=doc_ids)
 
 
@@ -470,14 +496,16 @@ def require_keys(record, keys):
 
 def load_jsonl_records(path, parse):
     """``parse(record)`` for each object of a JSON-lines file, blank lines
-    skipped. CorpusFormatError names the first line that is not valid JSON
-    or that ``parse`` rejects with a ValueError."""
+    skipped. CorpusFormatError names the first line that is not UTF-8, not
+    valid JSON, or that ``parse`` rejects with a ValueError."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    # surrogateescape defers a byte that is not UTF-8 to the line holding it
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
+                line = line.encode("utf-8", "surrogateescape").decode("utf-8")
                 out.append(parse(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(

@@ -22,7 +22,7 @@ from .corpus import (
     ArrayFile,
     TokenizerConfig,
     build_doc_term_matrix,
-    build_vocabulary,
+    build_vocabulary,  # noqa: F401  traced by bench/tracer.py; see ROADMAP item 7
     compressed_arrays,
     is_list_of,
     tfidf_transform,
@@ -100,10 +100,10 @@ def build_esa_index(concepts, config=EsaConfig()):
     concepts = list(concepts)
     if not concepts:
         raise ValueError("empty concept corpus")
-    vocab = build_vocabulary(
+    dtm = build_doc_term_matrix(
         concepts, config.min_df, config.max_df_ratio, config.tokenizer
     )
-    dtm = build_doc_term_matrix(concepts, vocab, config.tokenizer)
+    vocab = dtm.vocab
     weighted = tfidf_transform(dtm)
     csr = weighted.matrix.tocsr()
     csr.sort_indices()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topicpuzzles import topic_models
-from topicpuzzles.corpus import build_doc_term_matrix, build_vocabulary
+from topicpuzzles.corpus import build_doc_term_matrix
 from topicpuzzles.esa import EsaIndex
 from topicpuzzles.synthetic import planted_topic_corpus
 from topicpuzzles.topic_models import sparse_code
@@ -29,8 +29,8 @@ def planted():
     """The pure planted corpus: 8 topics x 10 disjoint words, 400 docs of
     50 single-topic tokens. Returns (docs, per-topic words, vocab, matrix)."""
     docs, topics = planted_topic_corpus(seed=7)
-    vocab = build_vocabulary(docs)
-    dtm = build_doc_term_matrix(docs, vocab)
+    dtm = build_doc_term_matrix(docs)
+    vocab = dtm.vocab
     return docs, topics, vocab, dtm
 
 
@@ -39,8 +39,8 @@ def planted_mixed():
     """Planted corpus with 15% background tokens, giving cross-topic word
     pairs small but nonzero relatedness (usable difficulty midband)."""
     docs, topics = planted_topic_corpus(seed=3, background_fraction=0.15)
-    vocab = build_vocabulary(docs)
-    dtm = build_doc_term_matrix(docs, vocab)
+    dtm = build_doc_term_matrix(docs)
+    vocab = dtm.vocab
     return docs, topics, vocab, dtm
 
 

@@ -15,13 +15,28 @@ frozen the same way as the reference for the CSR relatedness kernel.
 ``gram[j] @ alpha`` per coordinate step), frozen the same way as the
 reference for the covariance-update loop in ``sparse_code``.
 ``widest_path_sim`` enumerates simple paths (exponential), the oracle for
-the bottleneck identity.
+the bottleneck identity. ``counter_build_vocabulary`` and
+``counter_build_doc_term_matrix`` are the library's original two-pass
+builders (``tokenize`` per document in each pass, one ``Counter`` per
+document), frozen the same way as the reference for the one counting pass
+of ``build_doc_term_matrix``.
 """
 
 import itertools
+import warnings
+from collections import Counter
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize
+
+from topicpuzzles.corpus import (
+    DEFAULT_TOKENIZER,
+    DocTermMatrix,
+    EmptyVocabularyError,
+    Vocabulary,
+    tokenize,
+)
 
 
 def jacobi_singular_values(matrix, tol=1e-14, max_sweeps=100):
@@ -318,3 +333,65 @@ def naive_cd_lasso(x, dictionary, kappa, tol=1e-8, max_iter=1000):
             break
         prev = cur
     return alpha, float(prev)
+
+
+def _check_unique_ids(docs):
+    seen = set()
+    for doc in docs:
+        if doc.id in seen:
+            raise ValueError(f"duplicate document id: {doc.id!r}")
+        seen.add(doc.id)
+
+
+def counter_build_vocabulary(docs, min_df=1, max_df_ratio=1.0, config=DEFAULT_TOKENIZER):
+    """Build the vocabulary of words with document frequency in
+    [min_df, max_df_ratio * n_docs].
+
+    Raises EmptyVocabularyError if the filters remove every word.
+    """
+    if min_df < 1:
+        raise ValueError(f"min_df must be >= 1, got {min_df}")
+    if not 0.0 < max_df_ratio <= 1.0:
+        raise ValueError(f"max_df_ratio must be in (0, 1], got {max_df_ratio}")
+    docs = list(docs)
+    _check_unique_ids(docs)
+    df = Counter()
+    for doc in docs:
+        df.update(set(tokenize(doc.text, config)))
+    max_df = max_df_ratio * len(docs)
+    kept = sorted(w for w, c in df.items() if min_df <= c <= max_df)
+    if not kept:
+        raise EmptyVocabularyError(
+            f"no words survive document-frequency filtering "
+            f"(min_df={min_df}, max_df_ratio={max_df_ratio}, n_docs={len(docs)})"
+        )
+    return Vocabulary(words=kept, doc_freq=[df[w] for w in kept], n_docs=len(docs))
+
+
+def counter_build_doc_term_matrix(docs, vocab, config=DEFAULT_TOKENIZER):
+    """Count in-vocabulary word occurrences per document into a sparse matrix.
+
+    Documents with no in-vocabulary tokens are dropped (with a warning)
+    rather than kept as zero columns.
+    """
+    docs = list(docs)
+    _check_unique_ids(docs)
+    indptr, indices, data, doc_ids = [0], [], [], []
+    for doc in docs:
+        counts = Counter(
+            vocab.index[t] for t in tokenize(doc.text, config) if t in vocab.index
+        )
+        if not counts:
+            warnings.warn(
+                f"document {doc.id!r} has no in-vocabulary tokens and was dropped"
+            )
+            continue
+        doc_ids.append(doc.id)
+        indices.extend(sorted(counts))
+        data.extend(float(counts[i]) for i in indices[indptr[-1]:])
+        indptr.append(len(indices))
+    matrix = sp.csc_matrix(
+        (np.array(data, dtype=np.float64), indices, indptr),
+        shape=(len(vocab), len(doc_ids)),
+    )
+    return DocTermMatrix(matrix=matrix, vocab=vocab, doc_ids=doc_ids)

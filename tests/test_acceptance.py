@@ -27,7 +27,6 @@ from topicpuzzles.consistency import (
 )
 from topicpuzzles.corpus import (
     build_doc_term_matrix,
-    build_vocabulary,
     save_corpus_jsonl,
 )
 from topicpuzzles.esa import SimilarityProvider, build_esa_index
@@ -65,8 +64,8 @@ def count_consistent(model, provider, k, deltas):
 
 
 def pipeline_pieces(docs):
-    vocab = build_vocabulary(docs)
-    dtm = build_doc_term_matrix(docs, vocab)
+    dtm = build_doc_term_matrix(docs)
+    vocab = dtm.vocab
     index = build_esa_index(docs)
     provider = SimilarityProvider(index, vocabulary=list(vocab.words))
     return vocab, dtm, provider

@@ -955,6 +955,86 @@ class TestConfigValueTypes:
         assert self.run(pipeline, config, self.eval_yield(pipeline)) == 2
         assert "config key 'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,config", [
+        ("train", {"num-topics": 2.9}),
+        ("train", {"seed": 1.5}),
+        ("train", {"iterations": True}),
+        ("train", {"alpha": True}),
+        ("ingest", {"tfidf": "false"}),
+        ("ingest", {"tfidf": 1}),
+        ("ingest", {"keep-stopwords": 0}),
+        ("ingest", {"min-df": True}),
+        ("ingest", {"max-df-ratio": True}),
+        ("ingest", {"max-df-ratio": 10 ** 400}),
+    ])
+    def test_value_of_another_json_type_exits_2(self, pipeline, capsys, command, config):
+        out = pipeline["tmp"] / "out.json"
+        argv = {
+            "train": ["train", "--model", "lda", "--matrix", pipeline["matrix"]],
+            "ingest": ["ingest", "--corpus", pipeline["corpus"]],
+        }[command]
+        assert self.run(pipeline, config, argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {next(iter(config))!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_int_for_a_float_key_is_accepted(self, pipeline):
+        out = pipeline["tmp"] / "out.json"
+        assert self.run(pipeline, {"max-df-ratio": 1}, [
+            "ingest", "--corpus", pipeline["corpus"], "--out", str(out)]) == 0
+        assert load_doc_term_matrix(out).vocab.words == build_vocabulary(TINY_DOCS).words
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 in a JSON-lines input or a config file
+    exits 2 naming the file and the line, and writes nothing."""
+
+    def flip(self, path, lineno):
+        """Overwrite the first character after line ``lineno``'s first quote
+        with byte 0xe9, which no ASCII byte may follow in UTF-8."""
+        lines = Path(path).read_bytes().split(b"\n")
+        line = bytearray(lines[lineno - 1])
+        line[line.index(b'"') + 1] = 0xE9
+        lines[lineno - 1] = bytes(line)
+        Path(path).write_bytes(b"\n".join(lines))
+
+    def check(self, capsys, argv, path, lineno, out):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path} line {lineno}: " in err or f"{path}: line {lineno}: " in err
+        assert "0xe9" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not list(out.parent.glob(".*.tmp"))
+
+    @pytest.mark.parametrize("command", ["ingest", "index"])
+    def test_corpus_and_concepts(self, tmp_path, corpus_path, capsys, command):
+        self.flip(corpus_path, 4)
+        out = tmp_path / "out.json"
+        flag = "--corpus" if command == "ingest" else "--concepts"
+        self.check(capsys, [command, flag, corpus_path, "--out", str(out)],
+                   corpus_path, 4, out)
+
+    def test_generate_sets(self, pipeline, capsys):
+        sets = pipeline["tmp"] / "sets.jsonl"
+        consistency.save_consistent_sets([
+            consistency.ConsistentSet(t, (0, 1), ("vote", "ballot"), 0.5, 0.1)
+            for t in range(3)
+        ], sets)
+        self.flip(sets, 2)
+        out = pipeline["tmp"] / "bank.jsonl"
+        self.check(capsys, ["generate", "--sets", str(sets), "--index", pipeline["index"],
+                            "--out", str(out)], sets, 2, out)
+
+    def test_config(self, tmp_path, corpus_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min-df": 1, "tfidf": True}, indent=1))
+        self.flip(config, 3)
+        out = tmp_path / "out.json"
+        self.check(capsys, ["ingest", "--corpus", corpus_path, "--out", str(out),
+                            "--config", str(config)], config, 3, out)
+
 
 class TestParser:
     def test_train_and_eval_yield_accept_the_same_hyperparameters(self):

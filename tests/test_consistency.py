@@ -278,7 +278,6 @@ class TestJunkTopicRejection:
             Document,
             TokenizerConfig,
             build_doc_term_matrix,
-            build_vocabulary,
         )
         from topicpuzzles.esa import EsaConfig, SimilarityProvider, build_esa_index
         from topicpuzzles.topic_models import extract_top_k, lsa_fit
@@ -297,8 +296,8 @@ class TestJunkTopicRejection:
             ]
             rng.shuffle(words)
             docs.append(Document(f"d{j}", " ".join(words)))
-        vocab = build_vocabulary(docs, config=keep_all)
-        dtm = build_doc_term_matrix(docs, vocab, keep_all)
+        dtm = build_doc_term_matrix(docs, config=keep_all)
+        vocab = dtm.vocab
         provider = SimilarityProvider(
             build_esa_index(docs, EsaConfig(tokenizer=keep_all)),
             vocabulary=list(vocab.words),

@@ -1,17 +1,21 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import CONTAINER_CORRUPTIONS, decode_array_file
+from oracles import counter_build_doc_term_matrix, counter_build_vocabulary
 
+from topicpuzzles import esa
 from topicpuzzles.consistency import ConsistentSet, save_consistent_sets
 from topicpuzzles.corpus import (
     DTM_FILE,
     CorpusFormatError,
     Document,
     EmptyVocabularyError,
+    TokenizerConfig,
     build_doc_term_matrix,
     build_vocabulary,
     load_corpus_jsonl,
@@ -23,7 +27,7 @@ from topicpuzzles.corpus import (
     write_json_lines,
 )
 from topicpuzzles.synthetic import planted_topic_corpus
-from topicpuzzles.esa import build_esa_index, load_esa_index, save_esa_index
+from topicpuzzles.esa import EsaConfig, build_esa_index, load_esa_index, save_esa_index
 from topicpuzzles.topic_models import (
     LdaConfig,
     TopicDictionary,
@@ -107,8 +111,7 @@ class TestBuildVocabulary:
 class TestBuildDocTermMatrix:
     def test_counts_column(self):
         docs = [Document("d", "alpha alpha beta")]
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
         np.testing.assert_array_equal(
             dtm.matrix.toarray().ravel(), np.array([2.0, 1.0])
         )
@@ -116,9 +119,8 @@ class TestBuildDocTermMatrix:
 
     def test_empty_document_dropped_with_warning(self):
         docs = [Document("good", "alpha beta"), Document("empty", "the")]
-        vocab = build_vocabulary([docs[0]])
         with pytest.warns(UserWarning, match="empty"):
-            dtm = build_doc_term_matrix(docs, vocab)
+            dtm = build_doc_term_matrix(docs)
         assert dtm.n_docs == 1
         assert dtm.doc_ids == ["good"]
 
@@ -129,8 +131,8 @@ class TestBuildDocTermMatrix:
             Document(str(i), " ".join(rng.choice(pool, size=rng.integers(1, 20))))
             for i in range(10)
         ]
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
+        vocab = dtm.vocab
         retained = sum(
             1
             for doc in docs
@@ -145,8 +147,8 @@ class TestBuildDocTermMatrix:
         docs = [
             Document(str(i), " ".join(rng.choice(pool, size=15))) for i in range(6)
         ]
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
+        vocab = dtm.vocab
         for j, doc_id in enumerate(dtm.doc_ids):
             doc = next(d for d in docs if d.id == doc_id)
             expected = np.zeros(len(vocab))
@@ -157,26 +159,153 @@ class TestBuildDocTermMatrix:
 
     def test_all_entries_positive(self):
         docs = [Document("1", "apple banana"), Document("2", "banana cherry")]
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
         assert np.all(dtm.matrix.data > 0)
 
     def test_determinism_bit_identical(self):
         docs = [Document(str(i), "apple banana cherry apple") for i in range(4)]
-        vocab = build_vocabulary(docs)
-        a = build_doc_term_matrix(docs, vocab)
-        b = build_doc_term_matrix(docs, vocab)
+        a = build_doc_term_matrix(docs)
+        b = build_doc_term_matrix(docs)
         assert (a.matrix != b.matrix).nnz == 0
         assert a.doc_ids == b.doc_ids
+
+
+# Pieces of the random oracle corpora: mixed case, stopwords, one- and
+# two-letter words, digits and punctuation inside words, and non-ASCII
+# text, some of which lowercases to ASCII letters (the Kelvin sign to "k",
+# "\u0130" to "i" plus a combining dot) and some of which does not.
+ORACLE_PIECES = [
+    "Apple", "apple", "APPLE", "banana", "Cherry", "plum", "grape", "melon",
+    "the", "The", "and", "of", "a", "I", "x", "ox", "go", "abc123def", "z9z",
+    "well-known", "don't", "3.14", "!!!", "\u212aelvin", "\u0130stanbul",
+    "caf\u00e9", "\u00c6sir", "stra\u00dfe", "\ufb01ne", "\u00e9t\u00e9",
+]
+# Documents every oracle corpus holds besides its random ones: no tokens,
+# stopwords only, digits and punctuation only, one word found nowhere else.
+ORACLE_FIXED = ["", "The of AND", "42 !!! 3.14", "zyzzyva", "\u212a \u0130"]
+
+KEEP_STOPWORDS = TokenizerConfig(stopwords=frozenset())
+ORACLE_CASES = {
+    "defaults": ({}, 0),
+    "keep-stopwords": ({"config": KEEP_STOPWORDS}, 1),
+    "min-token-len-1": ({"config": TokenizerConfig(min_token_len=1)}, 2),
+    "min-token-len-3": ({"config": TokenizerConfig(min_token_len=3)}, 3),
+    "min-df-2": ({"min_df": 2}, 4),
+    "min-df-5": ({"min_df": 5, "config": KEEP_STOPWORDS}, 5),
+    "max-df-ratio-0.3": ({"max_df_ratio": 0.3}, 6),
+    "both-filters": (
+        {"min_df": 2, "max_df_ratio": 0.5,
+         "config": TokenizerConfig(stopwords=frozenset(), min_token_len=1)},
+        7,
+    ),
+}
+
+
+def oracle_corpus(seed, n_docs=30):
+    """Random documents of 0-12 pieces with random separators, plus the
+    fixed documents, shuffled; ids are unique but not in sorted order."""
+    rng = np.random.default_rng(seed)
+    texts = list(ORACLE_FIXED)
+    for _ in range(n_docs):
+        pieces = rng.choice(ORACLE_PIECES, size=rng.integers(0, 13))
+        seps = rng.choice([" ", ", ", "\n", "-", "\t", "."], size=len(pieces))
+        texts.append("".join(p + q for p, q in zip(pieces, seps)))
+    order = rng.permutation(len(texts))
+    return [Document(f"doc{int(k) * 7 % 101}", texts[k]) for k in order]
+
+
+def outcome(build):
+    """(result, warnings as (category, text)) of ``build()``, or the type
+    and text of the error it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build()
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_vocabulary(got, want):
+    assert got.words == want.words
+    assert got.doc_freq == want.doc_freq
+    assert list(map(type, got.doc_freq)) == list(map(type, want.doc_freq))
+    assert got.n_docs == want.n_docs
+
+
+def assert_same_arrays(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestCountingPassMatchesOracle:
+    """``build_doc_term_matrix`` against the two-pass builders it replaced
+    (tests/oracles.py): the same vocabulary, matrix arrays and dtypes,
+    warnings and errors on a seeded table of corpora."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matrix_and_warnings(self, case):
+        kwargs, seed = ORACLE_CASES[case]
+        docs = oracle_corpus(seed)
+        config = kwargs.get("config", TokenizerConfig())
+        filters = {k: v for k, v in kwargs.items() if k != "config"}
+        want, want_warnings = outcome(lambda: counter_build_doc_term_matrix(
+            docs, counter_build_vocabulary(docs, **kwargs), config))
+        got, got_warnings = outcome(lambda: build_doc_term_matrix(docs, **kwargs))
+        assert got_warnings == want_warnings
+        assert want_warnings  # every corpus drops a document
+        assert_same_vocabulary(got.vocab, want.vocab)
+        assert got.doc_ids == want.doc_ids
+        assert got.weighting == want.weighting
+        assert got.matrix.shape == want.matrix.shape
+        assert_same_arrays(got.matrix, want.matrix, ("indptr", "indices", "data"))
+        vocab, vocab_warnings = outcome(
+            lambda: build_vocabulary(docs, config=config, **filters))
+        assert vocab_warnings == []
+        assert_same_vocabulary(vocab, want.vocab)
+
+    @pytest.mark.parametrize("docs,kwargs", [
+        ([Document("a", "apple"), Document("a", "banana")], {}),
+        ([Document("a", "the of"), Document("b", "")], {}),
+        ([], {}),
+        (oracle_corpus(8), {"min_df": 40}),
+        (oracle_corpus(9), {"min_df": 0}),
+        (oracle_corpus(9), {"max_df_ratio": 0.0}),
+        (oracle_corpus(9), {"max_df_ratio": 1.5}),
+    ], ids=["duplicate-ids", "no-words", "no-documents", "min-df-above-all",
+            "min-df-0", "max-df-ratio-0", "max-df-ratio-above-1"])
+    def test_errors(self, docs, kwargs):
+        want = outcome(lambda: counter_build_vocabulary(docs, **kwargs))
+        assert want[0] in (ValueError, EmptyVocabularyError)
+        assert outcome(lambda: build_doc_term_matrix(docs, **kwargs)) == want
+        assert outcome(lambda: build_vocabulary(docs, **kwargs)) == want
+
+    @pytest.mark.filterwarnings("ignore:document .* was dropped")
+    def test_esa_index_matches_an_index_of_the_oracle_matrix(self, monkeypatch):
+        concepts = oracle_corpus(10, n_docs=60)
+        config = EsaConfig(max_concepts_per_word=3, min_df=2, max_df_ratio=0.3,
+                           tokenizer=KEEP_STOPWORDS)
+        got = build_esa_index(concepts, config)
+        # The oracle reads the filters from ``config``, not from the call's
+        # arguments, so a call that passed them wrongly would not match.
+        monkeypatch.setattr(esa, "build_doc_term_matrix", lambda docs, *_: (
+            counter_build_doc_term_matrix(docs, counter_build_vocabulary(
+                docs, config.min_df, config.max_df_ratio, config.tokenizer),
+                config.tokenizer)))
+        want = build_esa_index(concepts, config)
+        assert got.words() == want.words()
+        assert got.concept_ids == want.concept_ids
+        assert_same_arrays(got, want, ("indptr", "indices", "data"))
 
 
 class TestTfidf:
     def test_word_in_all_docs_zeroed(self):
         docs = [Document("1", "shared apple"), Document("2", "shared banana")]
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
         weighted = tfidf_transform(dtm)
-        row = vocab.index["shared"]
+        row = dtm.vocab.index["shared"]
         np.testing.assert_array_equal(
             weighted.matrix[row].toarray().ravel(), np.zeros(2)
         )
@@ -184,10 +313,9 @@ class TestTfidf:
 
     def test_formula_value(self):
         docs = [Document("1", "rare rare rare apple"), Document("2", "apple")]
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
         weighted = tfidf_transform(dtm)
-        row = vocab.index["rare"]
+        row = dtm.vocab.index["rare"]
         assert weighted.matrix[row, 0] == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_nnz_does_not_grow(self):
@@ -195,16 +323,14 @@ class TestTfidf:
             Document("1", "apple banana shared"),
             Document("2", "cherry shared"),
         ]
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
         weighted = tfidf_transform(dtm)
         assert weighted.matrix.nnz <= dtm.matrix.nnz
         assert np.all(weighted.matrix.data > 0)
 
     def test_double_transform_rejected(self):
         docs = [Document("1", "apple banana"), Document("2", "apple")]
-        vocab = build_vocabulary(docs)
-        weighted = tfidf_transform(build_doc_term_matrix(docs, vocab))
+        weighted = tfidf_transform(build_doc_term_matrix(docs))
         with pytest.raises(ValueError, match="raw counts"):
             tfidf_transform(weighted)
 
@@ -308,8 +434,7 @@ class TestMatrixPersistence:
             Document("2", "banana cherry"),
             Document("3", "cherry cherry cherry apple"),
         ]
-        vocab = build_vocabulary(docs)
-        return build_doc_term_matrix(docs, vocab)
+        return build_doc_term_matrix(docs)
 
     def test_round_trip_bit_exact(self, tmp_path):
         dtm = self._matrix()
@@ -380,7 +505,7 @@ class TestMatrixPersistence:
     def test_tfidf_empty_document_column_round_trips(self, tmp_path):
         # "apple" is in every document, so TF-IDF empties the second column
         docs = [Document("1", "apple banana"), Document("2", "apple apple")]
-        weighted = tfidf_transform(build_doc_term_matrix(docs, build_vocabulary(docs)))
+        weighted = tfidf_transform(build_doc_term_matrix(docs))
         assert np.diff(weighted.matrix.indptr).tolist() == [1, 0]
         path = tmp_path / "matrix.json"
         save_doc_term_matrix(weighted, path)
@@ -446,7 +571,7 @@ class TestWrittenBytes:
     @pytest.fixture
     def files(self, tmp_path):
         docs, _ = planted_topic_corpus(3, 4, 30, 20, seed=5, background_fraction=0.15)
-        dtm = build_doc_term_matrix(docs, build_vocabulary(docs))
+        dtm = build_doc_term_matrix(docs)
         save_doc_term_matrix(dtm, tmp_path / "m.json")
         model = lda_fit(dtm, LdaConfig(n_topics=3, iterations=5, seed=2))
         save_topic_dictionary(model, tmp_path / "t.json")
@@ -497,7 +622,7 @@ class TestArrayFiles:
             Document("3", "cherry cherry cherry apple"),
             Document("4", "plum banana cherry"),
         ]
-        dtm = build_doc_term_matrix(docs, build_vocabulary(docs))
+        dtm = build_doc_term_matrix(docs)
         save_doc_term_matrix(dtm, tmp / "matrix.json")
         save_esa_index(build_esa_index(docs), tmp / "index.json")
         save_topic_dictionary(lsa_fit(dtm, 2), tmp / "model.json")

@@ -15,7 +15,6 @@ from topicpuzzles import topic_models
 from topicpuzzles.corpus import (
     Document,
     build_doc_term_matrix,
-    build_vocabulary,
     tfidf_transform,
 )
 from topicpuzzles.synthetic import planted_topic_corpus
@@ -35,8 +34,8 @@ def small_corpus():
         Document("3", "plum apple plum plum"),
         Document("4", "cherry plum banana apple"),
     ]
-    vocab = build_vocabulary(docs)
-    return docs, vocab, build_doc_term_matrix(docs, vocab)
+    dtm = build_doc_term_matrix(docs)
+    return docs, dtm.vocab, dtm
 
 
 def conservation_check(dtm, sweeps_seen):
@@ -110,8 +109,8 @@ class TestLdaFit:
         docs, topics = planted_topic_corpus(
             n_topics=4, n_docs=80, tokens_per_doc=40, seed=2
         )
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
+        vocab = dtm.vocab
         td = lda_fit(dtm, LdaConfig(n_topics=4, iterations=80, seed=0))
         matched = set()
         for ws in extract_top_k(td, 4):
@@ -138,8 +137,7 @@ def planted_small():
     docs, _ = planted_topic_corpus(
         n_topics=4, n_docs=40, tokens_per_doc=30, seed=6, background_fraction=0.15
     )
-    vocab = build_vocabulary(docs)
-    return build_doc_term_matrix(docs, vocab)
+    return build_doc_term_matrix(docs)
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import topicpuzzles
 from topicpuzzles.corpus import (
     Document,
     build_doc_term_matrix,
-    build_vocabulary,
     save_doc_term_matrix,
 )
 from topicpuzzles.topic_models import (
@@ -103,8 +102,8 @@ class TestLsaFit:
             Document("2", "banana cherry"),
             Document("3", "cherry apple plum"),
         ]
-        vocab = build_vocabulary(docs)
-        dtm = build_doc_term_matrix(docs, vocab)
+        dtm = build_doc_term_matrix(docs)
+        vocab = dtm.vocab
         td = lsa_fit(dtm, 2)
         assert td.vocab == list(vocab.words)
         assert td.weights.shape == (len(vocab), 2)
