@@ -241,9 +241,8 @@ def gen_choose_related(
 def gen_separate_topics(cset_a, cset_b, sim, eta2_cross, rng, seed=None):
     """Mix two word-disjoint consistent sets if every cross pair's
     relatedness stays below eta2_cross; the hidden solution is the
-    bipartition bitmask (bit set = second set) in presented coordinates."""
-    if eta2_cross <= 0.0:
-        raise ValueError("eta2_cross must be > 0")
+    bipartition bitmask (bit set = second set) in presented coordinates.
+    ``generate_puzzle_bank`` checks that 0 < eta2_cross <= 1."""
     sources = (cset_a.topic_index, cset_b.topic_index)
     if set(cset_a.words) & set(cset_b.words):
         return Rejected(SEPARATE_TOPICS, sources, "sets share words")
@@ -289,8 +288,8 @@ def generate_puzzle_bank(
         raise ValueError("n_distractors must be >= 1")
     if eta2_cross is None:
         eta2_cross = band.eta2
-    if eta2_cross <= 0.0:
-        raise ValueError("eta2_cross must be > 0")
+    if not 0.0 < eta2_cross <= 1.0:
+        raise ValueError(f"eta2_cross must be > 0 and <= 1, got {eta2_cross}")
 
     def choose_related(cset, rng, seed):
         if len(cset.words) < 3:

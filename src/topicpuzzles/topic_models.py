@@ -2,7 +2,7 @@
 
 Three interchangeable models produce an N x K dictionary of topic columns:
 
-* ``lsa_fit``       -- truncated SVD via a seeded randomized range finder
+* ``lsa_fit``       -- truncated SVD by seeded randomized subspace iteration
 * ``lda_fit``       -- latent Dirichlet allocation by collapsed Gibbs sampling
 * ``dict_learn_fit``-- online sparse dictionary learning with an l1 or
                        group-l2 coefficient penalty and recency weighting
@@ -101,8 +101,10 @@ class LdaConfig:
     def __post_init__(self):
         if self.n_topics < 1:
             raise ValueError("n_topics must be >= 1")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be > 0")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(
+                f"alpha and beta must be finite and > 0, got {self.alpha}, {self.beta}"
+            )
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -120,10 +122,10 @@ class DictLearnConfig:
     def __post_init__(self):
         if self.n_topics < 1:
             raise ValueError("n_topics must be >= 1")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be > 0")
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.epochs < 1:
@@ -160,8 +162,11 @@ def _as_matrix(X):
 # ---------------------------------------------------------------------------
 
 
-# Randomized range finder (Halko, Martinsson & Tropp 2011): sample columns
-# beyond K, and subspace iterations that separate close singular values.
+# Randomized subspace iteration (Halko, Martinsson & Tropp 2011): sample
+# columns beyond K, then power steps q <- qr(A (A^T q)) that separate close
+# singular values. A step orthonormalizes only the N-row word block: the QR
+# of the M-row document block A^T q would not change the span of q, and at
+# 676 words x 5000 documents it took 26 ms of a 38 ms step (one core).
 LSA_OVERSAMPLING = 8
 LSA_POWER_ITERS = 16
 
@@ -170,6 +175,9 @@ def lsa_fit(X, n_topics, seed=0):
     """Top-K left singular vectors of X by seeded randomized subspace
     iteration, sign-normalized so each column's largest-magnitude entry
     is positive. Singular values are attached in descending order.
+
+    Each power step runs one QR, of A (A^T q); a QR of A^T q between the
+    two products would change the fit only by rounding.
 
     Raises ValueError when n_topics exceeds min(N, M) or the effective
     numerical rank of X.
@@ -186,8 +194,7 @@ def lsa_fit(X, n_topics, seed=0):
     omega = rng.standard_normal((m, width))
     q, _ = np.linalg.qr(A @ omega)
     for _ in range(LSA_POWER_ITERS):
-        w, _ = np.linalg.qr(A.T @ q)
-        q, _ = np.linalg.qr(A @ w)
+        q, _ = np.linalg.qr(A @ (A.T @ q))
     b = (A.T @ q).T
     ub, s, _ = np.linalg.svd(b, full_matrices=False)
     tol = s[0] * max(n, m) * np.finfo(np.float64).eps if s.size else 0.0

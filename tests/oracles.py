@@ -19,7 +19,9 @@ the bottleneck identity. ``counter_build_vocabulary`` and
 ``counter_build_doc_term_matrix`` are the library's original two-pass
 builders (``tokenize`` per document in each pass, one ``Counter`` per
 document), frozen the same way as the reference for the one counting pass
-of ``build_doc_term_matrix``.
+of ``build_doc_term_matrix``. ``two_qr_lsa_fit`` is the library's original
+``lsa_fit``, whose power steps orthonormalized both the document side and
+the word side, frozen the same way as the reference for the one-QR steps.
 """
 
 import itertools
@@ -37,6 +39,7 @@ from topicpuzzles.corpus import (
     Vocabulary,
     tokenize,
 )
+from topicpuzzles.topic_models import MODEL_LSA, TopicDictionary, _as_matrix
 
 
 def jacobi_singular_values(matrix, tol=1e-14, max_sweeps=100):
@@ -395,3 +398,46 @@ def counter_build_doc_term_matrix(docs, vocab, config=DEFAULT_TOKENIZER):
         shape=(len(vocab), len(doc_ids)),
     )
     return DocTermMatrix(matrix=matrix, vocab=vocab, doc_ids=doc_ids)
+
+
+def two_qr_lsa_fit(X, n_topics, seed=0):
+    """Top-K left singular vectors by seeded randomized subspace iteration
+    (8 extra columns, 16 power steps), each step running ``qr(A.T @ q)``
+    and then ``qr(A @ w)``; columns sign-normalized so each one's
+    largest-magnitude entry is positive. Returns a TopicDictionary with the
+    singular values attached."""
+    A, vocab = _as_matrix(X)
+    n, m = A.shape
+    if not 1 <= n_topics <= min(n, m):
+        raise ValueError(
+            f"n_topics must be in [1, {min(n, m)}] for a {n}x{m} matrix, "
+            f"got {n_topics}"
+        )
+    rng = np.random.default_rng(seed)
+    width = min(n_topics + 8, m)
+    omega = rng.standard_normal((m, width))
+    q, _ = np.linalg.qr(A @ omega)
+    for _ in range(16):
+        w, _ = np.linalg.qr(A.T @ q)
+        q, _ = np.linalg.qr(A @ w)
+    b = (A.T @ q).T
+    ub, s, _ = np.linalg.svd(b, full_matrices=False)
+    tol = s[0] * max(n, m) * np.finfo(np.float64).eps if s.size else 0.0
+    effective_rank = int(np.sum(s > tol))
+    if effective_rank < n_topics:
+        raise ValueError(
+            f"requested {n_topics} topics but the matrix has effective "
+            f"rank {effective_rank}"
+        )
+    u = q @ ub[:, :n_topics]
+    for j in range(n_topics):
+        peak = np.argmax(np.abs(u[:, j]))
+        if u[peak, j] < 0:
+            u[:, j] = -u[:, j]
+    return TopicDictionary(
+        weights=u,
+        model=MODEL_LSA,
+        meta={"n_topics": n_topics, "seed": seed, "n_power_iters": 16, "oversampling": 8},
+        vocab=vocab,
+        singular_values=s[:n_topics].copy(),
+    )

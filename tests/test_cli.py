@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from conftest import (
     use_kernel,
 )
 
-from topicpuzzles import consistency, esa, puzzles
+from topicpuzzles import consistency, esa, puzzles, topic_models
 from topicpuzzles.cli import build_parser, main
 from topicpuzzles.corpus import (
     Document,
@@ -146,6 +147,43 @@ class TestTrain:
         assert main(["train", "--model", "dictlearn", "--matrix", pipeline["matrix"],
                      "--out", out, "--num-topics", "2", "--epochs", "2"]) == 0
         assert decode_array_file(Path(out).read_bytes())["model"] == "dictlearn"
+
+    @pytest.mark.parametrize("model,key,value,message", [
+        ("lda", "alpha", "nan", "alpha and beta must be finite and > 0"),
+        ("lda", "beta", "inf", "alpha and beta must be finite and > 0"),
+        ("dictlearn", "kappa", "nan", "kappa must be finite and > 0, got nan"),
+        ("dictlearn", "kappa", "inf", "kappa must be finite and > 0, got inf"),
+        ("dictlearn", "rho", "nan", "rho must be finite and >= 0, got nan"),
+        ("dictlearn", "rho", "inf", "rho must be finite and >= 0, got inf"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_hyperparameter_exits_2_before_fitting(
+        self, pipeline, capsys, monkeypatch, model, key, value, message, source
+    ):
+        """A NaN or inf value (a config's NaN and Infinity too) exits 2
+        before the fit starts, with no RuntimeWarning and no model."""
+        def no_fit(*args):
+            pytest.fail("the fit ran")
+
+        monkeypatch.setattr(topic_models, "lda_fit", no_fit)
+        monkeypatch.setattr(topic_models, "dict_learn_fit", no_fit)
+        out = pipeline["tmp"] / "m.json"
+        argv = ["train", "--model", model, "--matrix", pipeline["matrix"],
+                "--out", str(out), "--num-topics", "2"]
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            config = pipeline["tmp"] / "config.json"
+            config.write_text(json.dumps({key: float(value)}))
+            argv += ["--config", str(config)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestExtractSets:
@@ -318,6 +356,9 @@ class TestGenerate:
         ("n-distractors", 0, "n_distractors must be >= 1"),
         ("n-distractors", -2, "n_distractors must be >= 1"),
         ("eta2-cross", 0.0, "eta2_cross must be > 0"),
+        ("eta2-cross", float("nan"), "eta2_cross must be > 0 and <= 1, got nan"),
+        ("eta2-cross", float("inf"), "eta2_cross must be > 0 and <= 1, got inf"),
+        ("eta2-cross", 5.0, "eta2_cross must be > 0 and <= 1, got 5.0"),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_generator_setting_exits_2_for_any_kinds(

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import decode_array_file, rewrite_array_file
-from oracles import jacobi_singular_values
+from oracles import jacobi_singular_values, two_qr_lsa_fit
 
 import topicpuzzles
 from topicpuzzles.corpus import (
@@ -14,8 +14,10 @@ from topicpuzzles.corpus import (
     build_doc_term_matrix,
     save_doc_term_matrix,
 )
+from topicpuzzles.synthetic import planted_topic_corpus
 from topicpuzzles.topic_models import (
     TopicDictionary,
+    extract_top_k,
     load_topic_dictionary,
     lsa_fit,
     save_topic_dictionary,
@@ -109,6 +111,69 @@ class TestLsaFit:
         assert td.weights.shape == (len(vocab), 2)
 
 
+def graded_spectrum(seed, n=30, m=50):
+    """U diag(sigma) V^T with sigma log-spaced from 1 down to 1e-12 and
+    seeded orthonormal U (n x n) and V (m x n); returns (matrix, U, sigma)."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    sigma = np.logspace(0, -12, n)
+    return (u * sigma) @ v.T, u, sigma
+
+
+@pytest.fixture(scope="module")
+def flat_tail_planted():
+    """6 planted topics x 8 words with 15% background tokens: past the 6
+    planted singular values the spectrum is flat (about 20-24)."""
+    docs, _ = planted_topic_corpus(6, 8, 300, seed=3, background_fraction=0.15)
+    return build_doc_term_matrix(docs)
+
+
+class TestAgainstTwoQrOracle:
+    """Each power step of ``lsa_fit`` runs one QR, of A (A^T q); the frozen
+    ``two_qr_lsa_fit`` ran one of A^T q and one of A w. In exact arithmetic
+    both give the same q up to column signs at every step, which the final
+    SVD and the sign rule absorb, so the fits differ only by rounding."""
+
+    def assert_matches(self, X, k, seed, floor=None):
+        """Weights within 1e-10 and singular values within rtol 1e-12.
+        ``floor`` (one value per column) widens both by the rounding floor
+        of an ill-conditioned column, where any two stable SVDs differ."""
+        new, old = lsa_fit(X, k, seed=seed), two_qr_lsa_fit(X, k, seed=seed)
+        floor = np.zeros(k) if floor is None else floor
+        assert np.all(np.abs(new.weights - old.weights) <= 1e-10 + floor)
+        relative = np.abs(new.singular_values - old.singular_values) / old.singular_values
+        assert np.all(relative <= 1e-12 + floor)
+        return new, old
+
+    def test_flat_tail_planted_corpus(self, flat_tail_planted):
+        sv = two_qr_lsa_fit(flat_tail_planted, 14).singular_values
+        assert sv[5] / sv[6] > 4 and sv[6] / sv[13] < 1.3
+        new, old = self.assert_matches(flat_tail_planted, 12, seed=0)
+        sets = [[t.word_indices for t in extract_top_k(fit, 4)] for fit in (new, old)]
+        assert sets[0] == sets[1]
+
+    @pytest.mark.parametrize("shape,k", [((40, 60), 10), ((25, 70), 20), ((60, 30), 12)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_gaussian(self, shape, k, seed):
+        a = np.random.default_rng(seed).standard_normal(shape)
+        self.assert_matches(a, k, seed)
+
+    @pytest.mark.parametrize("k", [8, 20, 28])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_graded_spectrum(self, k, seed):
+        """Rounding can move column j by about n * eps * sigma_1 / sigma_j
+        (5e-12 at K=8, 5e-7 at K=20, 1e-3 at K=28 for n = 30), so only K=8
+        holds to 1e-10. The new fit lies within that floor of the planted
+        singular vectors."""
+        a, u, sigma = graded_spectrum(seed)
+        floor = a.shape[0] * np.finfo(np.float64).eps * sigma[0] / sigma[:k]
+        new, _ = self.assert_matches(a, k, seed, floor)
+        error = np.minimum(np.abs(new.weights - u[:, :k]),
+                           np.abs(new.weights + u[:, :k])).max(axis=0)
+        assert np.all(error <= floor)
+
+
 class TestLsaPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -174,11 +239,20 @@ class TestLsaPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_train_bytes_independent_of_blas_threads(tmp_path, planted_mixed):
+@pytest.mark.parametrize("shape", ["80x400", "225x1000"])
+def test_train_bytes_independent_of_blas_threads(tmp_path, planted_mixed, shape):
     """`train --model lsa` writes the same bytes with one and two BLAS
-    threads. The 80 x 400 matrix is large enough for OpenBLAS to split its
-    products over two threads."""
-    *_, dtm = planted_mixed
+    threads. OpenBLAS splits the products of the 80 x 400 matrix over two
+    threads; LAPACK splits its factorizations only at larger sizes. At
+    225 x 1000 with background tokens (a dense Gram matrix A A^T; without
+    them it is block-diagonal) an eigh of the Gram matrix gives different
+    bits with one and two threads."""
+    if shape == "80x400":
+        dtm, k = planted_mixed[-1], "8"
+    else:
+        docs, _ = planted_topic_corpus(15, 15, 1000, background_fraction=0.15)
+        dtm, k = build_doc_term_matrix(docs), "20"
+    assert f"{dtm.n_words}x{dtm.n_docs}" == shape
     matrix = tmp_path / "matrix.json"
     save_doc_term_matrix(dtm, matrix)
     src = os.path.dirname(os.path.dirname(topicpuzzles.__file__))
@@ -188,7 +262,7 @@ def test_train_bytes_independent_of_blas_threads(tmp_path, planted_mixed):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
         subprocess.run(
             [sys.executable, "-m", "topicpuzzles.cli", "train", "--model", "lsa",
-             "--matrix", str(matrix), "--out", str(out), "--num-topics", "8"],
+             "--matrix", str(matrix), "--out", str(out), "--num-topics", k],
             env=env, check=True, capture_output=True,
         )
         outputs.append(out.read_bytes())
