@@ -443,15 +443,12 @@ def is_list_of(value, types, length=None):
 
 def _flat_array(values, name, dtype):
     """``values`` as a flat int64 or float64 array; ValueError unless it is
-    an array of such a dtype or a list of exact ints (or floats too, for
-    float64), so that a bool is no number."""
+    a 1-d array of integers (or floats too, for float64), so that a bool is
+    no number."""
     ints = dtype == np.int64
-    if isinstance(values, np.ndarray):
-        ok = values.ndim == 1 and values.dtype.kind in ("i" if ints else "if")
-    else:
-        ok = is_list_of(values, (int,) if ints else (int, float))
-    if not ok:
-        raise ValueError(f"{name} must be a flat list of {'ints' if ints else 'numbers'}")
+    if not (isinstance(values, np.ndarray) and values.ndim == 1
+            and values.dtype.kind in ("i" if ints else "if")):
+        raise ValueError(f"{name} must be a flat array of {'ints' if ints else 'numbers'}")
     return np.asarray(values, dtype=dtype)
 
 

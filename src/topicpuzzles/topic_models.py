@@ -274,10 +274,10 @@ def _sweep_lists(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
     z[:], n_wt[:], n_dt[:], n_t[:] = z_list, wt, dt, nt
 
 
-# _sweep_lists in C, then the l1 coordinate pass and pass objective of
-# sparse_code (_cd_lists). Each value is formed and summed in the same order
-# as in Python, and -ffp-contract=off forbids fusing a multiply and an add,
-# so either side of each pair gives the same bits.
+# _sweep_lists in C, then the whole l1 solve of sparse_code (_cd_solve), one
+# call per document. Each value is formed and summed in the same order as in
+# Python, and -ffp-contract=off forbids fusing a multiply and an add, so
+# either side of each pair gives the same bits.
 _KERNELS_C = r"""
 #include <math.h>
 #include <stdint.h>
@@ -305,34 +305,44 @@ void sweep(int64_t n_tokens, int64_t k, const int64_t *words,
     }
 }
 
-void cd_pass(int64_t k, const double *gram, const double *b, double *alpha,
-             double *c, double kappa) {
-    for (int64_t j = 0; j < k; j++) {
-        const double *row = gram + j * k;
-        double dj = row[j], old = alpha[j], r, a;
-        if (!(dj > 1e-15))
-            continue;
-        r = b[j] - c[j] + dj * old;
-        a = r > kappa ? (r - kappa) / dj : r < -kappa ? (r + kappa) / dj : 0.0;
-        if (a != old) {
-            double step = a - old;
-            alpha[j] = a;
-            for (int64_t i = 0; i < k; i++)
-                c[i] += step * row[i];
+/* alpha and c come in as zeros; returns the last pass objective. */
+double cd_solve(int64_t k, const double *gram, const double *b, double xx,
+                double kappa, double tol, int64_t max_iter, double *alpha,
+                double *c) {
+    double prev = 0.5 * xx;
+    for (int64_t it = 0; it < max_iter; it++) {
+        for (int64_t j = 0; j < k; j++) {
+            const double *row = gram + j * k;
+            double dj = row[j], old = alpha[j], r, a;
+            if (!(dj > 1e-15))
+                continue;
+            r = b[j] - c[j] + dj * old;
+            a = r > kappa ? (r - kappa) / dj : r < -kappa ? (r + kappa) / dj : 0.0;
+            if (a != old) {
+                double step = a - old;
+                alpha[j] = a;
+                for (int64_t i = 0; i < k; i++)
+                    c[i] += step * row[i];
+            }
         }
+        for (int64_t i = 0; i < k; i++)  /* c = gram @ alpha, afresh */
+            c[i] = 0.0;
+        for (int64_t j = 0; j < k; j++)
+            if (alpha[j] != 0.0)
+                for (int64_t i = 0; i < k; i++)
+                    c[i] += gram[i * k + j] * alpha[j];
+        double quad = xx, l1 = 0.0;
+        for (int64_t j = 0; j < k; j++)
+            if (alpha[j] != 0.0) {
+                quad += alpha[j] * (c[j] - 2.0 * b[j]);
+                l1 += fabs(alpha[j]);
+            }
+        double cur = 0.5 * quad + kappa * l1, change = fabs(prev - cur);
+        prev = cur;
+        if (change < tol)
+            break;
     }
-}
-
-/* alpha[j] is 0.0 off the atoms that cd_pass visits. */
-double cd_objective(int64_t k, const double *alpha, const double *c,
-                    const double *b, double xx, double kappa) {
-    double quad = xx, l1 = 0.0;
-    for (int64_t j = 0; j < k; j++)
-        if (alpha[j] != 0.0) {
-            quad += alpha[j] * (c[j] - 2.0 * b[j]);
-            l1 += fabs(alpha[j]);
-        }
-    return 0.5 * quad + kappa * l1;
+    return prev;
 }
 """
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -364,35 +374,25 @@ def _compile_kernels(lib):
 
 def _bind(dll):
     """NativeKernels over a loaded library: ``sweep`` takes _sweep_lists'
-    arguments and ``cd`` _cd_lists'."""
+    arguments and ``cd`` _cd_solve's, and each returns what its twin does."""
     i64, f64 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.int64, np.float64))
-    n, x, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    sweep, cd_pass, cd_objective = dll.sweep, dll.cd_pass, dll.cd_objective
+    n, x = ctypes.c_int64, ctypes.c_double
+    sweep, cd_solve = dll.sweep, dll.cd_solve
     sweep.argtypes = [n, n] + [i64] * 6 + [x] * 3 + [f64] * 2
-    sweep.restype = cd_pass.restype = None
-    # The cd kernels run about 25 times per sparse_code call, where an
-    # ndpointer check per array would cost more than the pass itself, so
-    # cd checks the arrays once and binds their addresses.
-    cd_pass.argtypes = [n, ptr, ptr, ptr, ptr, x]
-    cd_objective.argtypes = [n, ptr, ptr, ptr, x, x]
-    cd_objective.restype = x
+    sweep.restype = None
+    cd_solve.argtypes = [n, f64, f64, x, x, x, n, f64, f64]
+    cd_solve.restype = x
 
     def run_sweep(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
         sweep(z.size, n_t.size, words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta,
               uniforms, np.empty(n_t.size))
 
-    def cd(gram, b, xx, kappa, alpha, c):
-        """The caller keeps the four arrays alive while it calls the pair."""
+    def cd(gram, b, xx, kappa, tol, max_iter):
         k = b.size
-        arrays = (gram, b, alpha, c)
-        if any(
-            a.dtype != np.float64 or not a.flags.c_contiguous or a.shape != shape
-            for a, shape in zip(arrays, ((k, k), (k,), (k,), (k,)))
-        ):
-            raise ValueError("cd needs a C-contiguous float64 k x k gram and k-vectors")
-        g, bp, ap, cp = (a.ctypes.data for a in arrays)
-        return (functools.partial(cd_pass, k, g, bp, ap, cp, kappa),
-                functools.partial(cd_objective, k, ap, cp, bp, xx, kappa))
+        if gram.shape != (k, k):
+            raise ValueError(f"cd needs a {k} x {k} gram, got {gram.shape}")
+        alpha, c = np.zeros(k), np.zeros(k)
+        return alpha, cd_solve(k, gram, b, xx, kappa, tol, max_iter, alpha, c)
 
     return NativeKernels(run_sweep, cd)
 
@@ -487,18 +487,22 @@ def lda_fit(X, config, sweep_hook=None):
 # ---------------------------------------------------------------------------
 
 
-def _cd_lists(gram, b, xx, kappa, alpha, c):
-    """The l1 coordinate pass of ``sparse_code`` and its pass objective in
-    Python, as two closures over the arrays. The pass visits the atoms with
-    gram[j][j] > 1e-15 in order and moves alpha[j], and c = gram @ alpha by
-    one axpy, only when the soft-thresholded coefficient changes; the
-    objective 0.5*quad + kappa*l1 is summed from c over the support."""
+def _cd_solve(gram, b, xx, kappa, tol, max_iter):
+    """The l1 loop of ``sparse_code`` in Python; returns (alpha, objective).
+    A pass visits the atoms with gram[j][j] > 1e-15 in order and moves
+    alpha[j], and c = gram @ alpha by one axpy, only when the
+    soft-thresholded coefficient changes. Then c is summed afresh from 0.0
+    over the support in ascending order, so rounding cannot build up across
+    passes, and the objective 0.5*quad + kappa*l1 is summed from c over the
+    support."""
+    k = b.size
     bl = b.tolist()
     diag = np.diag(gram).tolist()
-    steps = [(j, diag[j], bl[j], gram[j]) for j in range(b.size) if diag[j] > 1e-15]
-    coef = alpha.tolist()
-
-    def coordinate_pass():
+    steps = [(j, diag[j], bl[j], gram[j]) for j in range(k) if diag[j] > 1e-15]
+    coef = [0.0] * k
+    c = np.zeros(k)
+    prev = 0.5 * xx
+    for _ in range(max_iter):
         for j, dj, bj, row in steps:
             old = coef[j]
             r = bj - float(c[j]) + dj * old
@@ -511,20 +515,23 @@ def _cd_lists(gram, b, xx, kappa, alpha, c):
                 new = 0.0
             if new != old:
                 coef[j] = new
-                alpha[j] = new
                 np.add(c, (new - old) * row, out=c)
-
-    def objective():
+        alpha = np.array(coef)
+        support = np.flatnonzero(alpha)
+        # A sum over axis 0 adds the rows one at a time into 0.0 (numpy sums
+        # pairwise only along the contiguous axis): the C loop's order.
+        c = (gram.T[support] * alpha[support, None]).sum(axis=0, initial=0.0)
         cl = c.tolist()
         quad, l1 = xx, 0.0
-        for j, _, bj, _ in steps:
-            aj = coef[j]
-            if aj:
-                quad += aj * (cl[j] - 2.0 * bj)
-                l1 += abs(aj)
-        return 0.5 * quad + kappa * l1
-
-    return coordinate_pass, objective
+        for j in support.tolist():
+            quad += coef[j] * (cl[j] - 2.0 * bl[j])
+            l1 += abs(coef[j])
+        cur = 0.5 * quad + kappa * l1
+        change = abs(prev - cur)
+        prev = cur
+        if change < tol:
+            break
+    return np.array(coef), prev
 
 
 def _group_objective(alpha, gram, b, xx, kappa, groups):
@@ -554,14 +561,14 @@ def sparse_code(
 
     The l1 loop takes the same steps as plain coordinate descent, which
     forms (D^T D)[j] @ a at every step; its coefficients and objective
-    differ from that loop's only by rounding (last-ulp). Its coordinate pass
-    and pass objective run as ``cd_pass`` and ``cd_objective`` of the
-    native kernel library, or as ``_cd_lists`` where the library cannot be
-    built or loaded; the per-pass matvec and D^T D, D^T x stay in numpy, so
-    the result has the same bits either way.
+    differ from that loop's only by rounding (last-ulp). The whole loop is
+    one call of ``cd_solve`` in the native kernel library, or of
+    ``_cd_solve`` where the library cannot be built or loaded; D^T D and
+    D^T x stay in numpy, so the result has the same bits either way.
+    Raises ValueError unless 0 < kappa < inf.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     d = dictionary.weights if isinstance(dictionary, TopicDictionary) else dictionary
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -575,27 +582,13 @@ def sparse_code(
     gram = d.T @ d
     b = d.T @ x
     xx = float(x @ x)
-    alpha = np.zeros(k)
-    prev = 0.5 * xx
-
     if regularizer == L1:
-        # c = gram @ alpha, moved by one axpy per changed coefficient and
-        # recomputed by one matvec per pass so rounding cannot build up
-        # across passes.
-        c = np.zeros(k)
         native, _ = _native_kernels()
-        coordinate_pass, objective = (native.cd if native else _cd_lists)(
-            gram, b, xx, kappa, alpha, c
-        )
-        for _ in range(max_iter):
-            coordinate_pass()
-            np.matmul(gram, alpha, out=c)
-            cur = objective()
-            if abs(prev - cur) < tol:
-                prev = cur
-                break
-            prev = cur
+        solve = native.cd if native else _cd_solve
+        alpha, prev = solve(gram, b, xx, kappa, tol, max_iter)
     else:
+        alpha = np.zeros(k)
+        prev = 0.5 * xx
         idx = [np.asarray(g, dtype=int) for g in groups]
         lips = []
         for g in idx:

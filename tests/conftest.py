@@ -78,7 +78,10 @@ def hand_index(vectors, n_concepts):
         indices.extend(np.asarray(ids)[order].tolist())
         data.extend(np.asarray(weights, dtype=float)[order].tolist())
         indptr.append(len(indices))
-    return EsaIndex([f"c{i}" for i in range(n_concepts)], words, indptr, indices, data)
+    return EsaIndex(
+        [f"c{i}" for i in range(n_concepts)], words, np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64), np.array(data, dtype=np.float64),
+    )
 
 
 def index_vector(index, word):

@@ -239,30 +239,36 @@ class TestLsaPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("shape", ["80x400", "225x1000"])
-def test_train_bytes_independent_of_blas_threads(tmp_path, planted_mixed, shape):
-    """`train --model lsa` writes the same bytes with one and two BLAS
-    threads. OpenBLAS splits the products of the 80 x 400 matrix over two
-    threads; LAPACK splits its factorizations only at larger sizes. At
-    225 x 1000 with background tokens (a dense Gram matrix A A^T; without
-    them it is block-diagonal) an eigh of the Gram matrix gives different
-    bits with one and two threads."""
+@pytest.mark.parametrize(
+    "model, shape",
+    [("lsa", "80x400"), ("lsa", "225x1000"), ("dictlearn", "225x1000")],
+    ids=["80x400", "225x1000", "dictlearn-225x1000"],
+)
+def test_train_bytes_independent_of_blas_threads(tmp_path, planted_mixed, model, shape):
+    """`train` writes the same bytes with one and two BLAS threads.
+    OpenBLAS splits the products of the 80 x 400 matrix over two threads;
+    LAPACK splits its factorizations only at larger sizes. At 225 x 1000
+    with background tokens (a dense Gram matrix A A^T; without them it is
+    block-diagonal) an eigh of the Gram matrix gives different bits with
+    one and two threads. A dictlearn fit codes each of the 1000 documents
+    with the l1 solve, which makes no BLAS call."""
     if shape == "80x400":
         dtm, k = planted_mixed[-1], "8"
     else:
         docs, _ = planted_topic_corpus(15, 15, 1000, background_fraction=0.15)
         dtm, k = build_doc_term_matrix(docs), "20"
     assert f"{dtm.n_words}x{dtm.n_docs}" == shape
+    hyper = ["--epochs", "1", "--kappa", "0.5"] if model == "dictlearn" else []
     matrix = tmp_path / "matrix.json"
     save_doc_term_matrix(dtm, matrix)
     src = os.path.dirname(os.path.dirname(topicpuzzles.__file__))
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"lsa-{threads}.json"
+        out = tmp_path / f"{model}-{threads}.json"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
         subprocess.run(
-            [sys.executable, "-m", "topicpuzzles.cli", "train", "--model", "lsa",
-             "--matrix", str(matrix), "--out", str(out), "--num-topics", k],
+            [sys.executable, "-m", "topicpuzzles.cli", "train", "--model", model,
+             "--matrix", str(matrix), "--out", str(out), "--num-topics", k, *hyper],
             env=env, check=True, capture_output=True,
         )
         outputs.append(out.read_bytes())

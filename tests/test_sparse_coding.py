@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from conftest import (
@@ -72,9 +74,10 @@ class TestSparseCodeL1:
             oracle = grid_search_lasso_objective(x, d, kappa)
             assert code.objective == pytest.approx(oracle, abs=1e-4)
 
-    def test_kappa_must_be_positive(self):
-        with pytest.raises(ValueError, match="kappa"):
-            sparse_code(np.ones(3), np.eye(3), 0.0)
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
+    def test_kappa_must_be_finite_and_positive(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be finite and > 0"):
+            sparse_code(np.array([1.0, 2.0, 3.0]), np.eye(3), kappa)
 
 
 def oracle_cases():
@@ -126,7 +129,7 @@ def private_home(tmp_path_factory):
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestCovarianceUpdateAgainstPlainLoop:
     """The covariance-update loop takes the plain loop's steps, so only
-    rounding may differ, on either kernel; the C coordinate pass gives the
+    rounding may differ, on either kernel; the C l1 solve gives the
     Python fallback's bits."""
 
     @staticmethod
@@ -297,7 +300,7 @@ class TestDictLearnOnBothKernels:
     @needs_cc
     def test_weights_bit_identical(self, planted_mixed, monkeypatch):
         """A whole fit at the yield-sweep width, K = 40, gives the same bits
-        on the C and the Python coordinate pass."""
+        on the C and the Python l1 solve."""
         _, _, _, dtm = planted_mixed
         config = DictLearnConfig(n_topics=40, kappa=0.5, epochs=2, seed=3)
         fits = {}
@@ -307,6 +310,21 @@ class TestDictLearnOnBothKernels:
         np.testing.assert_array_equal(fits["native"].weights, fits["fallback"].weights)
         assert fits["native"].fallback is None
         assert fits["fallback"].fallback == "forced off"
+
+    @needs_cc
+    def test_native_solve_checks_its_arrays(self):
+        """The C solve reads k*k gram entries and k of each vector, so a
+        gram of another shape, dtype or layout never reaches it."""
+        cd = topic_models._native_kernels()[0].cd
+        b = np.ones(3)
+        with pytest.raises(ValueError, match="3 x 3 gram"):
+            cd(np.eye(2), b, 1.0, 0.5, 1e-8, 10)
+        for gram in (np.eye(3, dtype=np.float32), np.eye(6)[::2, ::2]):
+            with pytest.raises(ctypes.ArgumentError):
+                cd(gram, b, 1.0, 0.5, 1e-8, 10)
+        alpha, objective = cd(np.eye(3), np.array([1.0, -0.2, 0.0]), 1.0, 0.5, 1e-8, 10)
+        np.testing.assert_array_equal(alpha, [0.5, 0.0, 0.0])
+        assert objective == 0.5 * 0.25 + 0.5 * 0.5
 
 
 class TestContiguousGroups:
