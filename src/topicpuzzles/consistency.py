@@ -108,15 +108,35 @@ class ConsistentSet:
 
 def identify_consistent_sets(sets, sim, delta):
     """Score each candidate word set on its similarity submatrix and keep
-    those scoring strictly above delta, preserving input (topic) order."""
+    those scoring strictly above delta, preserving input (topic) order.
+
+    The submatrices are slices of one product over the distinct candidate
+    words, ``sim.related_rows(words, among=words)``, read block by block;
+    each entry has the bits of ``sim.similarity_submatrix`` of its set."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    kept = []
-    for word_set in sets:
-        indices = tuple(int(i) for i in word_set.word_indices)
-        submatrix = sim.similarity_submatrix(indices)
-        graph = WeightedGraph(nodes=indices, weights=submatrix)
-        score = bottleneck_score(graph)
+    sets = list(sets)
+    if not sets:
+        return []
+    members = [tuple(int(i) for i in word_set.word_indices) for word_set in sets]
+    words = list(dict.fromkeys(i for indices in members for i in indices))
+    position = {word: p for p, word in enumerate(words)}
+    places = [np.array([position[i] for i in m], dtype=np.int64) for m in members]
+    # one (row, column) of the product per entry of every submatrix, set by set
+    rows = np.concatenate([np.repeat(p, p.size) for p in places])
+    columns = np.concatenate([np.tile(p, p.size) for p in places])
+    values = np.empty(rows.size)
+    start = 0
+    for block in sim.related_rows(words, among=words):
+        inside = (start <= rows) & (rows < start + len(block))
+        values[inside] = block[rows[inside] - start, columns[inside]]
+        start += len(block)
+    kept, offset = [], 0
+    for word_set, indices in zip(sets, members):
+        size = len(indices)
+        submatrix = values[offset:offset + size * size].reshape(size, size)
+        offset += size * size
+        score = bottleneck_score(WeightedGraph(nodes=indices, weights=submatrix))
         if score > delta:
             kept.append(
                 ConsistentSet(

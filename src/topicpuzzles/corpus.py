@@ -80,20 +80,6 @@ class TokenizerConfig:
 DEFAULT_TOKENIZER = TokenizerConfig()
 
 
-def tokenize(text, config=DEFAULT_TOKENIZER):
-    """Split raw text into word tokens, preserving order.
-
-    Lowercases, extracts runs of ASCII letters, then drops tokens shorter
-    than the minimum length and stopwords. Empty input yields an empty list.
-    """
-    tokens = TOKEN_PATTERN.findall(text.lower())
-    return [
-        t
-        for t in tokens
-        if len(t) >= config.min_token_len and t not in config.stopwords
-    ]
-
-
 @dataclass
 class Vocabulary:
     """Word-to-index bijection with per-word document frequencies.
@@ -126,8 +112,9 @@ def _count_words(docs, min_df, max_df_ratio, config):
     frequency in [min_df, max_df_ratio * n_docs], and the (document, word,
     count) entries of those words, in document then word order.
 
-    One pass tokenizes each document as ``tokenize`` does; the length and
-    stopword rules run once per distinct token. Raises ValueError for bad
+    One pass tokenizes each document: it lowercases the text and takes the
+    runs of ASCII letters (``TOKEN_PATTERN``); the minimum-length and
+    stopword rules then run once per distinct token. Raises ValueError for bad
     filters or duplicate ids, EmptyVocabularyError if the filters remove
     every word.
     """

@@ -29,6 +29,9 @@ from .corpus import (
 )
 
 DEFAULT_TRUNCATION = 1000
+# Rows of one block product in ``SimilarityProvider.related_rows``: a block
+# holds this many rows of floats over every indexed word.
+_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -182,27 +185,34 @@ class SimilarityProvider:
         """Relatedness of every word of ``words_a`` (rows) to every word of
         ``words_b`` (columns), from one product ``R[A] R[B]^T``."""
         rows_a, rows_b = self._rows(words_a), self._rows(words_b)
+        return self._block(rows_a, rows_b, self.index.R[rows_b[rows_b >= 0]].T)
+
+    def related_rows(self, words, among=None):
+        """The rows of ``cross_relatedness(words, among)``, ``among``
+        defaulting to every indexed word in row order, as dense blocks of at
+        most ``_CHUNK_ROWS`` rows: one product per block, and memory bounded
+        by one block at any vocabulary size. Row i of a CSR product depends
+        only on row i, so every entry has the bits of the one-block path."""
+        rows = self._rows(words)
+        if among is None:
+            columns, right = np.arange(len(self.index)), self._transposed
+        else:
+            columns = self._rows(among)
+            right = self.index.R[columns[columns >= 0]].T.tocsr()
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            yield self._block(rows[start:start + _CHUNK_ROWS], columns, right)
+
+    def _block(self, rows_a, rows_b, right):
+        """``min(R[rows_a] @ right, 1)`` where ``right`` is ``R^T`` over the
+        rows of ``rows_b`` that are not -1, with 1 where a row meets itself
+        and 0 in the rows and columns of -1."""
         out = np.zeros((len(rows_a), len(rows_b)))
         ia, ib = np.flatnonzero(rows_a >= 0), np.flatnonzero(rows_b >= 0)
         if ia.size and ib.size:
-            R = self.index.R
-            block = (R[rows_a[ia]] @ R[rows_b[ib]].T).toarray()
+            block = (self.index.R[rows_a[ia]] @ right).toarray()
             out[np.ix_(ia, ib)] = np.minimum(block, 1.0)
         out[(rows_a[:, None] == rows_b[None, :]) & (rows_a[:, None] >= 0)] = 1.0
         return out
-
-    def max_relatedness(self, anchors, candidates):
-        """For each candidate word, its max relatedness to the anchor words
-        (0 for an unindexed candidate). One product ``R[anchors] R^T`` gives
-        the value for every indexed word at once."""
-        rows = self._rows(anchors)
-        rows = rows[rows >= 0]
-        sigma = np.zeros(len(self.index) + 1)  # the last slot serves row -1
-        if rows.size:
-            products = (self.index.R[rows] @ self._transposed).toarray()
-            sigma[:-1] = np.minimum(products.max(axis=0), 1.0)
-            sigma[rows] = 1.0
-        return sigma[[self.index.row(w) for w in candidates]]
 
 
 ESA_FILE = ArrayFile(

@@ -11,13 +11,17 @@ relatedness to them falls in a difficulty band (eta1, eta2):
                     cross-pair relatedness stays below a cap
 
 Rejection sampling is bounded: generators return an ``Exhausted`` marker
-after ``max_attempts`` draws instead of looping forever.
+after ``max_attempts`` draws instead of looping forever, and before the
+first draw when the band holds too few eligible words. Sigma comes from
+relatedness rows (``SimilarityProvider.related_rows``) that a bank computes
+once for all its set words.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,22 +158,73 @@ def _attempt_budget(max_attempts, vocab):
     return max_attempts
 
 
-def _draw_in_band(anchors, exclude, n, sim, band, vocab, rng, max_attempts):
-    """Draw uniform random vocabulary words until ``n`` distinct words
-    outside ``exclude`` have max relatedness sigma to the anchors strictly
-    inside the band; returns (words, sigmas) in draw order, or None after
-    ``max_attempts`` draws. Sigma is computed for every vocabulary word
-    before the first draw, and each draw looks it up. An unindexed word has
-    sigma 0, which no band holds, so it only uses up an attempt."""
-    sigmas = sim.max_relatedness(anchors, vocab).tolist()
+class _SetRows:
+    """Relatedness rows of a word list, ``SimilarityProvider.related_rows``,
+    plus a vocabulary resolved to index rows once.
+
+    Rows are computed block by block on first use, in list order, and
+    ``drop`` frees them, so a bank that reads its sets in order holds about
+    one block plus the words later sets share. Each row carries a last
+    entry 0, read through the row -1 of an unindexed word.
+    """
+
+    def __init__(self, sim, vocab, words):
+        self._row = sim.index.row
+        self._vocab_rows = np.array([self._row(w) for w in vocab], dtype=np.int64)
+        self._width = len(sim.index) + 1
+        words = list(dict.fromkeys(words))
+        self._order, self._blocks = iter(words), sim.related_rows(words)
+        self._held = {}
+
+    def _get(self, word):
+        while word not in self._held:
+            for row in next(self._blocks):
+                self._held[next(self._order)] = np.append(row, 0.0)
+        return self._held[word]
+
+    def drop(self, words):
+        for word in words:
+            self._held.pop(word, None)
+
+    def sigma(self, anchors, exclude):
+        """Sigma of every vocabulary word, its max relatedness to the
+        anchors; 0, which no band holds, for the words of ``exclude``."""
+        sigma = np.zeros(self._width)
+        for word in anchors:
+            np.maximum(sigma, self._get(word), out=sigma)
+        sigma[[self._row(w) for w in exclude]] = 0.0
+        return sigma[self._vocab_rows]
+
+    def cross(self, words_a, words_b):
+        """Max relatedness of a word of ``words_a`` to one of ``words_b``."""
+        columns = [self._row(w) for w in words_b]
+        return float(max(self._get(w)[columns].max() for w in words_a))
+
+
+def _set_rows(sim, vocab, words):
+    """``sim`` when it is a bank's ``_SetRows``, else the rows of ``words``
+    for one call."""
+    return sim if isinstance(sim, _SetRows) else _SetRows(sim, vocab, words)
+
+
+def _draw_in_band(sigma, n, band, vocab, rng, max_attempts):
+    """Draw uniform random vocabulary words until ``n`` distinct words have
+    ``sigma`` (one value per vocabulary word) strictly inside the band;
+    returns (words, sigmas) in draw order, or None after ``max_attempts``
+    draws. Returns None before the first draw when fewer than ``n`` words
+    are in the band: no draw could succeed, and the caller's generator
+    serves no other task."""
+    eligible = (band.eta1 < sigma) & (sigma < band.eta2)
+    if np.count_nonzero(eligible) < n:
+        return None
     words, drawn_sigmas = [], []
     for _ in range(max_attempts):
         drawn = int(rng.integers(0, len(vocab)))
-        word, sigma = vocab[drawn], sigmas[drawn]
-        if word in exclude or word in words or not band.contains(sigma):
+        word = vocab[drawn]
+        if not eligible[drawn] or word in words:
             continue
         words.append(word)
-        drawn_sigmas.append(sigma)
+        drawn_sigmas.append(float(sigma[drawn]))
         if len(words) == n:
             return words, drawn_sigmas
     return None
@@ -193,13 +248,13 @@ def gen_odd_one_out(
 
     Draws that land inside the set or on words without a concept vector
     (sigma 0) consume attempts, so the loop always terminates; returns
-    Exhausted after max_attempts failures.
+    Exhausted after max_attempts failures, or with no draw when no word
+    outside the set lies in the band.
     """
     sources = (cset.topic_index,)
     max_attempts = _attempt_budget(max_attempts, vocab)
-    drawn = _draw_in_band(
-        cset.words, set(cset.words), 1, sim, band, vocab, rng, max_attempts
-    )
+    sigma = _set_rows(sim, vocab, cset.words).sigma(cset.words, cset.words)
+    drawn = _draw_in_band(sigma, 1, band, vocab, rng, max_attempts)
     if drawn is None:
         return Exhausted(ODD_ONE_OUT, sources, max_attempts)
     (word,), (sigma,) = drawn
@@ -226,9 +281,8 @@ def gen_choose_related(
     max_attempts = _attempt_budget(max_attempts, vocab)
     held = int(rng.integers(0, len(cset.words)))
     stem = tuple(w for i, w in enumerate(cset.words) if i != held)
-    drawn = _draw_in_band(
-        stem, set(cset.words), n_distractors, sim, band, vocab, rng, max_attempts
-    )
+    sigma = _set_rows(sim, vocab, cset.words).sigma(stem, cset.words)
+    drawn = _draw_in_band(sigma, n_distractors, band, vocab, rng, max_attempts)
     if drawn is None:
         return Exhausted(CHOOSE_RELATED, sources, max_attempts)
     distractors, sigmas = drawn
@@ -246,7 +300,7 @@ def gen_separate_topics(cset_a, cset_b, sim, eta2_cross, rng, seed=None):
     sources = (cset_a.topic_index, cset_b.topic_index)
     if set(cset_a.words) & set(cset_b.words):
         return Rejected(SEPARATE_TOPICS, sources, "sets share words")
-    cross = float(sim.cross_relatedness(cset_a.words, cset_b.words).max())
+    cross = _set_rows(sim, (), cset_a.words).cross(cset_a.words, cset_b.words)
     if cross >= eta2_cross:
         return Rejected(
             SEPARATE_TOPICS,
@@ -274,6 +328,9 @@ def generate_puzzle_bank(
 ):
     """Generate puzzles of the requested kinds over the consistent sets.
 
+    The relatedness rows of all set words come from one chunked product
+    (``SimilarityProvider.related_rows``), and ``vocab`` is resolved to
+    index rows once; each task reads its sigma or cross block from them.
     Each (kind, set) task runs with its own seed derived from the master
     seed and the set's topic index, so the bank is byte-identical across
     runs regardless of scheduling. separate-topics pairs consecutive sets
@@ -291,31 +348,52 @@ def generate_puzzle_bank(
     if not 0.0 < eta2_cross <= 1.0:
         raise ValueError(f"eta2_cross must be > 0 and <= 1, got {eta2_cross}")
 
+    rows = _SetRows(sim, vocab, [w for cset in consistent_sets for w in cset.words])
+
     def choose_related(cset, rng, seed):
         if len(cset.words) < 3:
             return Rejected(CHOOSE_RELATED, (cset.topic_index,), "fewer than 3 words")
         return gen_choose_related(
-            cset, sim, band, n_distractors, vocab, rng, max_attempts, seed=seed
+            cset, rows, band, n_distractors, vocab, rng, max_attempts, seed=seed
         )
 
-    singles = [(cset,) for cset in consistent_sets]
-    tasks = {  # kind -> (groups of sets, generator of one group's puzzle)
-        ODD_ONE_OUT: (singles, lambda cset, rng, seed: gen_odd_one_out(
-            cset, sim, band, vocab, rng, max_attempts, seed=seed)),
-        CHOOSE_RELATED: (singles, choose_related),
-        SEPARATE_TOPICS: (list(zip(consistent_sets[::2], consistent_sets[1::2])),
-                          lambda a, b, rng, seed: gen_separate_topics(
-                              a, b, sim, eta2_cross, rng, seed=seed)),
+    generators = {
+        ODD_ONE_OUT: lambda cset, rng, seed: gen_odd_one_out(
+            cset, rows, band, vocab, rng, max_attempts, seed=seed),
+        CHOOSE_RELATED: choose_related,
+        SEPARATE_TOPICS: lambda a, b, rng, seed: gen_separate_topics(
+            a, b, rows, eta2_cross, rng, seed=seed),
     }
+    for kind in kinds:
+        if kind not in generators:
+            raise ValueError(f"unknown puzzle kind {kind!r}")
+    # Tasks run set by set, so that each row can be dropped after the last
+    # set whose tasks read it: its own set, or the next one when
+    # separate-topics pairs the two.
+    pairing = SEPARATE_TOPICS in kinds
+    last_reader = {}
+    for i, cset in enumerate(consistent_sets):
+        paired = pairing and i % 2 == 0 and i + 1 < len(consistent_sets)
+        last_reader.update(dict.fromkeys(cset.words, i + paired))
+    released = defaultdict(list)
+    for word, i in last_reader.items():
+        released[i].append(word)
+    results = {kind: [] for kind in kinds}
+    for i, cset in enumerate(consistent_sets):
+        for kind, out in results.items():
+            if kind != SEPARATE_TOPICS:
+                group = (cset,)
+            elif i % 2:
+                group = (consistent_sets[i - 1], cset)
+            else:
+                continue
+            seed = derive_seed(master_seed, ":".join(
+                [kind, *(str(member.topic_index) for member in group)]))
+            out.append(generators[kind](*group, np.random.default_rng(seed), seed))
+        rows.drop(released[i])
     puzzles, skipped = [], []
     for kind in kinds:
-        if kind not in tasks:
-            raise ValueError(f"unknown puzzle kind {kind!r}")
-        groups, generate = tasks[kind]
-        for group in groups:
-            seed = derive_seed(master_seed, ":".join(
-                [kind, *(str(cset.topic_index) for cset in group)]))
-            result = generate(*group, np.random.default_rng(seed), seed)
+        for result in results[kind]:
             (puzzles if isinstance(result, Puzzle) else skipped).append(result)
     return puzzles, skipped
 

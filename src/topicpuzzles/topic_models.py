@@ -565,13 +565,16 @@ def sparse_code(
     one call of ``cd_solve`` in the native kernel library, or of
     ``_cd_solve`` where the library cannot be built or loaded; D^T D and
     D^T x stay in numpy, so the result has the same bits either way.
-    Raises ValueError unless 0 < kappa < inf.
+    Raises ValueError unless 0 < kappa < inf and every entry of ``x`` and
+    of the dictionary is finite.
     """
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     d = dictionary.weights if isinstance(dictionary, TopicDictionary) else dictionary
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64).ravel()
+    if not (np.isfinite(x).all() and np.isfinite(d).all()):
+        raise ValueError("x and the dictionary must hold only finite values")
     k = d.shape[1]
     if regularizer == GROUP_L2:
         if groups is None:

@@ -22,6 +22,15 @@ document), frozen the same way as the reference for the one counting pass
 of ``build_doc_term_matrix``. ``two_qr_lsa_fit`` is the library's original
 ``lsa_fit``, whose power steps orthonormalized both the document side and
 the word side, frozen the same way as the reference for the one-QR steps.
+``tokenize`` is the library's original tokenizer, which only tests called
+once the one counting pass inlined its rules.
+``per_task_puzzle_bank`` is the library's original bank: one product
+``R[anchors] R^T`` per odd-one-out or choose-related task, the vocabulary
+mapped through ``index.row`` for each task, a full budget of draws before
+an unreachable band exhausts, and one ``cross_relatedness`` per pair.
+``per_set_consistent_sets`` scores each set on its own
+``similarity_submatrix``. Both are frozen the same way as the references
+for the block rows that ``extract-sets`` and ``generate`` share.
 """
 
 import itertools
@@ -32,12 +41,18 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from topicpuzzles import puzzles
+from topicpuzzles.consistency import (
+    ConsistentSet,
+    WeightedGraph,
+    bottleneck_score,
+)
 from topicpuzzles.corpus import (
     DEFAULT_TOKENIZER,
+    TOKEN_PATTERN,
     DocTermMatrix,
     EmptyVocabularyError,
     Vocabulary,
-    tokenize,
 )
 from topicpuzzles.topic_models import MODEL_LSA, TopicDictionary, _as_matrix
 
@@ -338,6 +353,20 @@ def naive_cd_lasso(x, dictionary, kappa, tol=1e-8, max_iter=1000):
     return alpha, float(prev)
 
 
+def tokenize(text, config=DEFAULT_TOKENIZER):
+    """Split raw text into word tokens, preserving order.
+
+    Lowercases, extracts runs of ASCII letters, then drops tokens shorter
+    than the minimum length and stopwords. Empty input yields an empty list.
+    """
+    tokens = TOKEN_PATTERN.findall(text.lower())
+    return [
+        t
+        for t in tokens
+        if len(t) >= config.min_token_len and t not in config.stopwords
+    ]
+
+
 def _check_unique_ids(docs):
     seen = set()
     for doc in docs:
@@ -441,3 +470,133 @@ def two_qr_lsa_fit(X, n_topics, seed=0):
         vocab=vocab,
         singular_values=s[:n_topics].copy(),
     )
+
+
+def max_relatedness(sim, anchors, candidates):
+    """For each candidate word, its max relatedness to the anchor words
+    (0 for an unindexed candidate), from one product ``R[anchors] R^T``."""
+    index = sim.index
+    rows = np.array([index.row(w) for w in anchors], dtype=np.int64)
+    rows = rows[rows >= 0]
+    sigma = np.zeros(len(index) + 1)  # the last slot serves row -1
+    if rows.size:
+        products = (index.R[rows] @ index.R.T.tocsr()).toarray()
+        sigma[:-1] = np.minimum(products.max(axis=0), 1.0)
+        sigma[rows] = 1.0
+    return sigma[[index.row(w) for w in candidates]]
+
+
+def draw_in_band(anchors, exclude, n, sim, band, vocab, rng, max_attempts):
+    """Draw until ``n`` distinct words outside ``exclude`` have sigma to
+    the anchors strictly inside the band; (words, sigmas), or None after
+    ``max_attempts`` draws, however few words the band holds."""
+    sigmas = max_relatedness(sim, anchors, vocab).tolist()
+    words, drawn_sigmas = [], []
+    for _ in range(max_attempts):
+        drawn = int(rng.integers(0, len(vocab)))
+        word, sigma = vocab[drawn], sigmas[drawn]
+        if word in exclude or word in words or not band.contains(sigma):
+            continue
+        words.append(word)
+        drawn_sigmas.append(sigma)
+        if len(words) == n:
+            return words, drawn_sigmas
+    return None
+
+
+def _odd_one_out(cset, sim, band, vocab, rng, max_attempts, seed):
+    sources = (cset.topic_index,)
+    drawn = draw_in_band(cset.words, set(cset.words), 1, sim, band, vocab, rng, max_attempts)
+    if drawn is None:
+        return puzzles.Exhausted(puzzles.ODD_ONE_OUT, sources, max_attempts)
+    (word,), (sigma,) = drawn
+    canonical = tuple(cset.words) + (word,)
+    return puzzles._shuffled_puzzle(
+        puzzles.ODD_ONE_OUT, canonical, len(canonical) - 1, band, sigma, sources, seed, rng
+    )
+
+
+def _choose_related(cset, sim, band, n_distractors, vocab, rng, max_attempts, seed):
+    sources = (cset.topic_index,)
+    if len(cset.words) < 3:
+        return puzzles.Rejected(puzzles.CHOOSE_RELATED, sources, "fewer than 3 words")
+    held = int(rng.integers(0, len(cset.words)))
+    stem = tuple(w for i, w in enumerate(cset.words) if i != held)
+    drawn = draw_in_band(
+        stem, set(cset.words), n_distractors, sim, band, vocab, rng, max_attempts
+    )
+    if drawn is None:
+        return puzzles.Exhausted(puzzles.CHOOSE_RELATED, sources, max_attempts)
+    distractors, sigmas = drawn
+    canonical = (cset.words[held],) + tuple(distractors)
+    return puzzles._shuffled_puzzle(
+        puzzles.CHOOSE_RELATED, canonical, 0, band, max(sigmas), sources, seed, rng, stem
+    )
+
+
+def _separate_topics(cset_a, cset_b, sim, eta2_cross, rng, seed):
+    sources = (cset_a.topic_index, cset_b.topic_index)
+    if set(cset_a.words) & set(cset_b.words):
+        return puzzles.Rejected(puzzles.SEPARATE_TOPICS, sources, "sets share words")
+    cross = float(sim.cross_relatedness(cset_a.words, cset_b.words).max())
+    if cross >= eta2_cross:
+        return puzzles.Rejected(
+            puzzles.SEPARATE_TOPICS, sources,
+            f"cross relatedness {cross:.6f} >= cap {eta2_cross}",
+        )
+    canonical = tuple(cset_a.words) + tuple(cset_b.words)
+    mask = ((1 << len(cset_b.words)) - 1) << len(cset_a.words)
+    band = puzzles.DifficultyBand(0.0, eta2_cross, "cross-cap")
+    return puzzles._shuffled_puzzle(
+        puzzles.SEPARATE_TOPICS, canonical, mask, band, cross, sources, seed, rng
+    )
+
+
+def per_task_puzzle_bank(
+    consistent_sets, sim, vocab, band, kinds=puzzles.KINDS, master_seed=0,
+    n_distractors=3, eta2_cross=None, max_attempts=None,
+):
+    """(puzzles, skipped) of ``generate_puzzle_bank`` for valid settings,
+    task by task in kind order, each task with its own products."""
+    if max_attempts is None:
+        max_attempts = puzzles.default_max_attempts(len(vocab))
+    if eta2_cross is None:
+        eta2_cross = band.eta2
+    singles = [(cset,) for cset in consistent_sets]
+    tasks = {
+        puzzles.ODD_ONE_OUT: (singles, lambda cset, rng, seed: _odd_one_out(
+            cset, sim, band, vocab, rng, max_attempts, seed)),
+        puzzles.CHOOSE_RELATED: (singles, lambda cset, rng, seed: _choose_related(
+            cset, sim, band, n_distractors, vocab, rng, max_attempts, seed)),
+        puzzles.SEPARATE_TOPICS: (
+            list(zip(consistent_sets[::2], consistent_sets[1::2])),
+            lambda a, b, rng, seed: _separate_topics(a, b, sim, eta2_cross, rng, seed)),
+    }
+    bank, skipped = [], []
+    for kind in kinds:
+        groups, generate = tasks[kind]
+        for group in groups:
+            seed = puzzles.derive_seed(master_seed, ":".join(
+                [kind, *(str(cset.topic_index) for cset in group)]))
+            result = generate(*group, np.random.default_rng(seed), seed)
+            (bank if isinstance(result, puzzles.Puzzle) else skipped).append(result)
+    return bank, skipped
+
+
+def per_set_consistent_sets(sets, sim, delta):
+    """``identify_consistent_sets`` scoring each set on its own
+    ``similarity_submatrix``."""
+    kept = []
+    for word_set in sets:
+        indices = tuple(int(i) for i in word_set.word_indices)
+        submatrix = sim.similarity_submatrix(indices)
+        score = bottleneck_score(WeightedGraph(nodes=indices, weights=submatrix))
+        if score > delta:
+            kept.append(ConsistentSet(
+                topic_index=word_set.topic_index,
+                word_indices=indices,
+                words=tuple(sim.word_for_index(i) for i in indices),
+                score=score,
+                delta=delta,
+            ))
+    return kept

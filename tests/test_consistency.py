@@ -194,9 +194,11 @@ class _StubProvider:
         self.matrix = np.asarray(matrix, dtype=float)
         self.words = list(words)
 
-    def similarity_submatrix(self, indices):
-        idx = [int(i) for i in indices]
-        return self.matrix[np.ix_(idx, idx)]
+    def related_rows(self, indices, among):
+        """One row per block, so that the scoring reads across blocks."""
+        columns = [int(i) for i in among]
+        for i in indices:
+            yield self.matrix[[int(i)]][:, columns]
 
     def word_for_index(self, i):
         return self.words[i]

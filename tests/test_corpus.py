@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import CONTAINER_CORRUPTIONS, decode_array_file
-from oracles import counter_build_doc_term_matrix, counter_build_vocabulary
+from oracles import counter_build_doc_term_matrix, counter_build_vocabulary, tokenize
 
 from topicpuzzles import esa
 from topicpuzzles.consistency import ConsistentSet, save_consistent_sets
@@ -23,7 +23,6 @@ from topicpuzzles.corpus import (
     save_corpus_jsonl,
     save_doc_term_matrix,
     tfidf_transform,
-    tokenize,
     write_json_lines,
 )
 from topicpuzzles.synthetic import planted_topic_corpus

@@ -171,7 +171,7 @@ class TestSimilaritySubmatrix:
 
 class TestKernelAgreement:
     """Scalar relatedness, the set submatrix (by word and by index), the
-    cross block and the generation sigma vector all return the same float
+    cross block and the blocks of related rows all return the same float
     for a pair, and agree with the original intersect1d cosine."""
 
     @pytest.fixture(scope="class")
@@ -193,10 +193,13 @@ class TestKernelAgreement:
         np.testing.assert_array_equal(
             provider.similarity_submatrix(range(len(words))), block
         )
+        np.testing.assert_array_equal(np.vstack(list(provider.related_rows(words))), block)
+        np.testing.assert_array_equal(
+            np.vstack(list(provider.related_rows(words, among=words))), block
+        )
         for i, word in enumerate(words):
-            np.testing.assert_array_equal(
-                provider.max_relatedness([word], words), block[i]
-            )
+            (row,) = provider.related_rows([word])
+            np.testing.assert_array_equal(row, block[i:i + 1])
             np.testing.assert_array_equal(
                 provider.cross_relatedness([word], words), block[i:i + 1]
             )
@@ -212,7 +215,7 @@ class TestKernelAgreement:
         rng = np.random.default_rng(5)
         for _ in range(20):
             anchors = list(rng.choice(words, 4, replace=False))
-            sigma = provider.max_relatedness(anchors, words)
+            sigma = np.vstack(list(provider.related_rows(anchors))).max(axis=0)
             expected = block[[planted_index.row(t) for t in anchors]].max(axis=0)
             assert sigma.tolist() == expected.tolist()
 
@@ -238,9 +241,10 @@ class TestKernelAgreement:
         provider = SimilarityProvider(planted_index)
         cross = provider.cross_relatedness(words + ["unheard"], words)
         assert np.all(cross[3] == 0.0)
-        assert provider.max_relatedness(["unheard"], words).tolist() == [0.0] * 3
-        sigma = provider.max_relatedness(words, ["unheard", words[0]])
-        assert sigma.tolist() == [0.0, 1.0]
+        (row,) = provider.related_rows(["unheard"], among=words)
+        assert row.tolist() == [[0.0] * 3]
+        (rows,) = provider.related_rows(words, among=["unheard", words[0]])
+        assert rows.max(axis=0).tolist() == [0.0, 1.0]
         assert "unheard" in provider.missing_words
 
 

@@ -308,6 +308,63 @@ class TestGenChooseRelated:
         assert result == Exhausted(CHOOSE_RELATED, (0,), 300)
 
 
+class TestEarlyExhaustion:
+    """A task whose band holds too few eligible words exhausts before its
+    first rejection draw, reporting the full budget; one whose band holds
+    exactly enough still finds them."""
+
+    UNREACHABLE = DifficultyBand(0.97, 0.99)
+
+    def test_odd_one_out_draws_nothing(self, provider, theme_a):
+        rng, fresh = np.random.default_rng(0), np.random.default_rng(0)
+        result = gen_odd_one_out(
+            theme_a, provider, self.UNREACHABLE, VOCAB, rng, max_attempts=64
+        )
+        assert result == Exhausted(ODD_ONE_OUT, (0,), 64)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_choose_related_draws_only_the_answer(self, provider, theme_a):
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        twin.integers(0, len(theme_a.words))  # the held-out answer
+        result = gen_choose_related(
+            theme_a, provider, self.UNREACHABLE, 2, VOCAB, rng, max_attempts=300
+        )
+        assert result == Exhausted(CHOOSE_RELATED, (0,), 300)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_bank_reports_the_budget(self, provider, theme_a, theme_b):
+        _, skipped = generate_puzzle_bank(
+            [theme_a, theme_b], provider, VOCAB, self.UNREACHABLE,
+            kinds=(ODD_ONE_OUT, CHOOSE_RELATED), max_attempts=77,
+        )
+        assert skipped == [
+            Exhausted(kind, (topic,), 77)
+            for kind in (ODD_ONE_OUT, CHOOSE_RELATED) for topic in (0, 1)
+        ]
+
+    def test_band_of_exactly_one_word_found(self, provider, theme_a):
+        sigma = max(provider.relatedness(t, "bridgeone") for t in theme_a.words)
+        other = max(provider.relatedness(t, "bridgetwo") for t in theme_a.words)
+        assert abs(other - sigma) > 0.01 * sigma
+        band = DifficultyBand(sigma * 0.99, sigma * 1.01)
+        puzzle = gen_odd_one_out(
+            theme_a, provider, band, VOCAB, np.random.default_rng(2), max_attempts=500
+        )
+        assert puzzle.words[puzzle.solution] == "bridgeone"
+        assert puzzle.sigma == sigma
+
+    def test_band_of_exactly_n_words_found(self, provider, theme_a):
+        # the two bridge words are the only midband words
+        band = midband(provider, theme_a)
+        for seed in range(5):
+            puzzle = gen_choose_related(
+                theme_a, provider, band, 2, VOCAB, np.random.default_rng(seed),
+                max_attempts=500,
+            )
+            distractors = set(puzzle.words) - {puzzle.words[puzzle.solution]}
+            assert distractors == {"bridgeone", "bridgetwo"}
+
+
 class TestGenSeparateTopics:
     def test_accepts_weakly_related_pair(self, provider, theme_a, theme_b):
         rng = np.random.default_rng(5)

@@ -80,6 +80,26 @@ class TestSparseCodeL1:
             sparse_code(np.array([1.0, 2.0, 3.0]), np.eye(3), kappa)
 
 
+@pytest.mark.usefixtures("private_home")
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestNonFiniteInputsRejected:
+    """A NaN in the dictionary once gave finite coefficients and objective,
+    and a NaN in x gave zeros and a NaN objective; both kernels now refuse
+    either before solving."""
+
+    def test_nan_in_dictionary(self, kernel, monkeypatch):
+        use_kernel(kernel, monkeypatch)
+        d = np.eye(3)
+        d[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            sparse_code(np.array([1.0, 2.0, 3.0]), d, 0.1)
+
+    def test_nan_in_x(self, kernel, monkeypatch):
+        use_kernel(kernel, monkeypatch)
+        with pytest.raises(ValueError, match="finite"):
+            sparse_code(np.array([1.0, np.nan, 3.0]), np.eye(3), 0.1)
+
+
 def oracle_cases():
     """(label, x, dictionary, kappa) over random, orthonormal and
     rank-deficient dictionaries with 1, 3 and 40 atoms."""
