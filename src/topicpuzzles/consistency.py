@@ -173,6 +173,8 @@ def _parse_set(record):
         raise ValueError(
             "words and word_indices must be equal-length lists of str and int"
         )
+    if len(set(words)) < len(words) or len(set(indices)) < len(indices):
+        raise ValueError("words and word_indices must not repeat")
     if type(record["topic"]) is not int:
         raise ValueError("topic must be an int")
     for key in ("score", "delta"):

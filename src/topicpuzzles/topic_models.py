@@ -18,7 +18,9 @@ import hashlib
 import math
 import os
 import platform
+import re
 import secrets
+import stat
 import subprocess
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -274,8 +276,9 @@ def _sweep_lists(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
     z[:], n_wt[:], n_dt[:], n_t[:] = z_list, wt, dt, nt
 
 
-# _sweep_lists in C, then the whole l1 solve of sparse_code (_cd_solve), one
-# call per document. Each value is formed and summed in the same order as in
+# _sweep_lists in C, the whole l1 solve of sparse_code (_cd_solve) and the
+# dictionary update of dict_learn_fit (_dl_update), each one call per
+# document. Each value is formed and summed in the same order as in
 # Python, and -ffp-contract=off forbids fusing a multiply and an add, so
 # either side of each pair gives the same bits.
 _KERNELS_C = r"""
@@ -344,10 +347,45 @@ double cd_solve(int64_t k, const double *gram, const double *b, double xx,
     }
     return prev;
 }
+
+/* d is n x k, stat_a k x k (symmetric), stat_b n x k, all row-major; u is
+   scratch of n. A zero a[r] or x[r] adds only zeros to statistics that
+   start at +0.0, so skipping it keeps the bits. */
+void dl_update(int64_t n, int64_t k, double w, const double *x,
+               const double *a, double *stat_a, double *stat_b, double *d,
+               double *u) {
+    for (int64_t r = 0; r < k; r++)
+        if (a[r] != 0.0)
+            for (int64_t c = 0; c < k; c++)
+                stat_a[r * k + c] += w * (a[r] * a[c]);
+    for (int64_t r = 0; r < n; r++)
+        if (x[r] != 0.0)
+            for (int64_t c = 0; c < k; c++)
+                stat_b[r * k + c] += w * (x[r] * a[c]);
+    for (int64_t j = 0; j < k; j++) {
+        const double *sa = stat_a + j * k;  /* row j == column j */
+        double ajj = sa[j], norm = 0.0;
+        if (ajj <= 1e-12)
+            continue;
+        for (int64_t r = 0; r < n; r++) {
+            const double *row = d + r * k;
+            double acc = 0.0;
+            for (int64_t c = 0; c < k; c++)
+                acc += row[c] * sa[c];
+            u[r] = row[j] + (stat_b[r * k + j] - acc) / ajj;
+            norm += u[r] * u[r];
+        }
+        double scale = sqrt(norm);
+        if (scale < 1.0)
+            scale = 1.0;
+        for (int64_t r = 0; r < n; r++)
+            d[r * k + j] = u[r] / scale;
+    }
+}
 """
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-NativeKernels = namedtuple("NativeKernels", "sweep cd")
+NativeKernels = namedtuple("NativeKernels", "sweep cd dl")
 
 
 def _private(path):
@@ -374,14 +412,17 @@ def _compile_kernels(lib):
 
 def _bind(dll):
     """NativeKernels over a loaded library: ``sweep`` takes _sweep_lists'
-    arguments and ``cd`` _cd_solve's, and each returns what its twin does."""
+    arguments, ``cd`` _cd_solve's and ``dl`` _dl_update's, and each returns
+    (or updates in place) what its twin does."""
     i64, f64 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.int64, np.float64))
     n, x = ctypes.c_int64, ctypes.c_double
-    sweep, cd_solve = dll.sweep, dll.cd_solve
+    sweep, cd_solve, dl_update = dll.sweep, dll.cd_solve, dll.dl_update
     sweep.argtypes = [n, n] + [i64] * 6 + [x] * 3 + [f64] * 2
     sweep.restype = None
     cd_solve.argtypes = [n, f64, f64, x, x, x, n, f64, f64]
     cd_solve.restype = x
+    dl_update.argtypes = [n, n, x] + [f64] * 6
+    dl_update.restype = None
 
     def run_sweep(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
         sweep(z.size, n_t.size, words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta,
@@ -394,7 +435,35 @@ def _bind(dll):
         alpha, c = np.zeros(k), np.zeros(k)
         return alpha, cd_solve(k, gram, b, xx, kappa, tol, max_iter, alpha, c)
 
-    return NativeKernels(run_sweep, cd)
+    def dl(w, x, a, stat_a, stat_b, d):
+        n, k = d.shape
+        for name, array, shape in (("x", x, (n,)), ("a", a, (k,)),
+                                   ("stat_a", stat_a, (k, k)), ("stat_b", stat_b, (n, k))):
+            if array.shape != shape:
+                raise ValueError(f"dl needs {name} of shape {shape}, got {array.shape}")
+        dl_update(n, k, w, x, a, stat_a, stat_b, d, np.empty(n))
+
+    return NativeKernels(run_sweep, cd, dl)
+
+
+# The libraries this package has written to its cache: today's name, and the
+# name before the LDA sweep and the l1 solve shared one library.
+_CACHED_LIBRARY = re.compile(r"(kernels|gibbs)-[0-9a-f]{64}\.so")
+
+
+def _prune_cache(cache, keep):
+    """Remove from ``cache`` every other regular file named like a cached
+    library and owned by this user: each one was built from another
+    source. A file that another process removed first is skipped."""
+    for path in cache.iterdir():
+        if path == keep or not _CACHED_LIBRARY.fullmatch(path.name):
+            continue
+        try:
+            st = path.lstat()
+            if stat.S_ISREG(st.st_mode) and st.st_uid == os.getuid():
+                path.unlink()
+        except FileNotFoundError:
+            pass
 
 
 @functools.cache
@@ -403,7 +472,8 @@ def _native_kernels():
     cannot be built or loaded. The library is cached in
     ~/.cache/topicpuzzles, named by the hash of source, flags and machine,
     and loaded only from an intact, private file in a private directory;
-    any other file there is rebuilt."""
+    any other file there is rebuilt. A fresh build that loads removes the
+    libraries of other sources from the directory."""
     key = "\0".join((_KERNELS_C, *_CC_FLAGS, platform.machine())).encode()
     try:
         cache = Path.home() / ".cache" / "topicpuzzles"
@@ -419,6 +489,7 @@ def _native_kernels():
         except OSError:
             _compile_kernels(lib)
             dll = ctypes.CDLL(str(lib))
+            _prune_cache(cache, lib)
         return _bind(dll), None
     except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
         return None, str(exc)
@@ -619,12 +690,12 @@ def recency_weights(n_docs, rho):
 
 
 def _columns(A):
-    """Each column of A as a dense vector, in index order. A sparse matrix
-    is read through its CSC arrays, one slice per column."""
+    """Each column of A as a contiguous float64 vector, in index order. A
+    sparse matrix is read through its CSC arrays, one slice per column."""
     if not sp.issparse(A):
-        A = np.asarray(A)
+        A = np.asarray(A, dtype=np.float64)
         for i in range(A.shape[1]):
-            yield A[:, i]
+            yield np.ascontiguousarray(A[:, i])
         return
     A = sp.csc_matrix(A)
     if not A.has_canonical_format:
@@ -638,15 +709,42 @@ def _columns(A):
         yield x
 
 
+def _dl_update(w, x, a, stat_a, stat_b, d):
+    """One document's dictionary update in numpy, in place: the statistics
+    gain w * (a a^T) and w * (x a^T), then each column j with
+    stat_a[j, j] > 1e-12 moves to u = d[:, j] + (stat_b[:, j] - d @
+    stat_a[:, j]) / stat_a[j, j] and is projected onto the unit ball.
+    Each entry of ``d @ stat_a[:, j]`` and of ``u @ u`` is summed left to
+    right from 0.0, the order of the C ``dl_update``."""
+    stat_a += w * np.outer(a, a)
+    stat_b += w * np.outer(x, a)
+    dt = d.T.copy()  # row j is column j, so a column update writes one row
+    products = np.empty_like(dt)
+    for j in range(a.size):
+        ajj = stat_a[j, j]
+        if ajj <= 1e-12:
+            continue
+        # A sum over axis 0 adds the rows one at a time into 0.0 (numpy
+        # sums pairwise only along the contiguous axis).
+        np.multiply(dt, stat_a[j, :, None], out=products)
+        dot = np.add.reduce(products, axis=0, initial=0.0)
+        u = dt[j] + (stat_b[:, j] - dot) / ajj
+        dt[j] = u / max(1.0, math.sqrt(np.add.accumulate(u * u)[-1]))
+    d[:] = dt.T
+
+
 def dict_learn_fit(X, config):
     """Online dictionary learning: alternate sparse coding of each document
     (in index order) with one projected block-coordinate update of the
-    dictionary from recency-weighted sufficient statistics.
+    dictionary from recency-weighted sufficient statistics (Mairal et al.
+    2010, Alg. 2).
 
     Columns are projected onto the unit Euclidean ball; statistics
-    accumulate across epochs. Deterministic for a fixed seed, and the same
-    whether ``sparse_code`` ran its C or its Python l1 pass (the result's
-    ``fallback`` says why it ran the Python one).
+    accumulate across epochs. Each update is one call of ``dl_update`` in
+    the native kernel library, or of ``_dl_update`` where the library
+    cannot be built or loaded. Deterministic for a fixed seed, and the
+    same whichever kernels ran (the result's ``fallback`` says why it ran
+    the Python ones).
     """
     A, vocab = _as_matrix(X)
     n, m = A.shape
@@ -654,7 +752,8 @@ def dict_learn_fit(X, config):
         raise ValueError("empty document-term matrix")
     k = config.n_topics
     groups = None if config.regularizer == L1 else contiguous_groups(k, config.n_groups)
-    why = _native_kernels()[1] if config.regularizer == L1 else None
+    native, why = _native_kernels()
+    update = native.dl if native else _dl_update
     rng = np.random.default_rng(config.seed)
     d = rng.standard_normal((n, k))
     d /= np.linalg.norm(d, axis=0, keepdims=True)
@@ -665,15 +764,7 @@ def dict_learn_fit(X, config):
     for _ in range(config.epochs):
         for i, x in enumerate(_columns(A)):
             code = sparse_code(x, d, config.kappa, config.regularizer, groups)
-            a = code.coeffs
-            stat_a += w[i] * np.outer(a, a)
-            stat_b += w[i] * np.outer(x, a)
-            for j in range(k):
-                ajj = stat_a[j, j]
-                if ajj <= 1e-12:
-                    continue
-                u = d[:, j] + (stat_b[:, j] - d @ stat_a[:, j]) / ajj
-                d[:, j] = u / max(1.0, math.sqrt(u @ u))
+            update(w[i], x, code.coeffs, stat_a, stat_b, d)
     return TopicDictionary(
         weights=d,
         model=MODEL_DICTLEARN,

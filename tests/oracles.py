@@ -31,9 +31,14 @@ an unreachable band exhausts, and one ``cross_relatedness`` per pair.
 ``per_set_consistent_sets`` scores each set on its own
 ``similarity_submatrix``. Both are frozen the same way as the references
 for the block rows that ``extract-sets`` and ``generate`` share.
+``blas_dict_learn_fit`` is the library's original ``dict_learn_fit``, whose
+dictionary update summed each ``d @ stat_a[:, j]`` and ``u @ u`` through
+BLAS, frozen the same way as the reference for the left-to-right sums of
+``dl_update``.
 """
 
 import itertools
+import math
 import warnings
 from collections import Counter
 
@@ -54,7 +59,16 @@ from topicpuzzles.corpus import (
     EmptyVocabularyError,
     Vocabulary,
 )
-from topicpuzzles.topic_models import MODEL_LSA, TopicDictionary, _as_matrix
+from topicpuzzles.topic_models import (
+    L1,
+    MODEL_LSA,
+    TopicDictionary,
+    _as_matrix,
+    _columns,
+    contiguous_groups,
+    recency_weights,
+    sparse_code,
+)
 
 
 def jacobi_singular_values(matrix, tol=1e-14, max_sweeps=100):
@@ -470,6 +484,36 @@ def two_qr_lsa_fit(X, n_topics, seed=0):
         vocab=vocab,
         singular_values=s[:n_topics].copy(),
     )
+
+
+def blas_dict_learn_fit(X, config):
+    """The weights of online dictionary learning with the original update:
+    after each document's sparse code, ``np.outer`` rank-one updates of the
+    statistics, then for each column j with stat_a[j, j] > 1e-12,
+    ``u = d[:, j] + (stat_b[:, j] - d @ stat_a[:, j]) / stat_a[j, j]``
+    projected by ``math.sqrt(u @ u)``, both products through BLAS."""
+    A, _ = _as_matrix(X)
+    n, m = A.shape
+    k = config.n_topics
+    groups = None if config.regularizer == L1 else contiguous_groups(k, config.n_groups)
+    rng = np.random.default_rng(config.seed)
+    d = rng.standard_normal((n, k))
+    d /= np.linalg.norm(d, axis=0, keepdims=True)
+    stat_a = np.zeros((k, k))
+    stat_b = np.zeros((n, k))
+    w = recency_weights(m, config.rho)
+    for _ in range(config.epochs):
+        for i, x in enumerate(_columns(A)):
+            a = sparse_code(x, d, config.kappa, config.regularizer, groups).coeffs
+            stat_a += w[i] * np.outer(a, a)
+            stat_b += w[i] * np.outer(x, a)
+            for j in range(k):
+                ajj = stat_a[j, j]
+                if ajj <= 1e-12:
+                    continue
+                u = d[:, j] + (stat_b[:, j] - d @ stat_a[:, j]) / ajj
+                d[:, j] = u / max(1.0, math.sqrt(u @ u))
+    return d
 
 
 def max_relatedness(sim, anchors, candidates):

@@ -607,7 +607,7 @@ class TestFallbackNote:
         ("lsa", [], False),
         ("lda", ["--iterations", "15"], True),
         ("dictlearn", ["--epochs", "2"], True),
-        ("dictlearn", ["--epochs", "2", "--regularizer", "group-l2"], False),
+        ("dictlearn", ["--epochs", "2", "--regularizer", "group-l2"], True),
     ], ids=["lsa", "lda", "dictlearn-l1", "dictlearn-group-l2"])
     def test_train(self, pipeline, capsys, monkeypatch, model, extra, noted):
         argv = ["train", "--model", model, "--matrix", pipeline["matrix"],
@@ -775,6 +775,24 @@ class TestLoadErrors:
         assert err.startswith(f"error: {broken}: ") and message in err
         assert "Traceback" not in err
         assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["words", "word_indices"])
+    def test_set_with_repeated_word_exits_2(self, pipeline, capsys, key):
+        """A set naming one word twice once gave a puzzle that
+        ``verify_puzzle`` rejects, with exit 0."""
+        records = [json.loads(line) for line in open(TestGenerate().make_sets(pipeline))]
+        records[0][key][1] = records[0][key][0]
+        broken = pipeline["tmp"] / "repeated.jsonl"
+        broken.write_text("".join(json.dumps(r) + "\n" for r in records))
+        bank = pipeline["tmp"] / "bank.jsonl"
+        capsys.readouterr()
+        assert main(["generate", "--sets", str(broken), "--index", pipeline["index"],
+                     "--out", str(bank)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{broken} line 1: words and word_indices must not repeat" in err
+        assert "Traceback" not in err
+        assert not bank.exists()
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_index_truncation_below_1_exits_2(self, corpus_path, tmp_path, capsys, limit):

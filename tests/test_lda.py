@@ -297,6 +297,39 @@ class TestKernelCache:
         assert topic_models._native_kernels()[0] is not None
         assert not lib.stat().st_mode & 0o022
 
+    @needs_cc
+    def test_new_build_removes_libraries_of_other_sources(self, home, monkeypatch):
+        """Two builds from different sources leave one library. The second
+        also removes a library from before the kernels shared one file, and
+        leaves files that are not this package's libraries, or not this
+        user's, alone."""
+        cache_dir = home / ".cache" / "topicpuzzles"
+        with monkeypatch.context() as patch:
+            patch.setattr(topic_models, "_KERNELS_C", topic_models._KERNELS_C + "/**/\n")
+            assert topic_models._native_kernels()[0] is not None
+        (older,) = cache_dir.iterdir()
+        (cache_dir / f"gibbs-{'0' * 64}.so").write_bytes(b"built before")
+        foreign = [cache_dir / name for name in (
+            "notes.txt", "kernels-0.so", f".kernels-{'1' * 64}.so.0a1b2c3d.tmp",
+        )]
+        if os.geteuid() == 0:
+            foreign.append(cache_dir / f"kernels-{'2' * 64}.so")
+        for path in foreign:
+            path.write_text("not ours")
+        if os.geteuid() == 0:
+            os.chown(foreign[-1], os.getuid() + 1, -1)
+        topic_models._native_kernels.cache_clear()
+        assert topic_models._native_kernels()[0] is not None
+        libraries = set(cache_dir.iterdir()) - set(foreign)
+        assert len(libraries) == 1 and older not in libraries
+
+    def test_library_already_removed_is_skipped(self, home, monkeypatch):
+        """Another process may prune the same file first."""
+        gone = home / f"kernels-{'3' * 64}.so"
+        monkeypatch.setattr(type(home), "iterdir", lambda self: iter([gone]))
+        topic_models._prune_cache(home, home / f"kernels-{'4' * 64}.so")
+        assert not gone.exists()
+
     def test_cache_that_cannot_be_created_falls_back(self, planted_small, home, capfd):
         (home / ".cache").write_text("not a directory")
         self.fit_and_check(planted_small, home / ".cache" / "topicpuzzles", capfd)

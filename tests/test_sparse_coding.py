@@ -9,13 +9,15 @@ from conftest import (
     needs_cc,
     use_kernel,
 )
-from oracles import grid_search_lasso_objective, naive_cd_lasso
+from oracles import blas_dict_learn_fit, grid_search_lasso_objective, naive_cd_lasso
 
 from topicpuzzles import topic_models
 from topicpuzzles.topic_models import (
     DictLearnConfig,
+    TopicDictionary,
     contiguous_groups,
     dict_learn_fit,
+    extract_top_k,
     load_topic_dictionary,
     recency_weights,
     save_topic_dictionary,
@@ -317,19 +319,57 @@ class TestDictLearn:
 
 @pytest.mark.usefixtures("private_home")
 class TestDictLearnOnBothKernels:
-    @needs_cc
-    def test_weights_bit_identical(self, planted_mixed, monkeypatch):
-        """A whole fit at the yield-sweep width, K = 40, gives the same bits
-        on the C and the Python l1 solve."""
-        _, _, _, dtm = planted_mixed
-        config = DictLearnConfig(n_topics=40, kappa=0.5, epochs=2, seed=3)
+    """A whole fit gives the same bits on the C kernels (the l1 solve and
+    the dictionary update) and on their Python twins."""
+
+    @staticmethod
+    def assert_same_fit(X, config, monkeypatch):
         fits = {}
         for kernel in ("native", "fallback"):
-            use_kernel(kernel, monkeypatch)
-            fits[kernel] = dict_learn_fit(dtm.matrix[:, ::2], config)
+            with monkeypatch.context() as patch:
+                use_kernel(kernel, patch)
+                fits[kernel] = dict_learn_fit(X, config)
         np.testing.assert_array_equal(fits["native"].weights, fits["fallback"].weights)
         assert fits["native"].fallback is None
         assert fits["fallback"].fallback == "forced off"
+
+    @needs_cc
+    def test_weights_bit_identical(self, planted_mixed, monkeypatch):
+        """At the yield-sweep width, K = 40."""
+        _, _, _, dtm = planted_mixed
+        config = DictLearnConfig(n_topics=40, kappa=0.5, epochs=2, seed=3)
+        self.assert_same_fit(dtm.matrix[:, ::2], config, monkeypatch)
+
+    @needs_cc
+    def test_group_l2_weights_bit_identical(self, planted_mixed, monkeypatch):
+        _, _, _, dtm = planted_mixed
+        config = DictLearnConfig(n_topics=40, kappa=0.5, regularizer="group-l2",
+                                 n_groups=4, epochs=2, seed=3)
+        self.assert_same_fit(dtm.matrix[:, ::8], config, monkeypatch)
+
+    @needs_cc
+    def test_dense_input_weights_bit_identical(self, planted_mixed, monkeypatch):
+        """A dense matrix's columns are strided views; both updates read
+        them as contiguous vectors."""
+        _, _, _, dtm = planted_mixed
+        dense = np.ascontiguousarray(dtm.matrix[:, ::4].toarray())
+        assert not dense[:, 0].flags.c_contiguous
+        config = DictLearnConfig(n_topics=12, kappa=0.3, rho=1.0, epochs=2, seed=4)
+        self.assert_same_fit(dense, config, monkeypatch)
+
+    def test_weights_match_blas_update(self, planted_mixed):
+        """Against the original update, whose products summed through BLAS,
+        only rounding differs: the weights agree to 1e-9 and every topic
+        keeps its top words."""
+        _, _, _, dtm = planted_mixed
+        config = DictLearnConfig(n_topics=40, kappa=0.5, epochs=2, seed=3)
+        td = dict_learn_fit(dtm, config)
+        expected = blas_dict_learn_fit(dtm, config)
+        np.testing.assert_allclose(td.weights, expected, rtol=0, atol=1e-9)
+        oracle = TopicDictionary(expected, td.model)
+        assert [set(t.word_indices) for t in extract_top_k(td, 4)] == [
+            set(t.word_indices) for t in extract_top_k(oracle, 4)
+        ]
 
     @needs_cc
     def test_native_solve_checks_its_arrays(self):
@@ -345,6 +385,38 @@ class TestDictLearnOnBothKernels:
         alpha, objective = cd(np.eye(3), np.array([1.0, -0.2, 0.0]), 1.0, 0.5, 1e-8, 10)
         np.testing.assert_array_equal(alpha, [0.5, 0.0, 0.0])
         assert objective == 0.5 * 0.25 + 0.5 * 0.5
+
+    @needs_cc
+    def test_native_update_checks_its_arrays(self):
+        """The C update reads and writes n x k and k x k blocks sized by the
+        dictionary, so an array of another shape, dtype or layout never
+        reaches it; one call gives the numpy update's bits."""
+        dl = topic_models._native_kernels()[0].dl
+        rng = np.random.default_rng(8)
+        n, k = 7, 5
+
+        def arrays():
+            a, x = rng.standard_normal(k), rng.standard_normal(n)
+            a[1] = x[1] = 0.0
+            return {"x": x, "a": a, "stat_a": 2.0 * np.outer(a, a),
+                    "stat_b": 2.0 * np.outer(x, a), "d": rng.standard_normal((n, k))}
+
+        wrong_shape = {"x": np.ones(n + 1), "a": np.ones(k + 1),
+                       "stat_a": np.zeros((k, k + 1)), "stat_b": np.zeros((k, n))}
+        for name, bad in wrong_shape.items():
+            with pytest.raises(ValueError, match=f"dl needs {name} of shape"):
+                dl(0.3, **{**arrays(), name: bad})
+        for name, good in arrays().items():
+            strided = np.repeat(good, 2, axis=-1)[..., ::2]
+            for bad in (good.astype(np.float32), strided):
+                with pytest.raises(ctypes.ArgumentError):
+                    dl(0.3, **{**arrays(), name: bad})
+        native = arrays()
+        fallback = {name: array.copy() for name, array in native.items()}
+        dl(0.3, **native)
+        topic_models._dl_update(0.3, **fallback)
+        for name in native:
+            np.testing.assert_array_equal(native[name], fallback[name])
 
 
 class TestContiguousGroups:
