@@ -101,8 +101,8 @@ def _setting(args, config, key, default, kind):
 
 def _names(names, known, what):
     """``names``, a list or a comma-separated str (split and stripped), if
-    each is one of ``known``; a usage error if one is not, or if a str
-    names none."""
+    each is one of ``known`` and none repeats; a usage error if one is
+    not, if one repeats, or if a str names none."""
     if isinstance(names, str):
         names = [name.strip() for name in names.split(",") if name.strip()]
         if not names:
@@ -110,6 +110,9 @@ def _names(names, known, what):
     unknown = set(names) - set(known)
     if unknown:
         raise UsageError(f"unknown {what}s: {sorted(unknown)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise UsageError(f"repeated {what}s: {repeated}")
     return names
 
 

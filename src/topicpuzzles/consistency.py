@@ -4,7 +4,8 @@ A set's score is the relatedness of its two most dissimilar words, where
 pair relatedness is the widest-path (max over paths of the min edge) value
 in the complete similarity graph. Because edge weights are nonnegative,
 that score equals the minimum edge weight of a maximum spanning tree, which
-is how ``bottleneck_score`` computes it.
+is how ``bottleneck_score`` computes it. ``identify_consistent_sets`` reads
+each set's similarity submatrix from its rows of ``esa.rows_by_group``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .corpus import (
     require_keys,
     write_json_lines,
 )
+from .esa import rows_by_group
 
 
 @dataclass(eq=False)
@@ -110,32 +112,20 @@ def identify_consistent_sets(sets, sim, delta):
     """Score each candidate word set on its similarity submatrix and keep
     those scoring strictly above delta, preserving input (topic) order.
 
-    The submatrices are slices of one product over the distinct candidate
-    words, ``sim.related_rows(words, among=words)``, read block by block;
+    The submatrices are read from the rows of one product over the
+    distinct candidate words, ``esa.rows_by_group(sim, sets, among=words)``;
     each entry has the bits of ``sim.similarity_submatrix`` of its set."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     sets = list(sets)
-    if not sets:
-        return []
     members = [tuple(int(i) for i in word_set.word_indices) for word_set in sets]
     words = list(dict.fromkeys(i for indices in members for i in indices))
     position = {word: p for p, word in enumerate(words)}
-    places = [np.array([position[i] for i in m], dtype=np.int64) for m in members]
-    # one (row, column) of the product per entry of every submatrix, set by set
-    rows = np.concatenate([np.repeat(p, p.size) for p in places])
-    columns = np.concatenate([np.tile(p, p.size) for p in places])
-    values = np.empty(rows.size)
-    start = 0
-    for block in sim.related_rows(words, among=words):
-        inside = (start <= rows) & (rows < start + len(block))
-        values[inside] = block[rows[inside] - start, columns[inside]]
-        start += len(block)
-    kept, offset = [], 0
-    for word_set, indices in zip(sets, members):
-        size = len(indices)
-        submatrix = values[offset:offset + size * size].reshape(size, size)
-        offset += size * size
+    kept = []
+    for word_set, indices, rows in zip(
+        sets, members, rows_by_group(sim, members, among=words)
+    ):
+        submatrix = np.array([rows[i] for i in indices])[:, [position[i] for i in indices]]
         score = bottleneck_score(WeightedGraph(nodes=indices, weights=submatrix))
         if score > delta:
             kept.append(
@@ -161,15 +151,12 @@ def save_consistent_sets(sets, path):
     } for cs in sets), path)
 
 
-def _parse_set(record):
-    """The ConsistentSet of one parsed sets-file line; ValueError says what
-    is wrong with it."""
+def _parse_set(record, topics):
+    """The ConsistentSet of one parsed sets-file line whose topic is not in
+    ``topics``, then added to it; ValueError says what is wrong with it."""
     require_keys(record, ("topic", "words", "word_indices", "score", "delta"))
     words, indices = record["words"], record["word_indices"]
-    if not (
-        is_list_of(words, (str,))
-        and is_list_of(indices, (int,), len(words))
-    ):
+    if not (is_list_of(words, (str,)) and is_list_of(indices, (int,), len(words))):
         raise ValueError(
             "words and word_indices must be equal-length lists of str and int"
         )
@@ -180,6 +167,9 @@ def _parse_set(record):
     for key in ("score", "delta"):
         if not is_finite_number(record[key]):
             raise ValueError(f"{key} must be a finite number")
+    if record["topic"] in topics:
+        raise ValueError(f"topic {record['topic']} repeats an earlier line")
+    topics.add(record["topic"])
     return ConsistentSet(
         topic_index=record["topic"],
         word_indices=tuple(indices),
@@ -191,5 +181,7 @@ def _parse_set(record):
 
 def load_consistent_sets(path):
     """Read a sets file written by ``save_consistent_sets``; ValueError
-    names the first line that is not valid JSON or not a well-typed set."""
-    return load_jsonl_records(path, _parse_set)
+    names the first line that is not valid JSON, not a well-typed set, or
+    whose topic an earlier line has."""
+    topics = set()
+    return load_jsonl_records(path, lambda record: _parse_set(record, topics))

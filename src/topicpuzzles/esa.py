@@ -5,6 +5,8 @@ The vectors are the rows of one CSR matrix; with rows scaled to unit norm
 (``R``), relatedness is a dot product of rows, served only as entries of
 block products such as ``R[S] R[S]^T`` for a word set. A single pair is
 the 1x1 block, so every path returns the same float for it.
+``rows_by_group`` is the one row path of ``extract-sets``, ``eval-yield``
+and ``generate``: the rows of one chunked product, handed out per group.
 """
 
 from __future__ import annotations
@@ -213,6 +215,29 @@ class SimilarityProvider:
             out[np.ix_(ia, ib)] = np.minimum(block, 1.0)
         out[(rows_a[:, None] == rows_b[None, :]) & (rows_a[:, None] >= 0)] = 1.0
         return out
+
+
+def rows_by_group(sim, groups, among=None):
+    """For each group of words in turn, a dict from each of its words to
+    that word's row of ``sim.cross_relatedness(words, among)``.
+
+    The rows come from one ``sim.related_rows`` call over the distinct
+    words in order of first use; a block is read when a group first needs
+    one of its rows, and a row is dropped after the last group naming it,
+    so at most one block plus the rows later groups share is held (each
+    row is a copy, which keeps no block alive)."""
+    groups = [list(group) for group in groups]
+    last = {word: i for i, group in enumerate(groups) for word in group}
+    order = iter(last)  # distinct words, in order of first use
+    blocks, held = sim.related_rows(list(last), among=among), {}
+    for i, group in enumerate(groups):
+        while not all(word in held for word in group):
+            for row in next(blocks):
+                held[next(order)] = row.copy()
+        yield {word: held[word] for word in group}
+        for word in group:
+            if last[word] == i:
+                held.pop(word, None)
 
 
 ESA_FILE = ArrayFile(

@@ -10,18 +10,18 @@ relatedness to them falls in a difficulty band (eta1, eta2):
 * separate-topics:  the union of two disjoint consistent sets whose maximum
                     cross-pair relatedness stays below a cap
 
-Rejection sampling is bounded: generators return an ``Exhausted`` marker
-after ``max_attempts`` draws instead of looping forever, and before the
-first draw when the band holds too few eligible words. Sigma comes from
-relatedness rows (``SimilarityProvider.related_rows``) that a bank computes
-once for all its set words.
+``generate_puzzle_bank`` is the one way to run these tasks. It checks its
+settings once and reads every relatedness row of its set words from one
+``esa.rows_by_group`` pass. Rejection sampling is bounded: a task returns
+an ``Exhausted`` marker after ``max_attempts`` draws instead of looping
+forever, and before the first draw when the band holds too few eligible
+words.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,7 @@ from .corpus import (
     require_keys,
     write_json_lines,
 )
+from .esa import rows_by_group
 
 ODD_ONE_OUT = "odd-one-out"
 CHOOSE_RELATED = "choose-related"
@@ -148,77 +149,48 @@ def resolve_solution(puzzle):
     return perm[puzzle.solution]
 
 
-def _attempt_budget(max_attempts, vocab):
-    """``max_attempts``, or its default for ``vocab`` when None; ValueError
-    when it is below 1."""
-    if max_attempts is None:
-        return default_max_attempts(len(vocab))
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    return max_attempts
+class _Settings:
+    """What every task of one bank shares, checked once (ValueError): the
+    band, the attempt budget (``default_max_attempts`` when None), the
+    distractor count, the cross cap (the band's eta2 when None), and the
+    vocabulary resolved to index rows (-1 for a word the index lacks)."""
+
+    def __init__(self, sim, vocab, band, n_distractors=3, eta2_cross=None,
+                 max_attempts=None):
+        if max_attempts is None:
+            max_attempts = default_max_attempts(len(vocab))
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if n_distractors < 1:
+            raise ValueError("n_distractors must be >= 1")
+        if eta2_cross is None:
+            eta2_cross = band.eta2
+        if not 0.0 < eta2_cross <= 1.0:
+            raise ValueError(f"eta2_cross must be > 0 and <= 1, got {eta2_cross}")
+        self.band, self.vocab, self.index = band, vocab, sim.index
+        self.n_distractors, self.eta2_cross = n_distractors, eta2_cross
+        self.max_attempts = max_attempts
+        self.vocab_rows = np.array([self.index.row(w) for w in vocab], dtype=np.int64)
 
 
-class _SetRows:
-    """Relatedness rows of a word list, ``SimilarityProvider.related_rows``,
-    plus a vocabulary resolved to index rows once.
-
-    Rows are computed block by block on first use, in list order, and
-    ``drop`` frees them, so a bank that reads its sets in order holds about
-    one block plus the words later sets share. Each row carries a last
-    entry 0, read through the row -1 of an unindexed word.
-    """
-
-    def __init__(self, sim, vocab, words):
-        self._row = sim.index.row
-        self._vocab_rows = np.array([self._row(w) for w in vocab], dtype=np.int64)
-        self._width = len(sim.index) + 1
-        words = list(dict.fromkeys(words))
-        self._order, self._blocks = iter(words), sim.related_rows(words)
-        self._held = {}
-
-    def _get(self, word):
-        while word not in self._held:
-            for row in next(self._blocks):
-                self._held[next(self._order)] = np.append(row, 0.0)
-        return self._held[word]
-
-    def drop(self, words):
-        for word in words:
-            self._held.pop(word, None)
-
-    def sigma(self, anchors, exclude):
-        """Sigma of every vocabulary word, its max relatedness to the
-        anchors; 0, which no band holds, for the words of ``exclude``."""
-        sigma = np.zeros(self._width)
-        for word in anchors:
-            np.maximum(sigma, self._get(word), out=sigma)
-        sigma[[self._row(w) for w in exclude]] = 0.0
-        return sigma[self._vocab_rows]
-
-    def cross(self, words_a, words_b):
-        """Max relatedness of a word of ``words_a`` to one of ``words_b``."""
-        columns = [self._row(w) for w in words_b]
-        return float(max(self._get(w)[columns].max() for w in words_a))
-
-
-def _set_rows(sim, vocab, words):
-    """``sim`` when it is a bank's ``_SetRows``, else the rows of ``words``
-    for one call."""
-    return sim if isinstance(sim, _SetRows) else _SetRows(sim, vocab, words)
-
-
-def _draw_in_band(sigma, n, band, vocab, rng, max_attempts):
+def _draw_in_band(settings, rows, anchors, exclude, n, rng):
     """Draw uniform random vocabulary words until ``n`` distinct words have
-    ``sigma`` (one value per vocabulary word) strictly inside the band;
-    returns (words, sigmas) in draw order, or None after ``max_attempts``
-    draws. Returns None before the first draw when fewer than ``n`` words
-    are in the band: no draw could succeed, and the caller's generator
-    serves no other task."""
+    sigma, their max relatedness to the anchors' ``rows``, strictly inside
+    the band; returns (words, sigmas) in draw order, or None after
+    ``max_attempts`` draws. Words of ``exclude`` and words the index lacks
+    have sigma 0, which no band holds. Returns None before the first draw
+    when fewer than ``n`` words are in the band: no draw could succeed, and
+    the task's generator serves no other task."""
+    sigma = np.zeros(len(settings.index) + 1)  # the last entry serves row -1
+    for word in anchors:
+        np.maximum(sigma[:-1], rows[word], out=sigma[:-1])
+    sigma[[settings.index.row(w) for w in exclude]] = 0.0
+    sigma, band, vocab = sigma[settings.vocab_rows], settings.band, settings.vocab
     eligible = (band.eta1 < sigma) & (sigma < band.eta2)
     if np.count_nonzero(eligible) < n:
         return None
     words, drawn_sigmas = [], []
-    for _ in range(max_attempts):
+    for _ in range(settings.max_attempts):
         drawn = int(rng.integers(0, len(vocab)))
         word = vocab[drawn]
         if not eligible[drawn] or word in words:
@@ -239,80 +211,76 @@ def _shuffled_puzzle(
     return Puzzle(kind, presented, solution, band, sigma, sources, seed, perm, stem)
 
 
-def gen_odd_one_out(
-    cset, sim, band, vocab, rng, max_attempts=None, seed=None
-):
+def _odd_one_out(settings, rows, cset, rng, seed):
     """Draw uniform random vocabulary words until one outside the set has
     max relatedness sigma strictly inside the band, then emit the shuffled
-    set plus that word with the odd position hidden.
-
-    Draws that land inside the set or on words without a concept vector
-    (sigma 0) consume attempts, so the loop always terminates; returns
-    Exhausted after max_attempts failures, or with no draw when no word
-    outside the set lies in the band.
-    """
+    set plus that word with the odd position hidden. Draws that land inside
+    the set or on words without a concept vector (sigma 0) consume
+    attempts; Exhausted after max_attempts failures, or with no draw when
+    no word outside the set lies in the band."""
     sources = (cset.topic_index,)
-    max_attempts = _attempt_budget(max_attempts, vocab)
-    sigma = _set_rows(sim, vocab, cset.words).sigma(cset.words, cset.words)
-    drawn = _draw_in_band(sigma, 1, band, vocab, rng, max_attempts)
+    drawn = _draw_in_band(settings, rows, cset.words, cset.words, 1, rng)
     if drawn is None:
-        return Exhausted(ODD_ONE_OUT, sources, max_attempts)
+        return Exhausted(ODD_ONE_OUT, sources, settings.max_attempts)
     (word,), (sigma,) = drawn
     canonical = tuple(cset.words) + (word,)
     return _shuffled_puzzle(
-        ODD_ONE_OUT, canonical, len(canonical) - 1, band, sigma, sources, seed, rng
+        ODD_ONE_OUT, canonical, len(canonical) - 1, settings.band, sigma, sources,
+        seed, rng,
     )
 
 
-def gen_choose_related(
-    cset, sim, band, n_distractors, vocab, rng, max_attempts=None, seed=None
-):
+def _choose_related(settings, rows, cset, rng, seed):
     """Hold out one uniformly chosen word of the set as the answer; present
     the rest as the stem plus distractors whose max relatedness to the stem
     lies strictly in the band. The recorded sigma is the hardest
     distractor's. Distractors are drawn as odd-one-out draws its odd word,
     against the stem, once the answer is drawn; a word without a concept
-    vector has sigma 0 and is never one."""
-    if len(cset.words) < 3:
-        raise ValueError("choose-related needs a consistent set of >= 3 words")
-    if n_distractors < 1:
-        raise ValueError("n_distractors must be >= 1")
+    vector has sigma 0 and is never one. A set of fewer than 3 words
+    leaves no stem and is Rejected."""
     sources = (cset.topic_index,)
-    max_attempts = _attempt_budget(max_attempts, vocab)
+    if len(cset.words) < 3:
+        return Rejected(CHOOSE_RELATED, sources, "fewer than 3 words")
     held = int(rng.integers(0, len(cset.words)))
     stem = tuple(w for i, w in enumerate(cset.words) if i != held)
-    sigma = _set_rows(sim, vocab, cset.words).sigma(stem, cset.words)
-    drawn = _draw_in_band(sigma, n_distractors, band, vocab, rng, max_attempts)
+    drawn = _draw_in_band(settings, rows, stem, cset.words, settings.n_distractors, rng)
     if drawn is None:
-        return Exhausted(CHOOSE_RELATED, sources, max_attempts)
+        return Exhausted(CHOOSE_RELATED, sources, settings.max_attempts)
     distractors, sigmas = drawn
     canonical = (cset.words[held],) + tuple(distractors)
     return _shuffled_puzzle(
-        CHOOSE_RELATED, canonical, 0, band, max(sigmas), sources, seed, rng, stem
+        CHOOSE_RELATED, canonical, 0, settings.band, max(sigmas), sources, seed,
+        rng, stem,
     )
 
 
-def gen_separate_topics(cset_a, cset_b, sim, eta2_cross, rng, seed=None):
+def _separate_topics(settings, rows, cset_a, cset_b, rng, seed):
     """Mix two word-disjoint consistent sets if every cross pair's
-    relatedness stays below eta2_cross; the hidden solution is the
-    bipartition bitmask (bit set = second set) in presented coordinates.
-    ``generate_puzzle_bank`` checks that 0 < eta2_cross <= 1."""
+    relatedness, read from the first set's ``rows``, stays below the cross
+    cap; the hidden solution is the bipartition bitmask (bit set = second
+    set) in presented coordinates."""
     sources = (cset_a.topic_index, cset_b.topic_index)
     if set(cset_a.words) & set(cset_b.words):
         return Rejected(SEPARATE_TOPICS, sources, "sets share words")
-    cross = _set_rows(sim, (), cset_a.words).cross(cset_a.words, cset_b.words)
-    if cross >= eta2_cross:
+    columns = [c for c in map(settings.index.row, cset_b.words) if c >= 0]
+    cross = float(max(rows[w][columns].max(initial=0.0) for w in cset_a.words))
+    if cross >= (cap := settings.eta2_cross):
         return Rejected(
-            SEPARATE_TOPICS,
-            sources,
-            f"cross relatedness {cross:.6f} >= cap {eta2_cross}",
+            SEPARATE_TOPICS, sources, f"cross relatedness {cross:.6f} >= cap {cap}"
         )
     canonical = tuple(cset_a.words) + tuple(cset_b.words)
     mask = ((1 << len(cset_b.words)) - 1) << len(cset_a.words)
-    band = DifficultyBand(0.0, eta2_cross, "cross-cap")
+    band = DifficultyBand(0.0, cap, "cross-cap")
     return _shuffled_puzzle(
         SEPARATE_TOPICS, canonical, mask, band, cross, sources, seed, rng
     )
+
+
+_STEPS = {
+    ODD_ONE_OUT: _odd_one_out,
+    CHOOSE_RELATED: _choose_related,
+    SEPARATE_TOPICS: _separate_topics,
+}
 
 
 def derive_seed(master_seed, label):
@@ -328,58 +296,28 @@ def generate_puzzle_bank(
 ):
     """Generate puzzles of the requested kinds over the consistent sets.
 
-    The relatedness rows of all set words come from one chunked product
-    (``SimilarityProvider.related_rows``), and ``vocab`` is resolved to
-    index rows once; each task reads its sigma or cross block from them.
-    Each (kind, set) task runs with its own seed derived from the master
-    seed and the set's topic index, so the bank is byte-identical across
-    runs regardless of scheduling. separate-topics pairs consecutive sets
-    (first with second, third with fourth, ...). choose-related rejects a
-    set of fewer than 3 words, which leaves no stem. Returns (puzzles,
-    skipped) where skipped collects Exhausted/Rejected markers.
-    ``max_attempts``, ``n_distractors`` and ``eta2_cross`` are checked
+    ``max_attempts``, ``n_distractors`` and ``eta2_cross`` are checked once,
     before any kind runs (ValueError), whether or not a kind uses them.
+    Tasks run set by set on the relatedness rows of ``esa.rows_by_group``:
+    a set's group is its words, plus the previous set's when separate-topics
+    pairs the two (first with second, third with fourth, ...). Each
+    (kind, set) task runs with its own seed derived from the master seed
+    and the topic indices, so the bank is byte-identical across runs
+    regardless of scheduling. Returns (puzzles, skipped) where skipped
+    collects Exhausted/Rejected markers.
     """
-    max_attempts = _attempt_budget(max_attempts, vocab)
-    if n_distractors < 1:
-        raise ValueError("n_distractors must be >= 1")
-    if eta2_cross is None:
-        eta2_cross = band.eta2
-    if not 0.0 < eta2_cross <= 1.0:
-        raise ValueError(f"eta2_cross must be > 0 and <= 1, got {eta2_cross}")
-
-    rows = _SetRows(sim, vocab, [w for cset in consistent_sets for w in cset.words])
-
-    def choose_related(cset, rng, seed):
-        if len(cset.words) < 3:
-            return Rejected(CHOOSE_RELATED, (cset.topic_index,), "fewer than 3 words")
-        return gen_choose_related(
-            cset, rows, band, n_distractors, vocab, rng, max_attempts, seed=seed
-        )
-
-    generators = {
-        ODD_ONE_OUT: lambda cset, rng, seed: gen_odd_one_out(
-            cset, rows, band, vocab, rng, max_attempts, seed=seed),
-        CHOOSE_RELATED: choose_related,
-        SEPARATE_TOPICS: lambda a, b, rng, seed: gen_separate_topics(
-            a, b, rows, eta2_cross, rng, seed=seed),
-    }
+    settings = _Settings(sim, vocab, band, n_distractors, eta2_cross, max_attempts)
     for kind in kinds:
-        if kind not in generators:
+        if kind not in _STEPS:
             raise ValueError(f"unknown puzzle kind {kind!r}")
-    # Tasks run set by set, so that each row can be dropped after the last
-    # set whose tasks read it: its own set, or the next one when
-    # separate-topics pairs the two.
     pairing = SEPARATE_TOPICS in kinds
-    last_reader = {}
-    for i, cset in enumerate(consistent_sets):
-        paired = pairing and i % 2 == 0 and i + 1 < len(consistent_sets)
-        last_reader.update(dict.fromkeys(cset.words, i + paired))
-    released = defaultdict(list)
-    for word, i in last_reader.items():
-        released[i].append(word)
+    groups = [
+        (*cset.words, *(consistent_sets[i - 1].words if pairing and i % 2 else ()))
+        for i, cset in enumerate(consistent_sets)
+    ]
     results = {kind: [] for kind in kinds}
-    for i, cset in enumerate(consistent_sets):
+    for i, rows in enumerate(rows_by_group(sim, groups)):
+        cset = consistent_sets[i]
         for kind, out in results.items():
             if kind != SEPARATE_TOPICS:
                 group = (cset,)
@@ -389,8 +327,8 @@ def generate_puzzle_bank(
                 continue
             seed = derive_seed(master_seed, ":".join(
                 [kind, *(str(member.topic_index) for member in group)]))
-            out.append(generators[kind](*group, np.random.default_rng(seed), seed))
-        rows.drop(released[i])
+            rng = np.random.default_rng(seed)
+            out.append(_STEPS[kind](settings, rows, *group, rng, seed))
     puzzles, skipped = [], []
     for kind in kinds:
         for result in results[kind]:
@@ -405,8 +343,11 @@ def verify_puzzle(puzzle, sim, sets_by_topic):
     Checks: presented words distinct; sigma recomputed from the similarity
     provider obeys the band rule exactly; every source set re-scores above
     its recorded threshold; the solution round-trips through the recorded
-    permutation back onto the source sets.
+    permutation back onto the source sets. A puzzle read from a bank saved
+    without solutions has nothing to check them against.
     """
+    if puzzle.solution is None:
+        return ["puzzle has no solution: it was saved without solutions"]
     problems = []
     if len(set(puzzle.words)) != len(puzzle.words):
         problems.append("presented words are not pairwise distinct")

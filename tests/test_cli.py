@@ -288,6 +288,21 @@ class TestGenerate:
         assert not bank.exists()
         assert not (pipeline["tmp"] / "bank.nosolutions.jsonl").exists()
 
+    @pytest.mark.parametrize("kinds", ["odd-one-out,odd-one-out",
+                                       "odd-one-out,separate-topics, odd-one-out"])
+    def test_repeated_kind_exits_2(self, pipeline, capsys, kinds):
+        """A repeated kind once wrote each of its puzzles twice."""
+        sets = self.make_sets(pipeline)
+        bank = pipeline["tmp"] / "bank.jsonl"
+        capsys.readouterr()
+        code = main(["generate", "--sets", sets, "--index", pipeline["index"],
+                     "--out", str(bank), "--kinds", kinds])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "repeated puzzle kinds: ['odd-one-out']" in err
+        assert not bank.exists()
+
     def test_two_word_sets_keep_their_other_puzzles(self, tmp_path, capsys):
         docs, _ = planted_topic_corpus(n_docs=120, seed=1, background_fraction=0.15)
         corpus_file = tmp_path / "planted.jsonl"
@@ -508,6 +523,18 @@ class TestEvalYield:
         out, err = capsys.readouterr()
         assert out == ""
         assert "no model given; models: lsa,lda,dictlearn" in err
+        assert not csv_path.exists()
+
+    def test_repeated_model_exits_2(self, pipeline, capsys):
+        """A repeated model was once fitted twice."""
+        csv_path = pipeline["tmp"] / "yield.csv"
+        code = main(["eval-yield", "--matrix", pipeline["matrix"],
+                     "--index", pipeline["index"], "--models", "lsa,lda,lsa",
+                     "--delta-grid", "0.1", "--out", str(csv_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "repeated models: ['lsa']" in err
         assert not csv_path.exists()
 
     @pytest.mark.parametrize("names", [["bert"], ["lsa", ""], ["LDA"]])
@@ -794,6 +821,23 @@ class TestLoadErrors:
         assert "Traceback" not in err
         assert not bank.exists()
 
+    def test_sets_with_repeated_topic_exits_2(self, pipeline, capsys):
+        """Two lines of one topic once exited 0, and their odd-one-out tasks
+        shared a derived seed, so they gave byte-identical puzzles."""
+        lines = open(TestGenerate().make_sets(pipeline)).readlines()
+        topic = json.loads(lines[0])["topic"]
+        broken = pipeline["tmp"] / "repeated_topic.jsonl"
+        broken.write_text(lines[0] + "\n" + lines[0])
+        bank = pipeline["tmp"] / "bank.jsonl"
+        capsys.readouterr()
+        assert main(["generate", "--sets", str(broken), "--index", pipeline["index"],
+                     "--out", str(bank)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{broken} line 3: topic {topic} repeats an earlier line" in err
+        assert "Traceback" not in err
+        assert not bank.exists()
+
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_index_truncation_below_1_exits_2(self, corpus_path, tmp_path, capsys, limit):
         out = tmp_path / "index.json"
@@ -964,9 +1008,9 @@ class TestLibraryDefaults:
     @pytest.mark.parametrize("extra,expected", [([], 3), (["--n-distractors", "2"], 2)])
     def test_generate_n_distractors(self, pipeline, monkeypatch, extra, expected):
         seen = []
-        # gen_choose_related(cset, sim, band, n_distractors, ...)
+        # _draw_in_band(settings, rows, anchors, exclude, n, rng)
         monkeypatch.setattr(
-            puzzles, "gen_choose_related", lambda *args, **kw: seen.append(args[3])
+            puzzles, "_draw_in_band", lambda *args: seen.append(args[4])
         )
         sets = TestGenerate().make_sets(pipeline)
         assert main(["generate", "--sets", sets, "--index", pipeline["index"],

@@ -1,5 +1,6 @@
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from conftest import (
 )
 from oracles import intersect1d_cosine
 
+from topicpuzzles import esa
 from topicpuzzles.corpus import Document
 from topicpuzzles.esa import (
     EsaConfig,
     SimilarityProvider,
     build_esa_index,
     load_esa_index,
+    rows_by_group,
     save_esa_index,
 )
 
@@ -246,6 +249,61 @@ class TestKernelAgreement:
         (rows,) = provider.related_rows(words, among=["unheard", words[0]])
         assert rows.max(axis=0).tolist() == [0.0, 1.0]
         assert "unheard" in provider.missing_words
+
+
+class TestRowsByGroup:
+    """``rows_by_group`` serves each group the rows of
+    ``cross_relatedness(words, among)``, reads a block only when a group
+    needs one of its rows, and drops a row after the last group naming it."""
+
+    @pytest.fixture(scope="class")
+    def planted_index(self, planted_mixed):
+        return build_esa_index(planted_mixed[0])
+
+    @pytest.mark.parametrize("chunk", [64, 1, 3])
+    @pytest.mark.parametrize("among", ["all", "some", "indices"])
+    def test_rows_equal_cross_relatedness(self, planted_index, monkeypatch, chunk, among):
+        monkeypatch.setattr(esa, "_CHUNK_ROWS", chunk)
+        words = planted_index.words() + ["unheard"]
+        provider = SimilarityProvider(planted_index, vocabulary=words)
+        # groups share words, one is empty, and "unheard" has no vector
+        groups = [words[:4], words[2:6] + ["unheard"], [words[0], words[7]], [],
+                  words[5:9], words[60:80]]
+        columns = {"all": None, "some": words[::3], "indices": range(0, len(words), 2)}
+        columns = columns[among]
+        if among == "indices":
+            groups = [[words.index(w) for w in group] for group in groups]
+        served = list(rows_by_group(provider, groups, among=columns))
+        assert [list(rows) for rows in served] == groups
+        for group, rows in zip(groups, served):
+            expected = provider.cross_relatedness(
+                group, words[:-1] if columns is None else columns
+            )
+            for word, row in zip(group, expected):
+                np.testing.assert_array_equal(rows[word], row)
+        assert provider.missing_words == {"unheard"}
+
+    def test_blocks_read_when_needed_and_rows_dropped_after_last_group(self):
+        reads = []
+
+        class TwoRowBlocks:
+            def related_rows(self, words, among=None):
+                for start in range(0, len(words), 2):
+                    reads.append(words[start:start + 2])
+                    yield np.array([[float(w)] for w in words[start:start + 2]])
+
+        served = rows_by_group(TwoRowBlocks(), [[0], [1], [0, 2], [3, 4], [5]])
+        first = next(served)
+        assert reads == [[0, 1]]
+        row_0 = weakref.ref(first[0])
+        del first
+        assert list(next(served)) == [1] and reads == [[0, 1]]
+        third = next(served)
+        assert third[0] is row_0() and reads == [[0, 1], [2, 3]]
+        del third
+        assert next(served)[4][0] == 4.0 and reads == [[0, 1], [2, 3], [4, 5]]
+        assert row_0() is None  # word 0's last group was the third
+        assert list(next(served)) == [5] and len(reads) == 3
 
 
 class TestEsaPersistence:

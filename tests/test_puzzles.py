@@ -5,7 +5,7 @@ import pytest
 from conftest import hand_index
 
 from topicpuzzles.consistency import ConsistentSet
-from topicpuzzles.esa import SimilarityProvider
+from topicpuzzles.esa import SimilarityProvider, rows_by_group
 from topicpuzzles.puzzles import (
     BAND_PRESETS,
     CHOOSE_RELATED,
@@ -18,9 +18,6 @@ from topicpuzzles.puzzles import (
     default_max_attempts,
     derive_seed,
     fisher_yates,
-    gen_choose_related,
-    gen_odd_one_out,
-    gen_separate_topics,
     generate_puzzle_bank,
     load_puzzle_bank,
     resolve_solution,
@@ -28,6 +25,7 @@ from topicpuzzles.puzzles import (
     shuffle_and_render,
     verify_puzzle,
 )
+from topicpuzzles.puzzles import _choose_related, _odd_one_out, _separate_topics, _Settings
 
 
 def block_vectors():
@@ -93,6 +91,35 @@ VOCAB = [
     "bwand", "bspell", "bwizard", "bmagic",
     "bridgeone", "bridgetwo", "orphanone", "orphantwo",
 ]
+
+
+def run_task(step, sets, provider, rng, seed, vocab=VOCAB, band=DifficultyBand(0.1, 0.2),
+             **settings):
+    """One task of ``generate_puzzle_bank`` on its own: ``step`` on the
+    bank's checked settings and the relatedness rows of its sets' words."""
+    (rows,) = rows_by_group(provider, [[w for cset in sets for w in cset.words]])
+    return step(_Settings(provider, vocab, band, **settings), rows, *sets, rng, seed)
+
+
+def odd_one_out(cset, provider, band, vocab, rng, max_attempts=None, seed=None):
+    return run_task(
+        _odd_one_out, (cset,), provider, rng, seed, vocab, band, max_attempts=max_attempts
+    )
+
+
+def choose_related(
+    cset, provider, band, n_distractors, vocab, rng, max_attempts=None, seed=None
+):
+    return run_task(
+        _choose_related, (cset,), provider, rng, seed, vocab, band,
+        n_distractors=n_distractors, max_attempts=max_attempts,
+    )
+
+
+def separate_topics(cset_a, cset_b, provider, eta2_cross, rng, seed=None):
+    return run_task(
+        _separate_topics, (cset_a, cset_b), provider, rng, seed, eta2_cross=eta2_cross
+    )
 
 
 def midband(provider, cset):
@@ -188,7 +215,7 @@ class TestGenOddOneOut:
     def test_emits_sound_puzzle(self, provider, theme_a):
         band = midband(provider, theme_a)
         rng = np.random.default_rng(3)
-        puzzle = gen_odd_one_out(theme_a, provider, band, VOCAB, rng, seed=3)
+        puzzle = odd_one_out(theme_a, provider, band, VOCAB, rng, seed=3)
         assert isinstance(puzzle, Puzzle)
         odd = puzzle.words[puzzle.solution]
         assert odd in ("bridgeone", "bridgetwo")
@@ -199,13 +226,13 @@ class TestGenOddOneOut:
 
     def test_deterministic_for_same_rng_seed(self, provider, theme_a):
         band = midband(provider, theme_a)
-        p1 = gen_odd_one_out(theme_a, provider, band, VOCAB, np.random.default_rng(7))
-        p2 = gen_odd_one_out(theme_a, provider, band, VOCAB, np.random.default_rng(7))
+        p1 = odd_one_out(theme_a, provider, band, VOCAB, np.random.default_rng(7))
+        p2 = odd_one_out(theme_a, provider, band, VOCAB, np.random.default_rng(7))
         assert p1 == p2
 
     def test_exhausted_when_band_unreachable(self, provider, theme_a):
         band = DifficultyBand(0.97, 0.99)
-        result = gen_odd_one_out(
+        result = odd_one_out(
             theme_a, provider, band, VOCAB, np.random.default_rng(0), max_attempts=64
         )
         assert result == Exhausted(ODD_ONE_OUT, (0,), 64)
@@ -214,7 +241,7 @@ class TestGenOddOneOut:
         # members have sigma 1 > eta2, and are skipped before scoring anyway
         band = DifficultyBand(0.0001, 0.9999)
         for seed in range(20):
-            result = gen_odd_one_out(
+            result = odd_one_out(
                 theme_a, provider, band, VOCAB, np.random.default_rng(seed)
             )
             if isinstance(result, Puzzle):
@@ -224,7 +251,7 @@ class TestGenOddOneOut:
         band = midband(provider, theme_a)
         vocab = VOCAB + ["ghost"]
         for seed in range(10):
-            result = gen_odd_one_out(
+            result = odd_one_out(
                 theme_a, provider, band, vocab, np.random.default_rng(seed)
             )
             if isinstance(result, Puzzle):
@@ -248,7 +275,7 @@ class TestGenOddOneOut:
     @pytest.mark.parametrize("attempts", [0, -3])
     def test_max_attempts_below_1_forbidden(self, provider, theme_a, attempts):
         with pytest.raises(ValueError, match="max_attempts"):
-            gen_odd_one_out(
+            odd_one_out(
                 theme_a, provider, midband(provider, theme_a), VOCAB,
                 np.random.default_rng(0), max_attempts=attempts,
             )
@@ -263,7 +290,7 @@ class TestGenChooseRelated:
     def test_membership_contract(self, provider, theme_a):
         band = midband(provider, theme_a)
         rng = np.random.default_rng(4)
-        puzzle = gen_choose_related(theme_a, provider, band, 2, VOCAB, rng, seed=4)
+        puzzle = choose_related(theme_a, provider, band, 2, VOCAB, rng, seed=4)
         assert isinstance(puzzle, Puzzle)
         answer = puzzle.words[puzzle.solution]
         assert answer in theme_a.words
@@ -277,23 +304,22 @@ class TestGenChooseRelated:
 
     def test_zero_distractors_forbidden(self, provider, theme_a):
         with pytest.raises(ValueError, match="n_distractors"):
-            gen_choose_related(
+            choose_related(
                 theme_a, provider, DifficultyBand(0.1, 0.2), 0, VOCAB,
                 np.random.default_rng(0),
             )
 
-    def test_small_set_forbidden(self, provider):
+    def test_small_set_rejected(self, provider):
         tiny = ConsistentSet(0, (0, 1), ("avote", "aelect"), 0.5, 0.1)
-        with pytest.raises(ValueError, match=">= 3"):
-            gen_choose_related(
-                tiny, provider, DifficultyBand(0.1, 0.2), 1, VOCAB,
-                np.random.default_rng(0),
-            )
+        result = choose_related(
+            tiny, provider, DifficultyBand(0.1, 0.2), 1, VOCAB, np.random.default_rng(0)
+        )
+        assert result == Rejected(CHOOSE_RELATED, (0,), "fewer than 3 words")
 
     @pytest.mark.parametrize("attempts", [0, -3])
     def test_max_attempts_below_1_forbidden(self, provider, theme_a, attempts):
         with pytest.raises(ValueError, match="max_attempts"):
-            gen_choose_related(
+            choose_related(
                 theme_a, provider, midband(provider, theme_a), 2, VOCAB,
                 np.random.default_rng(0), max_attempts=attempts,
             )
@@ -301,7 +327,7 @@ class TestGenChooseRelated:
     def test_exhausted_when_not_enough_distractors(self, provider, theme_a):
         band = midband(provider, theme_a)
         # only two midband words exist, so three distractors must fail
-        result = gen_choose_related(
+        result = choose_related(
             theme_a, provider, band, 3, VOCAB, np.random.default_rng(0),
             max_attempts=300,
         )
@@ -317,7 +343,7 @@ class TestEarlyExhaustion:
 
     def test_odd_one_out_draws_nothing(self, provider, theme_a):
         rng, fresh = np.random.default_rng(0), np.random.default_rng(0)
-        result = gen_odd_one_out(
+        result = odd_one_out(
             theme_a, provider, self.UNREACHABLE, VOCAB, rng, max_attempts=64
         )
         assert result == Exhausted(ODD_ONE_OUT, (0,), 64)
@@ -326,7 +352,7 @@ class TestEarlyExhaustion:
     def test_choose_related_draws_only_the_answer(self, provider, theme_a):
         rng, twin = np.random.default_rng(0), np.random.default_rng(0)
         twin.integers(0, len(theme_a.words))  # the held-out answer
-        result = gen_choose_related(
+        result = choose_related(
             theme_a, provider, self.UNREACHABLE, 2, VOCAB, rng, max_attempts=300
         )
         assert result == Exhausted(CHOOSE_RELATED, (0,), 300)
@@ -347,7 +373,7 @@ class TestEarlyExhaustion:
         other = max(provider.relatedness(t, "bridgetwo") for t in theme_a.words)
         assert abs(other - sigma) > 0.01 * sigma
         band = DifficultyBand(sigma * 0.99, sigma * 1.01)
-        puzzle = gen_odd_one_out(
+        puzzle = odd_one_out(
             theme_a, provider, band, VOCAB, np.random.default_rng(2), max_attempts=500
         )
         assert puzzle.words[puzzle.solution] == "bridgeone"
@@ -357,7 +383,7 @@ class TestEarlyExhaustion:
         # the two bridge words are the only midband words
         band = midband(provider, theme_a)
         for seed in range(5):
-            puzzle = gen_choose_related(
+            puzzle = choose_related(
                 theme_a, provider, band, 2, VOCAB, np.random.default_rng(seed),
                 max_attempts=500,
             )
@@ -368,7 +394,7 @@ class TestEarlyExhaustion:
 class TestGenSeparateTopics:
     def test_accepts_weakly_related_pair(self, provider, theme_a, theme_b):
         rng = np.random.default_rng(5)
-        puzzle = gen_separate_topics(theme_a, theme_b, provider, 0.5, rng, seed=5)
+        puzzle = separate_topics(theme_a, theme_b, provider, 0.5, rng, seed=5)
         assert isinstance(puzzle, Puzzle)
         group_b = {
             w for p, w in enumerate(puzzle.words) if puzzle.solution >> p & 1
@@ -378,7 +404,7 @@ class TestGenSeparateTopics:
         assert puzzle.sigma < 0.5
 
     def test_overlapping_sets_rejected(self, provider, theme_a):
-        result = gen_separate_topics(
+        result = separate_topics(
             theme_a, theme_a, provider, 0.5, np.random.default_rng(0)
         )
         assert isinstance(result, Rejected)
@@ -387,7 +413,7 @@ class TestGenSeparateTopics:
     def test_zero_cross_accepted_for_any_positive_cap(self, provider):
         left = ConsistentSet(0, (10,), ("orphanone",), 0.9, 0.0)
         right = ConsistentSet(1, (11,), ("orphantwo",), 0.9, 0.0)
-        puzzle = gen_separate_topics(
+        puzzle = separate_topics(
             left, right, provider, 1e-6, np.random.default_rng(0)
         )
         assert isinstance(puzzle, Puzzle)
@@ -405,7 +431,7 @@ class TestGenSeparateTopics:
             for v in theme_b.words
         )
         assert cross > 0.9
-        result = gen_separate_topics(
+        result = separate_topics(
             theme_a, theme_b, tampered, 0.5, np.random.default_rng(0)
         )
         assert isinstance(result, Rejected)
@@ -509,6 +535,18 @@ class TestPuzzleBank:
         path.write_text("\n[1, 2\n")
         with pytest.raises(ValueError, match="line 2: invalid JSON"):
             load_puzzle_bank(path)
+
+    def test_verify_without_solution_is_one_problem(
+        self, provider, theme_a, theme_b, tmp_path
+    ):
+        """A puzzle of a bank saved without solutions once raised TypeError."""
+        bank, _ = self.bank(provider, theme_a, theme_b)
+        path = tmp_path / "public.jsonl"
+        save_puzzle_bank(bank, path, include_solutions=False)
+        for puzzle in load_puzzle_bank(path):
+            assert verify_puzzle(puzzle, provider, {0: theme_a, 1: theme_b}) == [
+                "puzzle has no solution: it was saved without solutions"
+            ]
 
     def test_no_solutions_file_withholds_fields(self, provider, theme_a, theme_b, tmp_path):
         import json
