@@ -220,8 +220,7 @@ def cmd_extract_sets(args):
     model = topic_models.load_topic_dictionary(args.model)
     if model.vocab is None:
         raise UsageError(f"model {args.model} carries no vocabulary")
-    index = esa.load_esa_index(args.index)
-    provider = esa.SimilarityProvider(index, vocabulary=model.vocab)
+    provider = esa.SimilarityProvider(esa.load_esa_index(args.index))
     delta = _setting(args, config, "delta", 0.1, float)
     sets = topic_models.extract_top_k(model, k)
     kept = consistency.identify_consistent_sets(sets, provider, delta)
@@ -292,8 +291,7 @@ def cmd_eval_yield(args):
     config = _load_config(args.config)
     k = _top_k(args, config)
     dtm = corpus.load_doc_term_matrix(args.matrix)
-    index = esa.load_esa_index(args.index)
-    provider = esa.SimilarityProvider(index, vocabulary=list(dtm.vocab.words))
+    provider = esa.SimilarityProvider(esa.load_esa_index(args.index))
     grid = [float(v) for v in args.delta_grid.split(",") if v.strip()]
     if not grid:
         raise UsageError("empty delta grid")

@@ -5,7 +5,7 @@ pair relatedness is the widest-path (max over paths of the min edge) value
 in the complete similarity graph. Because edge weights are nonnegative,
 that score equals the minimum edge weight of a maximum spanning tree, which
 is how ``bottleneck_score`` computes it. ``identify_consistent_sets`` reads
-each set's similarity submatrix from its rows of ``esa.rows_by_group``.
+the submatrix of each set's words from its rows of ``esa.rows_by_group``.
 """
 
 from __future__ import annotations
@@ -109,30 +109,33 @@ class ConsistentSet:
 
 
 def identify_consistent_sets(sets, sim, delta):
-    """Score each candidate word set on its similarity submatrix and keep
-    those scoring strictly above delta, preserving input (topic) order.
+    """Score each candidate word set on the similarity submatrix of its
+    ``words`` (ValueError for a set without them) and keep those scoring
+    strictly above delta, preserving input (topic) order.
 
     The submatrices are read from the rows of one product over the
-    distinct candidate words, ``esa.rows_by_group(sim, sets, among=words)``;
+    distinct candidate words, ``esa.rows_by_group(sim, groups, among=words)``;
     each entry has the bits of ``sim.similarity_submatrix`` of its set."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     sets = list(sets)
-    members = [tuple(int(i) for i in word_set.word_indices) for word_set in sets]
-    words = list(dict.fromkeys(i for indices in members for i in indices))
+    groups = [word_set.words for word_set in sets]
+    if None in groups:
+        raise ValueError("a topic word set has no words: its model has no vocabulary")
+    words = list(dict.fromkeys(w for group in groups for w in group))
     position = {word: p for p, word in enumerate(words)}
     kept = []
-    for word_set, indices, rows in zip(
-        sets, members, rows_by_group(sim, members, among=words)
-    ):
-        submatrix = np.array([rows[i] for i in indices])[:, [position[i] for i in indices]]
+    for word_set, rows in zip(sets, rows_by_group(sim, groups, among=words)):
+        columns = [position[w] for w in word_set.words]
+        submatrix = np.array([rows[w] for w in word_set.words])[:, columns]
+        indices = tuple(int(i) for i in word_set.word_indices)
         score = bottleneck_score(WeightedGraph(nodes=indices, weights=submatrix))
         if score > delta:
             kept.append(
                 ConsistentSet(
                     topic_index=word_set.topic_index,
                     word_indices=indices,
-                    words=tuple(sim.word_for_index(i) for i in indices),
+                    words=tuple(word_set.words),
                     score=score,
                     delta=delta,
                 )
@@ -160,6 +163,8 @@ def _parse_set(record, topics):
         raise ValueError(
             "words and word_indices must be equal-length lists of str and int"
         )
+    if len(words) < 2 or min(indices) < 0:
+        raise ValueError("a set needs at least 2 words and word_indices >= 0")
     if len(set(words)) < len(words) or len(set(indices)) < len(indices):
         raise ValueError("words and word_indices must not repeat")
     if type(record["topic"]) is not int:

@@ -4,7 +4,8 @@ repository, and pairwise word relatedness as the cosine of those vectors.
 The vectors are the rows of one CSR matrix; with rows scaled to unit norm
 (``R``), relatedness is a dot product of rows, served only as entries of
 block products such as ``R[S] R[S]^T`` for a word set. A single pair is
-the 1x1 block, so every path returns the same float for it.
+the 1x1 block, so every path returns the same float for it. Words are
+strings, turned into rows only by ``SimilarityProvider.rows``.
 ``rows_by_group`` is the one row path of ``extract-sets``, ``eval-yield``
 and ``generate``: the rows of one chunked product, handed out per group.
 """
@@ -12,7 +13,6 @@ and ``generate``: the rows of one chunked product, handed out per group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,44 +132,27 @@ def build_esa_index(concepts, config=EsaConfig()):
 
 class SimilarityProvider:
     """Serves word relatedness from the row-normalised matrix ``R`` of an
-    EsaIndex, as block products over resolved rows.
+    EsaIndex, as block products over the rows that ``rows`` resolves.
 
-    Words are strings or, with a vocabulary attached, indices into it; a
-    lookup array maps those indices to rows (-1 if not indexed). Values are
-    cosines clamped to [0, 1], exactly 1 for an indexed word with itself.
-    Unindexed words yield 0 and are recorded in ``missing_words`` instead
-    of raising, so downstream sampling loops degrade gracefully.
+    Words are strings. Values are cosines clamped to [0, 1], exactly 1 for
+    an indexed word with itself. Unindexed words yield 0 and are recorded
+    in ``missing_words`` instead of raising, so downstream sampling loops
+    degrade gracefully. ``vocabulary`` serves only the int words of
+    ``similarity_submatrix``.
     """
 
     def __init__(self, index, vocabulary=None):
         self.index = index
         self.vocabulary = list(vocabulary) if vocabulary is not None else None
         self.missing_words = set()
-        self._vocabulary_rows = None if vocabulary is None else np.array(
-            [index.row(w) for w in self.vocabulary], dtype=np.int64
-        )
 
-    @cached_property
-    def _transposed(self):
-        """R^T as a concepts x words CSR matrix, for set-versus-all products."""
-        return self.index.R.T.tocsr()
-
-    def word_for_index(self, i):
-        if self.vocabulary is None:
-            raise ValueError("similarity provider has no vocabulary attached")
-        return self.vocabulary[i]
-
-    def _rows(self, words):
-        """R rows of words given all as strings or all as vocabulary
-        indices; -1 marks (and records) a word the index lacks."""
-        if all(isinstance(w, str) for w in words):
-            rows = np.array([self.index.row(w) for w in words], dtype=np.int64)
-            names = words
-        else:
-            positions = np.asarray(words, dtype=np.int64)
-            names = [self.word_for_index(i) for i in positions]
-            rows = self._vocabulary_rows[positions]
-        self.missing_words.update(names[p] for p in np.flatnonzero(rows < 0))
+    def rows(self, words):
+        """R rows of ``words``, which must be strings (ValueError); -1 marks,
+        and records in ``missing_words``, a word the index lacks."""
+        if not all(isinstance(w, str) for w in words):
+            raise ValueError("words must be strings, not vocabulary indices")
+        rows = np.array([self.index.row(w) for w in words], dtype=np.int64)
+        self.missing_words.update(w for w, row in zip(words, rows) if row < 0)
         return rows
 
     def relatedness(self, word_a, word_b):
@@ -178,15 +161,19 @@ class SimilarityProvider:
         return float(self.cross_relatedness([word_a], [word_b])[0, 0])
 
     def similarity_submatrix(self, words):
-        """Symmetric relatedness matrix over a word set (indices into the
-        attached vocabulary, or word strings); unit diagonal for indexed
-        words, zero for missing ones."""
+        """Symmetric relatedness matrix over a word set; unit diagonal for
+        indexed words, zero for missing ones. An int word is an index into
+        the attached vocabulary (ValueError without one)."""
+        if self.vocabulary is not None:
+            # Only bench/child.py's check step passes indices; ROADMAP item 4
+            # removes this mapping with the bench's use of it.
+            words = [w if isinstance(w, str) else self.vocabulary[w] for w in words]
         return self.cross_relatedness(words, words)
 
     def cross_relatedness(self, words_a, words_b):
         """Relatedness of every word of ``words_a`` (rows) to every word of
         ``words_b`` (columns), from one product ``R[A] R[B]^T``."""
-        rows_a, rows_b = self._rows(words_a), self._rows(words_b)
+        rows_a, rows_b = self.rows(words_a), self.rows(words_b)
         return self._block(rows_a, rows_b, self.index.R[rows_b[rows_b >= 0]].T)
 
     def related_rows(self, words, among=None):
@@ -195,11 +182,11 @@ class SimilarityProvider:
         most ``_CHUNK_ROWS`` rows: one product per block, and memory bounded
         by one block at any vocabulary size. Row i of a CSR product depends
         only on row i, so every entry has the bits of the one-block path."""
-        rows = self._rows(words)
+        rows = self.rows(words)
         if among is None:
-            columns, right = np.arange(len(self.index)), self._transposed
+            columns, right = np.arange(len(self.index)), self.index.R.T.tocsr()
         else:
-            columns = self._rows(among)
+            columns = self.rows(among)
             right = self.index.R[columns[columns >= 0]].T.tocsr()
         for start in range(0, len(rows), _CHUNK_ROWS):
             yield self._block(rows[start:start + _CHUNK_ROWS], columns, right)

@@ -153,7 +153,7 @@ class _Settings:
     """What every task of one bank shares, checked once (ValueError): the
     band, the attempt budget (``default_max_attempts`` when None), the
     distractor count, the cross cap (the band's eta2 when None), and the
-    vocabulary resolved to index rows (-1 for a word the index lacks)."""
+    provider ``sim`` with the vocabulary's rows (-1 for a word it lacks)."""
 
     def __init__(self, sim, vocab, band, n_distractors=3, eta2_cross=None,
                  max_attempts=None):
@@ -167,10 +167,10 @@ class _Settings:
             eta2_cross = band.eta2
         if not 0.0 < eta2_cross <= 1.0:
             raise ValueError(f"eta2_cross must be > 0 and <= 1, got {eta2_cross}")
-        self.band, self.vocab, self.index = band, vocab, sim.index
+        self.band, self.vocab, self.sim = band, vocab, sim
         self.n_distractors, self.eta2_cross = n_distractors, eta2_cross
         self.max_attempts = max_attempts
-        self.vocab_rows = np.array([self.index.row(w) for w in vocab], dtype=np.int64)
+        self.vocab_rows = sim.rows(vocab)
 
 
 def _draw_in_band(settings, rows, anchors, exclude, n, rng):
@@ -181,10 +181,10 @@ def _draw_in_band(settings, rows, anchors, exclude, n, rng):
     have sigma 0, which no band holds. Returns None before the first draw
     when fewer than ``n`` words are in the band: no draw could succeed, and
     the task's generator serves no other task."""
-    sigma = np.zeros(len(settings.index) + 1)  # the last entry serves row -1
+    sigma = np.zeros(len(settings.sim.index) + 1)  # the last entry serves row -1
     for word in anchors:
         np.maximum(sigma[:-1], rows[word], out=sigma[:-1])
-    sigma[[settings.index.row(w) for w in exclude]] = 0.0
+    sigma[settings.sim.rows(exclude)] = 0.0
     sigma, band, vocab = sigma[settings.vocab_rows], settings.band, settings.vocab
     eligible = (band.eta1 < sigma) & (sigma < band.eta2)
     if np.count_nonzero(eligible) < n:
@@ -256,14 +256,16 @@ def _choose_related(settings, rows, cset, rng, seed):
 
 def _separate_topics(settings, rows, cset_a, cset_b, rng, seed):
     """Mix two word-disjoint consistent sets if every cross pair's
-    relatedness, read from the first set's ``rows``, stays below the cross
-    cap; the hidden solution is the bipartition bitmask (bit set = second
-    set) in presented coordinates."""
+    relatedness, read from the second set's ``rows`` (for sorted CSR rows,
+    ``R[b] R[a]^T`` is ``(R[a] R[b]^T)^T`` bit for bit), stays below the
+    cross cap; the hidden solution is the bipartition bitmask (bit set =
+    second set) in presented coordinates."""
     sources = (cset_a.topic_index, cset_b.topic_index)
     if set(cset_a.words) & set(cset_b.words):
         return Rejected(SEPARATE_TOPICS, sources, "sets share words")
-    columns = [c for c in map(settings.index.row, cset_b.words) if c >= 0]
-    cross = float(max(rows[w][columns].max(initial=0.0) for w in cset_a.words))
+    columns = settings.sim.rows(cset_a.words)
+    columns = columns[columns >= 0]
+    cross = float(max(rows[w][columns].max(initial=0.0) for w in cset_b.words))
     if cross >= (cap := settings.eta2_cross):
         return Rejected(
             SEPARATE_TOPICS, sources, f"cross relatedness {cross:.6f} >= cap {cap}"
@@ -298,9 +300,9 @@ def generate_puzzle_bank(
 
     ``max_attempts``, ``n_distractors`` and ``eta2_cross`` are checked once,
     before any kind runs (ValueError), whether or not a kind uses them.
-    Tasks run set by set on the relatedness rows of ``esa.rows_by_group``:
-    a set's group is its words, plus the previous set's when separate-topics
-    pairs the two (first with second, third with fourth, ...). Each
+    Tasks run set by set on the relatedness rows of ``esa.rows_by_group``,
+    each set's group being its own words; separate-topics pairs a set with
+    the previous one (first with second, third with fourth, ...). Each
     (kind, set) task runs with its own seed derived from the master seed
     and the topic indices, so the bank is byte-identical across runs
     regardless of scheduling. Returns (puzzles, skipped) where skipped
@@ -310,13 +312,8 @@ def generate_puzzle_bank(
     for kind in kinds:
         if kind not in _STEPS:
             raise ValueError(f"unknown puzzle kind {kind!r}")
-    pairing = SEPARATE_TOPICS in kinds
-    groups = [
-        (*cset.words, *(consistent_sets[i - 1].words if pairing and i % 2 else ()))
-        for i, cset in enumerate(consistent_sets)
-    ]
     results = {kind: [] for kind in kinds}
-    for i, rows in enumerate(rows_by_group(sim, groups)):
+    for i, rows in enumerate(rows_by_group(sim, [c.words for c in consistent_sets])):
         cset = consistent_sets[i]
         for kind, out in results.items():
             if kind != SEPARATE_TOPICS:

@@ -781,11 +781,13 @@ def dict_learn_fit(X, config):
 
 @dataclass
 class TopicWordSet:
-    """The k most significant word indices of one topic, weights descending."""
+    """The k most significant word indices of one topic, weights descending,
+    and their words (None for a model without a vocabulary)."""
 
     topic_index: int
     word_indices: tuple[int, ...]
     weights: tuple[float, ...]
+    words: tuple[str, ...] | None
 
 
 def extract_top_k(dictionary, k):
@@ -797,7 +799,7 @@ def extract_top_k(dictionary, k):
     n = dictionary.n_words
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    out = []
+    out, vocab = [], dictionary.vocab
     indices = np.arange(n)
     for t in range(dictionary.n_topics):
         col = dictionary.weights[:, t]
@@ -808,6 +810,7 @@ def extract_top_k(dictionary, k):
                 topic_index=t,
                 word_indices=tuple(int(i) for i in order),
                 weights=tuple(float(sig[i]) for i in order),
+                words=None if vocab is None else tuple(vocab[i] for i in order),
             )
         )
     return out

@@ -629,7 +629,8 @@ def per_task_puzzle_bank(
 
 def per_set_consistent_sets(sets, sim, delta):
     """``identify_consistent_sets`` scoring each set on its own
-    ``similarity_submatrix``."""
+    ``similarity_submatrix`` of its vocabulary indices, so ``sim`` needs the
+    model's vocabulary attached."""
     kept = []
     for word_set in sets:
         indices = tuple(int(i) for i in word_set.word_indices)
@@ -639,7 +640,7 @@ def per_set_consistent_sets(sets, sim, delta):
             kept.append(ConsistentSet(
                 topic_index=word_set.topic_index,
                 word_indices=indices,
-                words=tuple(sim.word_for_index(i) for i in indices),
+                words=tuple(sim.vocabulary[i] for i in indices),
                 score=score,
                 delta=delta,
             ))

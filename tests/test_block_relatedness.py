@@ -69,8 +69,7 @@ def test_consistent_sets_match_per_set_loop(planted_run, delta):
         candidates, SimilarityProvider(index, vocabulary=vocab), delta
     )
     assert expected, "the planted topics should give consistent sets"
-    provider = SimilarityProvider(index, vocabulary=vocab)
-    assert identify_consistent_sets(candidates, provider, delta) == expected
+    assert identify_consistent_sets(candidates, SimilarityProvider(index), delta) == expected
 
 
 def run_both(planted_run, sets, band, **settings):

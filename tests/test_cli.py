@@ -37,6 +37,36 @@ TINY_DOCS = [
 ]
 
 
+def _last_record(change):
+    """The edit of a JSON-lines text that applies ``change`` to its last
+    record."""
+    def edit(text):
+        *head, last = text.splitlines()
+        record = json.loads(last)
+        change(record)
+        return "".join(line + "\n" for line in head + [json.dumps(record)])
+    return edit
+
+
+def _set_key(key, value):
+    return _last_record(lambda record: record.__setitem__(key, value))
+
+
+SET_KEYS = ("topic", "words", "word_indices", "score", "delta")
+# One value of each JSON type, and NaN; a float is right for score and delta.
+WRONG_VALUES = {"null": None, "str": "x", "float": 0.5, "list": [1], "object": {"k": 1},
+                "true": True, "nan": float("nan")}
+# id -> edit of a valid two-line sets file that breaks its second line
+SETS_CORRUPTIONS = {
+    "truncated": lambda text: text[:-len(text.splitlines()[-1]) // 2],
+    **{f"drop-{key}": _last_record(lambda record, key=key: record.pop(key))
+       for key in SET_KEYS},
+    **{f"{key}-{name}": _set_key(key, value)
+       for key in SET_KEYS for name, value in WRONG_VALUES.items()
+       if not (name == "float" and key in ("score", "delta"))},
+}
+
+
 @pytest.fixture
 def corpus_path(tmp_path):
     path = tmp_path / "corpus.jsonl"
@@ -837,6 +867,53 @@ class TestLoadErrors:
         assert f"{broken} line 3: topic {topic} repeats an earlier line" in err
         assert "Traceback" not in err
         assert not bank.exists()
+
+    def write_sets(self, pipeline, last_words, last_indices):
+        """A sets file of two sets whose second has the given words and
+        indices; returns its path and an empty directory for outputs."""
+        sets, out = pipeline["tmp"] / "sets.jsonl", pipeline["tmp"] / "out"
+        consistency.save_consistent_sets([
+            consistency.ConsistentSet(0, (0, 1, 2), ("vote", "ballot", "election"), 0.5, 0.1),
+            consistency.ConsistentSet(1, last_indices, last_words, 0.5, 0.1),
+        ], sets)
+        out.mkdir()
+        return sets, out
+
+    def generate_fails(self, pipeline, capsys, sets, out, message):
+        """``generate`` on ``sets`` exits 2 naming the file and line 2, with
+        no traceback and no file in ``out``, not even a temporary one."""
+        capsys.readouterr()
+        assert main(["generate", "--sets", str(sets), "--index", pipeline["index"],
+                     "--out", str(out / "bank.jsonl"), "--no-solutions"]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"error: {sets} line 2: ") and message in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("words,indices", [
+        ((), ()), (("wizard",), (5,)), (("wizard", "wand"), (5, -1)),
+    ], ids=["empty", "one-word", "negative-index"])
+    def test_set_too_small_or_negative_index_exits_2(self, pipeline, capsys, words,
+                                                     indices):
+        """An empty set once exited 2 with ``max() arg is an empty sequence``,
+        and a one-word set exited 0 with puzzles that ``verify_puzzle``
+        cannot check: a spanning tree needs 2 words."""
+        sets, out = self.write_sets(pipeline, words, indices)
+        self.generate_fails(pipeline, capsys, sets, out,
+                            "a set needs at least 2 words and word_indices >= 0")
+
+    def test_intact_sets_file_generates(self, pipeline):
+        """The file the corruption cases below start from is valid."""
+        sets, out = self.write_sets(pipeline, ("wizard", "wand"), (5, 6))
+        assert main(["generate", "--sets", str(sets), "--index", pipeline["index"],
+                     "--out", str(out / "bank.jsonl")]) == 0
+
+    @pytest.mark.parametrize("change", SETS_CORRUPTIONS.values(), ids=SETS_CORRUPTIONS.keys())
+    def test_corrupt_sets_file_exits_2(self, pipeline, capsys, change):
+        sets, out = self.write_sets(pipeline, ("wizard", "wand"), (5, 6))
+        sets.write_text(change(sets.read_text()))
+        self.generate_fails(pipeline, capsys, sets, out, "")
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_index_truncation_below_1_exits_2(self, corpus_path, tmp_path, capsys, limit):

@@ -188,20 +188,23 @@ class TestWidestPath:
 
 
 class _StubProvider:
-    """SimilarityProvider replacement serving a fixed matrix (tests only)."""
+    """SimilarityProvider replacement serving a fixed matrix over ``words``
+    (tests only)."""
 
     def __init__(self, matrix, words):
         self.matrix = np.asarray(matrix, dtype=float)
         self.words = list(words)
 
-    def related_rows(self, indices, among):
+    def related_rows(self, words, among):
         """One row per block, so that the scoring reads across blocks."""
-        columns = [int(i) for i in among]
-        for i in indices:
-            yield self.matrix[[int(i)]][:, columns]
+        columns = [self.words.index(w) for w in among]
+        for word in words:
+            yield self.matrix[[self.words.index(word)]][:, columns]
 
-    def word_for_index(self, i):
-        return self.words[i]
+    def word_set(self, topic, indices, weights):
+        """The TopicWordSet naming ``indices`` by this provider's words."""
+        words = tuple(self.words[i] for i in indices)
+        return TopicWordSet(topic, tuple(indices), tuple(weights), words)
 
 
 class TestIdentifyConsistentSets:
@@ -218,14 +221,14 @@ class TestIdentifyConsistentSets:
         self.provider = _StubProvider(self.matrix, ["alpha", "beta", "gamma", "junk"])
 
     def test_zero_threshold_keeps_all_positive_sets(self):
-        sets = [TopicWordSet(0, (0, 1, 2), (1.0, 0.9, 0.8))]
+        sets = [self.provider.word_set(0, (0, 1, 2), (1.0, 0.9, 0.8))]
         kept = identify_consistent_sets(sets, self.provider, 0.0)
         assert len(kept) == 1
         assert kept[0].words == ("alpha", "beta", "gamma")
         assert kept[0].score == pytest.approx(0.8)
 
     def test_disconnected_word_dooms_set_for_any_delta(self):
-        sets = [TopicWordSet(0, (0, 1, 3), (1.0, 0.9, 0.8))]
+        sets = [self.provider.word_set(0, (0, 1, 3), (1.0, 0.9, 0.8))]
         for delta in (0.0, 0.1, 0.5):
             assert identify_consistent_sets(sets, self.provider, delta) == []
 
@@ -237,7 +240,7 @@ class TestIdentifyConsistentSets:
         np.fill_diagonal(m, 1.0)
         provider = _StubProvider(m, [f"w{i}" for i in range(size)])
         sets = [
-            TopicWordSet(t, tuple(rng.choice(size, 4, replace=False)), (1, 1, 1, 1))
+            provider.word_set(t, rng.choice(size, 4, replace=False), (1, 1, 1, 1))
             for t in range(20)
         ]
         low = identify_consistent_sets(sets, provider, 0.1)
@@ -247,15 +250,15 @@ class TestIdentifyConsistentSets:
         assert high_topics <= low_topics
 
     def test_boundary_score_rejected(self):
-        sets = [TopicWordSet(0, (0, 1, 2), (1.0, 0.9, 0.8))]
+        sets = [self.provider.word_set(0, (0, 1, 2), (1.0, 0.9, 0.8))]
         assert identify_consistent_sets(sets, self.provider, 0.8) == []
         kept = identify_consistent_sets(sets, self.provider, 0.79)
         assert len(kept) == 1
 
     def test_order_preserved_and_delta_recorded(self):
         sets = [
-            TopicWordSet(2, (0, 1), (1.0, 0.9)),
-            TopicWordSet(5, (1, 2), (1.0, 0.9)),
+            self.provider.word_set(2, (0, 1), (1.0, 0.9)),
+            self.provider.word_set(5, (1, 2), (1.0, 0.9)),
         ]
         kept = identify_consistent_sets(sets, self.provider, 0.1)
         assert [cs.topic_index for cs in kept] == [2, 5]
@@ -263,6 +266,14 @@ class TestIdentifyConsistentSets:
 
     def test_empty_input(self):
         assert identify_consistent_sets([], self.provider, 0.1) == []
+
+    def test_set_without_words_raises(self):
+        """A model without a vocabulary gives sets without words, which
+        relatedness cannot score."""
+        sets = [self.provider.word_set(0, (0, 1), (1.0, 0.9)),
+                TopicWordSet(1, (1, 2), (1.0, 0.9), None)]
+        with pytest.raises(ValueError, match="no vocabulary"):
+            identify_consistent_sets(sets, self.provider, 0.1)
 
     def test_delta_range_validated(self):
         with pytest.raises(ValueError, match="delta"):

@@ -152,13 +152,17 @@ class TestSimilaritySubmatrix:
         assert np.all(matrix >= 0) and np.all(matrix <= 1)
 
     def test_index_resolution_through_vocabulary(self):
+        """The index form (the benchmark's check step) gives the bits of the
+        word form, for a vocabulary out of index order and holding a word
+        the index lacks."""
         index = build_esa_index(CONCEPTS)
-        vocabulary = ["vote", "wizard", "spell"]
+        vocabulary = ["vote", "wizard", "spell", "unheard"]
         provider = SimilarityProvider(index, vocabulary=vocabulary)
-        by_index = provider.similarity_submatrix([0, 1, 2])
-        by_word = provider.similarity_submatrix(vocabulary)
-        np.testing.assert_array_equal(by_index, by_word)
-        assert by_index[1, 2] == provider.relatedness("wizard", "spell")
+        by_index = provider.similarity_submatrix([3, 0, 1, 2])
+        by_word = provider.similarity_submatrix([vocabulary[i] for i in (3, 0, 1, 2)])
+        assert by_index.tobytes() == by_word.tobytes()
+        assert by_index[2, 3] == provider.relatedness("wizard", "spell") > 0
+        assert provider.missing_words == {"unheard"}
 
     def test_missing_word_zero_diagonal(self):
         provider = SimilarityProvider(build_esa_index(CONCEPTS))
@@ -170,6 +174,29 @@ class TestSimilaritySubmatrix:
         provider = SimilarityProvider(build_esa_index(CONCEPTS))
         with pytest.raises(ValueError, match="vocabulary"):
             provider.similarity_submatrix([0, 1])
+
+    def test_only_the_submatrix_takes_indices(self):
+        """With a vocabulary attached, every other path still takes only
+        strings: an index there is a ValueError, not a missing word."""
+        provider = SimilarityProvider(build_esa_index(CONCEPTS), vocabulary=["vote"])
+        for call in (lambda: provider.rows([0]),
+                     lambda: provider.cross_relatedness(["vote"], [0]),
+                     lambda: list(provider.related_rows([0])),
+                     lambda: list(provider.related_rows(["vote"], among=[0]))):
+            with pytest.raises(ValueError, match="strings"):
+                call()
+        assert provider.missing_words == set()
+
+
+class TestRows:
+    def test_rows_of_words_and_missing_words(self):
+        index = build_esa_index(CONCEPTS)
+        provider = SimilarityProvider(index)
+        rows = provider.rows(["wizard", "unheard", "vote", "unheard", "zeppelin"])
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [index.row("wizard"), -1, index.row("vote"), -1, -1]
+        assert provider.missing_words == {"unheard", "zeppelin"}
+        assert provider.rows([]).tolist() == []
 
 
 class TestKernelAgreement:
@@ -211,6 +238,21 @@ class TestKernelAgreement:
         pairs = [(0, 0)] + [tuple(rng.integers(0, len(words), 2)) for _ in range(50)]
         for i, j in pairs:
             assert provider.relatedness(words[i], words[j]) == block[i, j]
+
+    def test_cross_block_transposes_exactly(self, planted_index):
+        """``cross_relatedness(a, b)`` is ``cross_relatedness(b, a).T`` bit
+        for bit, so separate-topics may read its cross block from either
+        set's rows."""
+        words = planted_index.words()
+        provider = SimilarityProvider(planted_index)
+        rng = np.random.default_rng(17)
+        for size_a, size_b in ((1, 1), (3, 5), (10, 10), (len(words) // 2, len(words))):
+            a = list(rng.choice(words, size_a, replace=False)) + ["unheard"]
+            b = list(rng.choice(words, size_b, replace=False))
+            forward = provider.cross_relatedness(a, b)
+            assert forward.tobytes() == np.ascontiguousarray(
+                provider.cross_relatedness(b, a).T
+            ).tobytes()
 
     def test_set_sigma_is_max_of_block(self, planted_index, block):
         words = planted_index.words()
@@ -261,18 +303,15 @@ class TestRowsByGroup:
         return build_esa_index(planted_mixed[0])
 
     @pytest.mark.parametrize("chunk", [64, 1, 3])
-    @pytest.mark.parametrize("among", ["all", "some", "indices"])
+    @pytest.mark.parametrize("among", ["all", "some"])
     def test_rows_equal_cross_relatedness(self, planted_index, monkeypatch, chunk, among):
         monkeypatch.setattr(esa, "_CHUNK_ROWS", chunk)
         words = planted_index.words() + ["unheard"]
-        provider = SimilarityProvider(planted_index, vocabulary=words)
+        provider = SimilarityProvider(planted_index)
         # groups share words, one is empty, and "unheard" has no vector
         groups = [words[:4], words[2:6] + ["unheard"], [words[0], words[7]], [],
                   words[5:9], words[60:80]]
-        columns = {"all": None, "some": words[::3], "indices": range(0, len(words), 2)}
-        columns = columns[among]
-        if among == "indices":
-            groups = [[words.index(w) for w in group] for group in groups]
+        columns = {"all": None, "some": words[::3]}[among]
         served = list(rows_by_group(provider, groups, among=columns))
         assert [list(rows) for rows in served] == groups
         for group, rows in zip(groups, served):

@@ -24,6 +24,21 @@ class TestExtractTopK:
         assert ws.word_indices == (0,)
         assert ws.weights == (0.9,)
 
+    def test_words_follow_word_indices(self):
+        weights = [[0.1, 0.4], [0.9, 0.0], [0.5, 0.2], [0.3, 0.7]]
+        td = TopicDictionary(weights=np.asarray(weights), model="lda",
+                             vocab=["ant", "bee", "cat", "dog"])
+        first, second = extract_top_k(td, 3)
+        assert first.word_indices == (1, 2, 3)
+        assert first.words == ("bee", "cat", "dog")
+        assert second.word_indices == (3, 0, 2)
+        assert second.words == ("dog", "ant", "cat")
+
+    def test_no_vocabulary_gives_no_words(self):
+        (ws,) = extract_top_k(dictionary([[0.1], [0.9], [0.5]]), 2)
+        assert ws.word_indices == (1, 2)
+        assert ws.words is None
+
     def test_tie_breaks_to_lower_index(self):
         td = dictionary([[0.5], [0.5], [0.1]])
         (ws,) = extract_top_k(td, 1)
