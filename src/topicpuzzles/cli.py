@@ -71,6 +71,8 @@ def _load_config(path):
         raise UsageError(f"cannot read config {path}: line {line}: {exc}") from exc
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"cannot read config {path}: invalid JSON (nested too deeply)") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config {path} must contain a JSON object")
     return config

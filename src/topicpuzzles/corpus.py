@@ -394,6 +394,8 @@ class ArrayFile:
             header = json.loads(line)
         except ValueError:
             header = None
+        except RecursionError as exc:
+            raise ValueError("line 1: invalid JSON (nested too deeply)") from exc
         if not isinstance(header, dict) or header.get("format") != self.format:
             raise ValueError(f"not {self.kind} file")
         if header.get("version") != self.version:
@@ -481,7 +483,8 @@ def require_keys(record, keys):
 def load_jsonl_records(path, parse):
     """``parse(record)`` for each object of a JSON-lines file, blank lines
     skipped. CorpusFormatError names the first line that is not UTF-8, not
-    valid JSON, or that ``parse`` rejects with a ValueError."""
+    valid JSON (or nested too deeply to decode), or that ``parse`` rejects
+    with a ValueError."""
     out = []
     # surrogateescape defers a byte that is not UTF-8 to the line holding it
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -494,6 +497,10 @@ def load_jsonl_records(path, parse):
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(
                     f"{path} line {lineno}: invalid JSON ({exc.msg})"
+                ) from exc
+            except RecursionError as exc:
+                raise CorpusFormatError(
+                    f"{path} line {lineno}: invalid JSON (nested too deeply)"
                 ) from exc
             except ValueError as exc:
                 raise CorpusFormatError(f"{path} line {lineno}: {exc}") from exc

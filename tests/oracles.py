@@ -35,6 +35,9 @@ for the block rows that ``extract-sets`` and ``generate`` share.
 dictionary update summed each ``d @ stat_a[:, j]`` and ``u @ u`` through
 BLAS, frozen the same way as the reference for the left-to-right sums of
 ``dl_update``.
+``scalar_planted_topic_corpus`` is the library's original
+``planted_topic_corpus``, two scalar draws per token, frozen the same way
+as the reference for the one bulk read of the generator's stream.
 """
 
 import itertools
@@ -55,6 +58,7 @@ from topicpuzzles.consistency import (
 from topicpuzzles.corpus import (
     DEFAULT_TOKENIZER,
     TOKEN_PATTERN,
+    Document,
     DocTermMatrix,
     EmptyVocabularyError,
     Vocabulary,
@@ -69,6 +73,7 @@ from topicpuzzles.topic_models import (
     recency_weights,
     sparse_code,
 )
+from topicpuzzles.synthetic import planted_vocabulary
 
 
 def jacobi_singular_values(matrix, tol=1e-14, max_sweeps=100):
@@ -645,3 +650,36 @@ def per_set_consistent_sets(sets, sim, delta):
                 delta=delta,
             ))
     return kept
+
+
+def scalar_planted_topic_corpus(
+    n_topics=8,
+    words_per_topic=10,
+    n_docs=400,
+    tokens_per_doc=50,
+    seed=0,
+    background_fraction=0.0,
+):
+    """Documents drawn from a single planted topic each (topics cycle over
+    documents). With background_fraction > 0, that fraction of tokens is
+    drawn uniformly from the full vocabulary instead, which gives word
+    pairs from different topics small but nonzero co-occurrence.
+
+    Returns (documents, per-topic word lists).
+    """
+    if not 0.0 <= background_fraction < 1.0:
+        raise ValueError("background_fraction must be in [0, 1)")
+    topics = planted_vocabulary(n_topics, words_per_topic)
+    all_words = [w for topic in topics for w in topic]
+    rng = np.random.default_rng(seed)
+    docs = []
+    for j in range(n_docs):
+        topic_words = topics[j % n_topics]
+        tokens = []
+        for _ in range(tokens_per_doc):
+            if background_fraction > 0.0 and rng.random() < background_fraction:
+                tokens.append(all_words[int(rng.integers(0, len(all_words)))])
+            else:
+                tokens.append(topic_words[int(rng.integers(0, len(topic_words)))])
+        docs.append(Document(id=f"doc{j:04d}", text=" ".join(tokens)))
+    return docs, topics

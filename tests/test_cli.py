@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import re
 import warnings
 from pathlib import Path
@@ -64,6 +65,55 @@ SETS_CORRUPTIONS = {
     **{f"{key}-{name}": _set_key(key, value)
        for key in SET_KEYS for name, value in WRONG_VALUES.items()
        if not (name == "float" and key in ("score", "delta"))},
+}
+
+# One JSON value nested deeper than the decoder's recursion limit.
+DEEP = "[" * 100000 + "]" * 100000
+
+
+def _set_literal(key, literal):
+    """The edit that sets ``key`` of the last record to the JSON text
+    ``literal``, which ``json.dumps`` may not write (a 5000-digit int)."""
+    edit = _set_key(key, "@")
+    return lambda text: edit(text).replace('"@"', literal)
+
+
+def _xor_bytes(mask, structural, seed, count):
+    """``count`` edits, each XOR-ing one byte of the file's UTF-8 with
+    ``mask``, at offsets drawn from ``seed``: any offset, or with
+    ``structural`` only JSON punctuation (no corpus text holds any), where
+    a 0x01 flip always breaks the line."""
+    def edit(k):
+        def flip(text):
+            raw = bytearray(text.encode())
+            offsets = [i for i, b in enumerate(raw) if not structural or b in b'{}":,']
+            i = random.Random(seed).sample(offsets, count)[k]
+            raw[i] ^= mask
+            return bytes(raw)
+        return flip
+    return {f"xor-{mask:02x}-{k}": edit(k) for k in range(count)}
+
+
+CORPUS_KEYS = ("id", "text")
+CORPUS_WRONG_LITERALS = {"null": "null", "int": "5", "float": "0.5", "list": "[1]",
+                         "object": '{"k": 1}', "true": "true", "nan": "NaN",
+                         "infinity": "Infinity", "5000-digit-int": "1" * 5000}
+# id -> edit of a valid corpus file (text in, text or bytes out) that
+# makes it invalid
+CORPUS_CORRUPTIONS = {
+    "truncated": lambda text: text[:-len(text.splitlines()[-1]) // 2],
+    "empty": lambda text: "",
+    "blank-lines": lambda text: "\n \n\t\n",
+    **_xor_bytes(0xFF, False, 20, 7),
+    **_xor_bytes(0x01, True, 20, 7),
+    **{f"drop-{key}": _last_record(lambda record, key=key: record.pop(key))
+       for key in CORPUS_KEYS},
+    **{f"{key}-{name}": _set_literal(key, literal)
+       for key in CORPUS_KEYS for name, literal in CORPUS_WRONG_LITERALS.items()},
+    "duplicate-id": _set_key("id", TINY_DOCS[0].id),
+    "array-line": lambda text: text + '["d7", "more words"]\n',
+    "utf-8-bom": lambda text: "\ufeff" + text,
+    "deep-nesting": lambda text: text + DEEP + "\n",
 }
 
 
@@ -914,6 +964,63 @@ class TestLoadErrors:
         sets, out = self.write_sets(pipeline, ("wizard", "wand"), (5, 6))
         sets.write_text(change(sets.read_text()))
         self.generate_fails(pipeline, capsys, sets, out, "")
+
+    @pytest.mark.parametrize("command", ["ingest", "index"])
+    @pytest.mark.parametrize("change", CORPUS_CORRUPTIONS.values(),
+                             ids=CORPUS_CORRUPTIONS.keys())
+    def test_corrupt_corpus_file_exits_2(self, corpus_path, tmp_path, capsys, command,
+                                         change):
+        """The command reading the corpus exits 2 and leaves no output file,
+        finished or temporary."""
+        broken = tmp_path / "broken.jsonl"
+        edited = change(Path(corpus_path).read_text())
+        broken.write_bytes(edited if isinstance(edited, bytes) else edited.encode())
+        out = tmp_path / "out"
+        out.mkdir()
+        flag = "--corpus" if command == "ingest" else "--concepts"
+        assert main([command, flag, str(broken), "--out", str(out / "out.json")]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and str(broken) in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ingest", "index", "generate", "train",
+                                         "eval-yield"])
+    def test_deeply_nested_json_exits_2(self, pipeline, capsys, command):
+        """A JSON value nested deeper than the decoder's recursion limit once
+        exited 1 with a RecursionError traceback: in a corpus, concepts or
+        sets line, in an array file's header, or as a config file."""
+        tmp = pipeline["tmp"]
+        broken, out = tmp / "deep.json", tmp / "deep-out"
+        out.mkdir()
+        if command in ("ingest", "index"):
+            broken.write_text(Path(pipeline["corpus"]).read_text() + DEEP + "\n")
+            flag = "--corpus" if command == "ingest" else "--concepts"
+            argv = [command, flag, str(broken)]
+            message = f"{broken} line {len(TINY_DOCS) + 1}: "
+        elif command == "generate":
+            sets, _ = self.write_sets(pipeline, ("wizard", "wand"), (5, 6))
+            broken.write_text(sets.read_text().splitlines()[0] + "\n" + DEEP + "\n")
+            argv = ["generate", "--sets", str(broken), "--index", pipeline["index"]]
+            message = f"{broken} line 2: "
+        elif command == "train":
+            header, body = Path(pipeline["matrix"]).read_bytes().split(b"\n", 1)
+            broken.write_bytes(header[:-1] + b',"deep":' + DEEP.encode() + b"}\n" + body)
+            argv = ["train", "--model", "lsa", "--matrix", str(broken)]
+            message = f"{broken}: line 1: "
+        else:
+            broken.write_text(DEEP)
+            argv = ["eval-yield", "--matrix", pipeline["matrix"], "--index",
+                    pipeline["index"], "--delta-grid", "0.1", "--config", str(broken)]
+            message = f"cannot read config {broken}: "
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out / "result")]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert f"{message}invalid JSON (nested too deeply)" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_index_truncation_below_1_exits_2(self, corpus_path, tmp_path, capsys, limit):
