@@ -1,8 +1,8 @@
-"""Corpus ingestion: tokenization, vocabulary construction, and sparse
-document-term matrices with optional TF-IDF weighting; also the file
-helpers of every module, among them ``ArrayFile``, the container of the
-matrix, model and ESA index files, and the checker of the compressed
-sparse arrays that the matrix and the index both hold.
+"""Corpus ingestion: tokenization by a bytes translate and split, vocabulary
+construction, sparse document-term matrices with optional TF-IDF weights;
+also the file helpers of every module, among them ``ArrayFile``, the
+container of the matrix, model and ESA index files, and the checker of the
+compressed sparse arrays that the matrix and the index both hold.
 
 All builders are deterministic: the same documents and config produce
 bit-identical vocabularies and matrices. Built structures are treated as
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import secrets
 import warnings
 from collections import defaultdict
@@ -65,8 +64,8 @@ class Document:
 
 
 # Tokens are maximal runs of ASCII letters, taken after lowercasing, so
-# digits and punctuation split tokens.
-TOKEN_PATTERN = re.compile(r"[A-Za-z]+")
+# every other character splits tokens: this table maps it to a space.
+_LETTERS = bytes(c if ord("a") <= c <= ord("z") else ord(" ") for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,11 @@ def _count_words(docs, min_df, max_df_ratio, config):
     frequency in [min_df, max_df_ratio * n_docs], and the (document, word,
     count) entries of those words, in document then word order.
 
-    One pass tokenizes each document: it lowercases the text and takes the
-    runs of ASCII letters (``TOKEN_PATTERN``); the minimum-length and
-    stopword rules then run once per distinct token. Raises ValueError for bad
-    filters or duplicate ids, EmptyVocabularyError if the filters remove
-    every word.
+    One pass tokenizes each document in C: lowercase (the Kelvin sign gives
+    "k"), encode to ASCII with "?" for any other character or lone surrogate,
+    map each byte but a-z to a space (``_LETTERS``) and split. Length and
+    stopword rules run once per distinct token, decoded to str. ValueError
+    for bad filters or duplicate ids; EmptyVocabularyError if no word is left.
     """
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
@@ -126,14 +125,15 @@ def _count_words(docs, min_df, max_df_ratio, config):
     ids = defaultdict(count().__next__)  # distinct token -> id, first seen first
     token_ids, lengths = [], []
     for doc in docs:
-        tokens = TOKEN_PATTERN.findall(doc.text.lower())
+        tokens = doc.text.lower().encode("ascii", "replace").translate(_LETTERS).split()
         lengths.append(len(tokens))
         token_ids.extend(map(ids.__getitem__, tokens))
+    distinct = [t.decode() for t in ids]
     words = sorted(
-        t for t in ids if len(t) >= config.min_token_len and t not in config.stopwords
+        t for t in distinct if len(t) >= config.min_token_len and t not in config.stopwords
     )
     rank = {word: i for i, word in enumerate(words)}
-    word_of_id = np.fromiter((rank.get(t, -1) for t in ids), np.int64, len(ids))
+    word_of_id = np.fromiter((rank.get(t, -1) for t in distinct), np.int64, len(distinct))
     token_word = word_of_id[np.fromiter(token_ids, np.int64, len(token_ids))]
     del token_ids
     keys = np.repeat(np.arange(len(docs), dtype=np.int64) * len(words), lengths)

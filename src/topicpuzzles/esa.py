@@ -24,7 +24,7 @@ from .corpus import (
     ArrayFile,
     TokenizerConfig,
     build_doc_term_matrix,
-    build_vocabulary,  # noqa: F401  traced by bench/tracer.py; see ROADMAP item 7
+    build_vocabulary,  # noqa: F401  traced by bench/tracer.py; see ROADMAP item 2
     compressed_arrays,
     is_list_of,
     tfidf_transform,
@@ -165,7 +165,7 @@ class SimilarityProvider:
         indexed words, zero for missing ones. An int word is an index into
         the attached vocabulary (ValueError without one)."""
         if self.vocabulary is not None:
-            # Only bench/child.py's check step passes indices; ROADMAP item 4
+            # Only bench/child.py's check step passes indices; ROADMAP item 2
             # removes this mapping with the bench's use of it.
             words = [w if isinstance(w, str) else self.vocabulary[w] for w in words]
         return self.cross_relatedness(words, words)

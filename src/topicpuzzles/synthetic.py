@@ -12,16 +12,20 @@ import numpy as np
 from .corpus import Document
 
 
+def _check_counts(**counts):
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be a positive int")
+
+
 def planted_vocabulary(n_topics=8, words_per_topic=10):
-    """Disjoint per-topic word lists. Words are synthetic four-letter
-    strings (e.g. 'aabb') that survive the default tokenizer."""
+    """Disjoint per-topic lists of four-letter words like 'aabb' that pass
+    the default tokenizer; ValueError unless both counts are ints in 1..26."""
+    _check_counts(n_topics=n_topics, words_per_topic=words_per_topic)
     if n_topics > 26 or words_per_topic > 26:
         raise ValueError("at most 26 topics and 26 words per topic")
     letters = string.ascii_lowercase
-    return [
-        [letters[t] * 2 + letters[i] * 2 for i in range(words_per_topic)]
-        for t in range(n_topics)
-    ]
+    return [[a * 2 + b * 2 for b in letters[:words_per_topic]] for a in letters[:n_topics]]
 
 
 def planted_topic_corpus(
@@ -37,20 +41,16 @@ def planted_topic_corpus(
     drawn uniformly from the full vocabulary instead, which gives word
     pairs from different topics small but nonzero co-occurrence.
 
-    Every token is drawn as ``_scalar_indices`` draws it from
-    ``default_rng(seed)``, so the same seed gives the same corpus as
-    before; ``_bulk_indices`` makes the same draws at once where it can.
+    Tokens come from ``default_rng(seed)`` as ``_scalar_indices`` draws them;
+    ``_bulk_indices`` makes the same draws at once where it can.
 
     Returns (documents, per-topic word lists). ValueError unless the four
     counts are positive ints and background_fraction is in [0, 1).
     """
-    for name, value in (("n_topics", n_topics), ("words_per_topic", words_per_topic),
-                        ("n_docs", n_docs), ("tokens_per_doc", tokens_per_doc)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be a positive int")
+    topics = planted_vocabulary(n_topics, words_per_topic)
+    _check_counts(n_docs=n_docs, tokens_per_doc=tokens_per_doc)
     if not 0.0 <= background_fraction < 1.0:
         raise ValueError("background_fraction must be in [0, 1)")
-    topics = planted_vocabulary(n_topics, words_per_topic)
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
     shape = (n_topics, words_per_topic, n_docs, tokens_per_doc, background_fraction)

@@ -23,7 +23,8 @@ of ``build_doc_term_matrix``. ``two_qr_lsa_fit`` is the library's original
 ``lsa_fit``, whose power steps orthonormalized both the document side and
 the word side, frozen the same way as the reference for the one-QR steps.
 ``tokenize`` is the library's original tokenizer, which only tests called
-once the one counting pass inlined its rules.
+once the one counting pass inlined its rules; its regex ``TOKEN_PATTERN``
+is the reference for the bytes translate and split that replaced it.
 ``per_task_puzzle_bank`` is the library's original bank: one product
 ``R[anchors] R^T`` per odd-one-out or choose-related task, the vocabulary
 mapped through ``index.row`` for each task, a full budget of draws before
@@ -42,6 +43,7 @@ as the reference for the one bulk read of the generator's stream.
 
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -57,7 +59,6 @@ from topicpuzzles.consistency import (
 )
 from topicpuzzles.corpus import (
     DEFAULT_TOKENIZER,
-    TOKEN_PATTERN,
     Document,
     DocTermMatrix,
     EmptyVocabularyError,
@@ -370,6 +371,11 @@ def naive_cd_lasso(x, dictionary, kappa, tol=1e-8, max_iter=1000):
             break
         prev = cur
     return alpha, float(prev)
+
+
+# Tokens are maximal runs of ASCII letters, taken after lowercasing, so
+# digits and punctuation split tokens.
+TOKEN_PATTERN = re.compile(r"[A-Za-z]+")
 
 
 def tokenize(text, config=DEFAULT_TOKENIZER):

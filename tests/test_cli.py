@@ -17,12 +17,14 @@ from conftest import (
     rewrite_array_file,
     use_kernel,
 )
+from oracles import counter_build_doc_term_matrix, counter_build_vocabulary
 
 from topicpuzzles import consistency, esa, puzzles, topic_models
 from topicpuzzles.cli import build_parser, main
 from topicpuzzles.corpus import (
     Document,
     build_vocabulary,
+    load_corpus_jsonl,
     load_doc_term_matrix,
     save_corpus_jsonl,
 )
@@ -142,6 +144,21 @@ class TestIngest:
         payload = decode_array_file(Path(out).read_bytes())
         assert payload["n_docs"] == 6
         assert payload["weighting"] == "raw-count"
+
+    def test_surrogate_and_nul_escapes_match_the_oracle(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "Plum\\ud800TREE\\u0000plum apple"}\n'
+                        '{"id": "b", "text": "\\ud800\\u0000apple\\u0000 tree\\ud800"}\n')
+        docs = load_corpus_jsonl(str(path))
+        assert "\ud800" in docs[0].text and "\x00" in docs[1].text
+        out = str(tmp_path / "m.json")
+        assert main(["ingest", "--corpus", str(path), "--out", out]) == 0
+        got = load_doc_term_matrix(out)
+        want = counter_build_doc_term_matrix(docs, counter_build_vocabulary(docs))
+        assert got.vocab.words == want.vocab.words == ["apple", "plum", "tree"]
+        assert got.vocab.doc_freq == want.vocab.doc_freq
+        assert got.doc_ids == want.doc_ids
+        assert got.matrix.toarray().tolist() == want.matrix.toarray().tolist()
 
     def test_missing_text_field_exits_2_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

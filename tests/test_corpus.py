@@ -170,18 +170,26 @@ class TestBuildDocTermMatrix:
 
 
 # Pieces of the random oracle corpora: mixed case, stopwords, one- and
-# two-letter words, digits and punctuation inside words, and non-ASCII
-# text, some of which lowercases to ASCII letters (the Kelvin sign to "k",
-# "\u0130" to "i" plus a combining dot) and some of which does not.
+# two-letter words, a mixed-case word longer than 8 letters, digits,
+# punctuation, NUL and a lone surrogate inside words, and non-ASCII text,
+# some of which lowercases to ASCII letters (the Kelvin sign to "k",
+# "\u0130" to "i" plus a combining dot) and some of which does not (Greek
+# capitals, whose last sigma lowercases to a final sigma).
 ORACLE_PIECES = [
     "Apple", "apple", "APPLE", "banana", "Cherry", "plum", "grape", "melon",
     "the", "The", "and", "of", "a", "I", "x", "ox", "go", "abc123def", "z9z",
     "well-known", "don't", "3.14", "!!!", "\u212aelvin", "\u0130stanbul",
     "caf\u00e9", "\u00c6sir", "stra\u00dfe", "\ufb01ne", "\u00e9t\u00e9",
+    "ExtraORDINARYwords", "plum\ud800tree", "\ud800", "nul\x00byte",
+    "\u03a3\u0391\u03a3", "\u03a3\u0391\u03a3plum",
 ]
 # Documents every oracle corpus holds besides its random ones: no tokens,
-# stopwords only, digits and punctuation only, one word found nowhere else.
-ORACLE_FIXED = ["", "The of AND", "42 !!! 3.14", "zyzzyva", "\u212a \u0130"]
+# stopwords only, digits and punctuation only, one word found nowhere else,
+# non-ASCII and control characters only.
+ORACLE_FIXED = ["", "The of AND", "42 !!! 3.14", "zyzzyva", "\u212a \u0130",
+                "\ud800\x00\u03a3\u0391\u03a3\r\x0b\x0c"]
+
+ORACLE_SEPARATORS = [" ", ", ", "\n", "-", "\t", ".", "\x00", "\r", "\x0b", "\x0c"]
 
 KEEP_STOPWORDS = TokenizerConfig(stopwords=frozenset())
 ORACLE_CASES = {
@@ -189,6 +197,7 @@ ORACLE_CASES = {
     "keep-stopwords": ({"config": KEEP_STOPWORDS}, 1),
     "min-token-len-1": ({"config": TokenizerConfig(min_token_len=1)}, 2),
     "min-token-len-3": ({"config": TokenizerConfig(min_token_len=3)}, 3),
+    "min-token-len-0": ({"config": TokenizerConfig(min_token_len=0)}, 8),
     "min-df-2": ({"min_df": 2}, 4),
     "min-df-5": ({"min_df": 5, "config": KEEP_STOPWORDS}, 5),
     "max-df-ratio-0.3": ({"max_df_ratio": 0.3}, 6),
@@ -207,7 +216,9 @@ def oracle_corpus(seed, n_docs=30):
     texts = list(ORACLE_FIXED)
     for _ in range(n_docs):
         pieces = rng.choice(ORACLE_PIECES, size=rng.integers(0, 13))
-        seps = rng.choice([" ", ", ", "\n", "-", "\t", "."], size=len(pieces))
+        # drawn by index: a numpy str array would drop a trailing NUL
+        seps = [ORACLE_SEPARATORS[i]
+                for i in rng.choice(len(ORACLE_SEPARATORS), size=len(pieces))]
         texts.append("".join(p + q for p, q in zip(pieces, seps)))
     order = rng.permutation(len(texts))
     return [Document(f"doc{int(k) * 7 % 101}", texts[k]) for k in order]
@@ -264,6 +275,32 @@ class TestCountingPassMatchesOracle:
             lambda: build_vocabulary(docs, config=config, **filters))
         assert vocab_warnings == []
         assert_same_vocabulary(vocab, want.vocab)
+
+    @pytest.mark.parametrize("config", [TokenizerConfig(), TokenizerConfig(
+        stopwords=frozenset(), min_token_len=1)], ids=["defaults", "every-token"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_code_points(self, seed, config):
+        """Documents of random code points: a quarter from the whole code
+        space, lone surrogates included; a quarter from characters whose
+        lowercase holds an ASCII letter (U+0130, U+212A) or none (U+FB01,
+        sigma, capital sharp s), and NUL; a quarter from all of ASCII; a
+        quarter ASCII letters or the punctuation between the two cases."""
+        rng = np.random.default_rng(seed)
+        special = [0x130, 0x212A, 0xFB01, 0x3A3, 0x1E9E, 0x0]
+        docs = []
+        for j in range(40):
+            n = int(rng.integers(0, 150))
+            points = np.choose(rng.integers(0, 4, size=n), [
+                rng.integers(0, 0x110000, size=n), rng.choice(special, size=n),
+                rng.integers(0, 0x80, size=n), rng.integers(0x41, 0x7B, size=n)])
+            docs.append(Document(f"d{j}", "".join(map(chr, points.tolist()))))
+        want, want_warnings = outcome(lambda: counter_build_doc_term_matrix(
+            docs, counter_build_vocabulary(docs, config=config), config))
+        got, got_warnings = outcome(lambda: build_doc_term_matrix(docs, config=config))
+        assert got_warnings == want_warnings
+        assert_same_vocabulary(got.vocab, want.vocab)
+        assert got.doc_ids == want.doc_ids
+        assert_same_arrays(got.matrix, want.matrix, ("indptr", "indices", "data"))
 
     @pytest.mark.parametrize("docs,kwargs", [
         ([Document("a", "apple"), Document("a", "banana")], {}),

@@ -3,7 +3,7 @@ import pytest
 from oracles import scalar_planted_topic_corpus
 
 from topicpuzzles import synthetic
-from topicpuzzles.synthetic import planted_topic_corpus
+from topicpuzzles.synthetic import planted_topic_corpus, planted_vocabulary
 
 # (n_topics, words_per_topic, n_docs, tokens_per_doc, seed, background_fraction)
 # -> whether the bulk draw reproduces the scalar loop (False: the loop runs)
@@ -59,3 +59,12 @@ def test_generator_seed_same_corpus_and_stream(bit_generator, buffered, shape, s
 def test_counts_must_be_positive_ints(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a positive int"):
         planted_topic_corpus(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n_topics", 0), ("n_topics", -2), ("words_per_topic", 0), ("words_per_topic", -1),
+    ("n_topics", True), ("words_per_topic", 3.0), ("n_topics", "4"),
+])
+def test_vocabulary_counts_must_be_positive_ints(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a positive int"):
+        planted_vocabulary(**{name: value})
