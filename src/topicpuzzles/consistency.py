@@ -3,9 +3,11 @@
 A set's score is the relatedness of its two most dissimilar words, where
 pair relatedness is the widest-path (max over paths of the min edge) value
 in the complete similarity graph. Because edge weights are nonnegative,
-that score equals the minimum edge weight of a maximum spanning tree, which
-is how ``bottleneck_score`` computes it. ``identify_consistent_sets`` reads
-the submatrix of each set's words from its rows of ``esa.rows_by_group``.
+that score equals the minimum edge weight of every maximum spanning tree,
+whichever tree ties pick: the height at which single linkage joins the set
+(Gower & Ross 1969). ``bottleneck_score`` finds it with Prim's algorithm,
+keeping no tree. ``identify_consistent_sets`` reads the submatrix of each
+set's words from its rows of ``esa.rows_by_group``.
 """
 
 from __future__ import annotations
@@ -52,48 +54,22 @@ class WeightedGraph:
         return len(self.nodes)
 
 
-@dataclass(eq=False)
-class SpanningTree:
-    """Edges (node, node, weight) of a spanning tree."""
-
-    edges: tuple[tuple[int, int, float], ...]
-
-    @property
-    def min_edge_weight(self):
-        return float(min(w for _, _, w in self.edges))
-
-
-def max_spanning_tree(graph):
-    """Kruskal on descending edge weight; ties prefer the lexicographically
-    smaller (node, node) pair, so the tree is deterministic."""
-    size = len(graph)
-    if size < 2:
-        raise ValueError(f"spanning tree needs at least 2 nodes, got {size}")
-    edges = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            a, b = graph.nodes[i], graph.nodes[j]
-            if a > b:
-                a, b = b, a
-            edges.append((a, b, float(graph.weights[i, j])))
-    edges.sort(key=lambda e: (-e[2], e[0], e[1]))
-    # component label per node; b's component takes the label of a's
-    label = {node: node for node in graph.nodes}
-    chosen = []
-    for a, b, w in edges:
-        kept, merged = label[a], label[b]
-        if kept != merged:
-            label = {n: kept if c == merged else c for n, c in label.items()}
-            chosen.append((a, b, w))
-            if len(chosen) == size - 1:
-                break
-    return SpanningTree(edges=tuple(chosen))
-
-
 def bottleneck_score(graph):
     """Similarity of the two most dissimilar words in the set: the minimum
-    edge weight of the maximum spanning tree."""
-    return max_spanning_tree(graph).min_edge_weight
+    edge weight of a maximum spanning tree, grown by Prim's algorithm from
+    the first node. ``link`` maps each node outside the tree to its widest
+    edge into it; each step adds the node of the widest link."""
+    rows = graph.weights.tolist()
+    if len(rows) < 2:
+        raise ValueError(f"bottleneck score needs at least 2 nodes, got {len(rows)}")
+    link = dict(enumerate(rows[0][1:], 1))
+    score = float("inf")
+    while link:
+        node = max(link, key=link.get)  # the first of equal links
+        score = min(score, link.pop(node))
+        for other in link:
+            link[other] = max(link[other], rows[node][other])
+    return score
 
 
 @dataclass

@@ -91,9 +91,6 @@ class Vocabulary:
     doc_freq: list[int]
     n_docs: int
 
-    def __post_init__(self):
-        self.index = {w: i for i, w in enumerate(self.words)}
-
     def __len__(self):
         return len(self.words)
 

@@ -341,13 +341,17 @@ def verify_puzzle(puzzle, sim, sets_by_topic):
     provider obeys the band rule exactly; every source set re-scores above
     its recorded threshold; the solution round-trips through the recorded
     permutation back onto the source sets. A puzzle read from a bank saved
-    without solutions has nothing to check them against.
+    without solutions has nothing to check them against, and one whose
+    source topics ``sets_by_topic`` lacks has no sets to check.
     """
     if puzzle.solution is None:
         return ["puzzle has no solution: it was saved without solutions"]
     problems = []
     if len(set(puzzle.words)) != len(puzzle.words):
         problems.append("presented words are not pairwise distinct")
+    missing = [topic for topic in puzzle.source_topics if topic not in sets_by_topic]
+    if missing:
+        return problems + [f"source topic {topic} has no set" for topic in missing]
     for topic in puzzle.source_topics:
         cset = sets_by_topic[topic]
         graph = WeightedGraph(
@@ -452,10 +456,12 @@ def save_puzzle_bank(puzzles, path, include_solutions=True):
 
 def _parse_puzzle(record):
     """The Puzzle of one parsed bank line; ValueError says what is wrong
-    with it."""
+    with it, including a solution that ``resolve_solution`` and
+    ``verify_puzzle`` could not use."""
     require_keys(record, ("kind", "words", "band", "sigma", "source_topics", "seed"))
-    if record["kind"] not in KINDS:
-        raise ValueError(f"unknown puzzle kind {record['kind']!r}")
+    kind = record["kind"]
+    if kind not in KINDS:
+        raise ValueError(f"unknown puzzle kind {kind!r}")
     words = record["words"]
     if not is_list_of(words, (str,)) or not is_list_of(record.get("stem", []), (str,)):
         raise ValueError("words and stem must be lists of str")
@@ -469,8 +475,9 @@ def _parse_puzzle(record):
         raise ValueError("band must hold a str name and numbers eta1, eta2")
     if not is_finite_number(record["sigma"]):
         raise ValueError("sigma must be a finite number")
-    if not is_list_of(record["source_topics"], (int,)):
-        raise ValueError("source_topics must be a list of int")
+    n_sources = 2 if kind == SEPARATE_TOPICS else 1
+    if not is_list_of(record["source_topics"], (int,), n_sources):
+        raise ValueError(f"source_topics must be a list of int, {n_sources} for {kind}")
     if type(record["seed"]) not in (int, type(None)):
         raise ValueError("seed must be an int or null")
     # A bank saved without solutions has neither field.
@@ -481,8 +488,15 @@ def _parse_puzzle(record):
         raise ValueError(
             "solution and permutation must be an int and one int per word"
         )
+    if sorted(permutation) != list(range(len(permutation))):
+        raise ValueError("permutation must hold each word position once")
+    if solution is not None and kind == SEPARATE_TOPICS:
+        if not 0 < solution < (1 << len(words)) - 1:
+            raise ValueError("solution must mark some but not all words")
+    elif solution is not None and not 0 <= solution < len(words):
+        raise ValueError("solution must be the position of a word")
     return Puzzle(
-        kind=record["kind"],
+        kind=kind,
         words=tuple(words),
         solution=solution,
         band=DifficultyBand(band["eta1"], band["eta2"], band["name"]),

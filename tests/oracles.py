@@ -4,7 +4,7 @@ These deliberately avoid the code paths they check: singular values come
 from a one-sided Jacobi iteration rather than the randomized range finder
 (and rather than LAPACK), the lasso objective from a dense grid search with
 derivative-free refinement rather than coordinate descent, and spanning
-trees from exhaustive enumeration rather than Kruskal.
+trees from exhaustive enumeration rather than Prim's algorithm.
 
 ``list_gibbs_lda_weights`` is the library's original collapsed Gibbs
 sampler, frozen here unchanged (one ``rng.random()`` call per token, a
@@ -15,11 +15,13 @@ frozen the same way as the reference for the CSR relatedness kernel.
 ``gram[j] @ alpha`` per coordinate step), frozen the same way as the
 reference for the covariance-update loop in ``sparse_code``.
 ``widest_path_sim`` enumerates simple paths (exponential), the oracle for
-the bottleneck identity. ``counter_build_vocabulary`` and
-``counter_build_doc_term_matrix`` are the library's original two-pass
-builders (``tokenize`` per document in each pass, one ``Counter`` per
-document), frozen the same way as the reference for the one counting pass
-of ``build_doc_term_matrix``. ``two_qr_lsa_fit`` is the library's original
+the bottleneck identity. ``kruskal_bottleneck`` is the library's original
+``bottleneck_score``, a Kruskal tree with a relabel-dict union, frozen the
+same way as the reference for the Prim loop that replaced it.
+``counter_build_vocabulary`` and ``counter_build_doc_term_matrix`` are
+the library's original two-pass builders (``tokenize`` per document in
+each pass, one ``Counter`` per document), frozen the same way as the
+reference for the one counting pass of ``build_doc_term_matrix``. ``two_qr_lsa_fit`` is the library's original
 ``lsa_fit``, whose power steps orthonormalized both the document side and
 the word side, frozen the same way as the reference for the one-QR steps.
 ``tokenize`` is the library's original tokenizer, which only tests called
@@ -232,9 +234,32 @@ def brute_force_max_spanning_tree(weights):
     return best_total, best_min_edge, tree_count
 
 
+def kruskal_bottleneck(weights):
+    """Min edge weight of the maximum spanning tree that Kruskal builds on
+    descending edge weight, ties preferring the lexicographically smaller
+    (node, node) pair; b's component takes the label of a's."""
+    size = len(weights)
+    if size < 2:
+        raise ValueError(f"spanning tree needs at least 2 nodes, got {size}")
+    edges = [
+        (a, b, float(weights[a, b])) for a in range(size) for b in range(a + 1, size)
+    ]
+    edges.sort(key=lambda e: (-e[2], e[0], e[1]))
+    label = {node: node for node in range(size)}
+    chosen = []
+    for a, b, w in edges:
+        kept, merged = label[a], label[b]
+        if kept != merged:
+            label = {n: kept if c == merged else c for n, c in label.items()}
+            chosen.append(w)
+            if len(chosen) == size - 1:
+                break
+    return float(min(chosen))
+
+
 def prim_max_spanning_tree_min_edge(weights, start=0):
     """Min edge weight of a maximum spanning tree built by Prim's algorithm
-    (a different construction and tie-breaking than Kruskal)."""
+    from any ``start`` node, over index arrays rather than a dict of links."""
     n = weights.shape[0]
     in_tree = [False] * n
     in_tree[start] = True
@@ -433,11 +458,10 @@ def counter_build_doc_term_matrix(docs, vocab, config=DEFAULT_TOKENIZER):
     """
     docs = list(docs)
     _check_unique_ids(docs)
+    row = {w: i for i, w in enumerate(vocab.words)}
     indptr, indices, data, doc_ids = [0], [], [], []
     for doc in docs:
-        counts = Counter(
-            vocab.index[t] for t in tokenize(doc.text, config) if t in vocab.index
-        )
+        counts = Counter(row[t] for t in tokenize(doc.text, config) if t in row)
         if not counts:
             warnings.warn(
                 f"document {doc.id!r} has no in-vocabulary tokens and was dropped"

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -370,6 +371,12 @@ class TestGenerate:
         records = [json.loads(l) for l in open(public)]
         assert records
         assert all("solution" not in r for r in records)
+        # the loader's checks pass both banks
+        solved = puzzles.load_puzzle_bank(bank)
+        assert {p.kind for p in solved} >= {puzzles.ODD_ONE_OUT, puzzles.SEPARATE_TOPICS}
+        assert puzzles.load_puzzle_bank(public) == [
+            replace(p, solution=None, permutation=()) for p in solved
+        ]
 
     @pytest.mark.parametrize("kinds", [",", " , ,", ""])
     def test_empty_kind_list_exits_2(self, pipeline, capsys, kinds):

@@ -5,6 +5,7 @@ import pytest
 from conftest import hand_index
 from oracles import (
     brute_force_max_spanning_tree,
+    kruskal_bottleneck,
     prim_max_spanning_tree_min_edge,
     widest_path_sim,
 )
@@ -15,7 +16,6 @@ from topicpuzzles.consistency import (
     bottleneck_score,
     identify_consistent_sets,
     load_consistent_sets,
-    max_spanning_tree,
     save_consistent_sets,
 )
 from topicpuzzles.esa import SimilarityProvider
@@ -56,56 +56,78 @@ class TestWeightedGraph:
             WeightedGraph(nodes=(0, 1, 2), weights=np.zeros((2, 2)))
 
 
+def tied_matrix(rng, size, kind):
+    """A symmetric matrix with a zero diagonal: uniform weights, or weights
+    on three levels, so that most graphs hold tied edges."""
+    if kind == "uniform":
+        w = rng.uniform(0.0, 1.0, (size, size))
+    else:
+        w = np.array([0.2, 0.5, 0.8])[rng.integers(0, 3, (size, size))]
+    w = np.triu(w, 1)
+    return w + w.T
+
+
+# (size, kind) -> 100 seeded matrices each
+TIED_MATRICES = {
+    f"{size}-{kind}": [tied_matrix(rng, size, kind) for _ in range(100)]
+    for size in range(2, 9)
+    for kind in ("uniform", "levels")
+    for rng in [np.random.default_rng(size)]
+}
+
+
 class TestMaxSpanningTree:
+    """The score is the min edge of a maximum spanning tree, whichever
+    construction builds it: Kruskal, exhaustive enumeration or Prim."""
+
     def test_two_nodes(self):
         g = WeightedGraph(nodes=(4, 9), weights=np.array([[0.0, 0.6], [0.6, 0.0]]))
-        tree = max_spanning_tree(g)
-        assert tree.edges == ((4, 9, 0.6),)
+        assert bottleneck_score(g) == 0.6
 
     def test_k4_hand_case(self):
-        tree = max_spanning_tree(k4_graph())
-        assert {(a, b) for a, b, _ in tree.edges} == {(0, 1), (1, 2), (2, 3)}
-        assert sum(w for _, _, w in tree.edges) == pytest.approx(2.4, abs=1e-12)
+        g = k4_graph()
+        assert bottleneck_score(g) == kruskal_bottleneck(g.weights) == 0.7
 
     def test_k4_matches_brute_force(self):
         g = k4_graph()
-        best_total, best_min_edge, tree_count = brute_force_max_spanning_tree(
-            g.weights
-        )
+        _, best_min_edge, tree_count = brute_force_max_spanning_tree(g.weights)
         assert tree_count == 16
-        tree = max_spanning_tree(g)
-        assert sum(w for _, _, w in tree.edges) == pytest.approx(
-            best_total, abs=1e-12
-        )
-        assert tree.min_edge_weight == pytest.approx(best_min_edge, abs=1e-12)
+        assert bottleneck_score(g) == best_min_edge
 
-    def test_edge_count(self):
+    def test_score_is_an_edge_weight(self):
         rng = np.random.default_rng(0)
         for size in (2, 3, 5, 8):
-            tree = max_spanning_tree(random_graph(rng, size))
-            assert len(tree.edges) == size - 1
+            g = random_graph(rng, size)
+            off_diagonal = g.weights[~np.eye(size, dtype=bool)]
+            assert bottleneck_score(g) in off_diagonal.tolist()
 
-    def test_total_matches_brute_force_on_random_graphs(self):
+    def test_min_edge_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             g = random_graph(rng, int(rng.integers(3, 6)))
-            best_total, _, _ = brute_force_max_spanning_tree(g.weights)
-            tree = max_spanning_tree(g)
-            assert sum(w for _, _, w in tree.edges) == pytest.approx(
-                best_total, abs=1e-12
-            )
+            _, best_min_edge, _ = brute_force_max_spanning_tree(g.weights)
+            assert bottleneck_score(g) == best_min_edge
 
     def test_single_node_rejected(self):
         g = WeightedGraph(nodes=(0,), weights=np.zeros((1, 1)))
         with pytest.raises(ValueError, match="at least 2"):
-            max_spanning_tree(g)
+            bottleneck_score(g)
 
-    def test_deterministic_tie_breaking(self):
+    def test_score_independent_of_tie_breaking(self):
         w = np.full((4, 4), 0.5)
         np.fill_diagonal(w, 0.0)
         g = WeightedGraph(nodes=(0, 1, 2, 3), weights=w)
-        tree = max_spanning_tree(g)
-        assert {(a, b) for a, b, _ in tree.edges} == {(0, 1), (0, 2), (0, 3)}
+        assert bottleneck_score(g) == 0.5
+        assert {prim_max_spanning_tree_min_edge(w, start) for start in range(4)} == {0.5}
+
+    @pytest.mark.parametrize("matrices", TIED_MATRICES.values(), ids=TIED_MATRICES.keys())
+    def test_equals_kruskal_and_prim_on_tied_matrices(self, matrices):
+        """Bit for bit: every score is one entry of the matrix."""
+        for w in matrices:
+            score = bottleneck_score(WeightedGraph(nodes=tuple(range(len(w))), weights=w))
+            assert score == kruskal_bottleneck(w)
+            for start in range(len(w)):
+                assert score == prim_max_spanning_tree_min_edge(w, start)
 
 
 class TestBottleneckScore:
@@ -140,19 +162,6 @@ class TestBottleneckScore:
                 if i < j
             )
             assert abs(score - pair_min) <= 1e-12
-
-    def test_mst_identity_independent_of_tie_breaking(self):
-        rng = np.random.default_rng(3)
-        levels = np.array([0.2, 0.5, 0.8])
-        for _ in range(100):
-            size = int(rng.integers(3, 7))
-            w = levels[rng.integers(0, 3, (size, size))]
-            w = np.triu(w, 1)
-            w = w + w.T
-            g = WeightedGraph(nodes=tuple(range(size)), weights=w)
-            kruskal_value = bottleneck_score(g)
-            prim_value = prim_max_spanning_tree_min_edge(w)
-            assert kruskal_value == pytest.approx(prim_value, abs=1e-15)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(4)

@@ -62,15 +62,15 @@ class TestBuildVocabulary:
             Document("3", "ubiquitous cherry"),
         ]
         vocab = build_vocabulary(docs, max_df_ratio=0.5)
-        assert "ubiquitous" not in vocab.index
+        assert "ubiquitous" not in vocab.words
         assert set(vocab.words) == {"apple", "banana", "cherry"}
 
     def test_lexicographic_indices(self):
         docs = [Document(str(i), "alpha beta") for i in range(3)]
         vocab = build_vocabulary(docs, min_df=1)
         assert len(vocab) == 2
-        assert vocab.index["alpha"] == 0
-        assert vocab.index["beta"] == 1
+        assert vocab.words.index("alpha") == 0
+        assert vocab.words.index("beta") == 1
 
     def test_min_df_excludes_rare_word(self):
         docs = [Document("1", "common rare"), Document("2", "common common")]
@@ -103,8 +103,8 @@ class TestBuildVocabulary:
     def test_doc_freq_recorded(self):
         docs = [Document("1", "apple banana"), Document("2", "apple")]
         vocab = build_vocabulary(docs)
-        assert vocab.doc_freq[vocab.index["apple"]] == 2
-        assert vocab.doc_freq[vocab.index["banana"]] == 1
+        assert vocab.doc_freq[vocab.words.index("apple")] == 2
+        assert vocab.doc_freq[vocab.words.index("banana")] == 1
 
 
 class TestBuildDocTermMatrix:
@@ -136,7 +136,7 @@ class TestBuildDocTermMatrix:
             1
             for doc in docs
             for tok in tokenize(doc.text)
-            if tok in vocab.index
+            if tok in vocab.words
         )
         assert dtm.matrix.sum() == retained
 
@@ -147,13 +147,13 @@ class TestBuildDocTermMatrix:
             Document(str(i), " ".join(rng.choice(pool, size=15))) for i in range(6)
         ]
         dtm = build_doc_term_matrix(docs)
-        vocab = dtm.vocab
+        row = {w: i for i, w in enumerate(dtm.vocab.words)}
         for j, doc_id in enumerate(dtm.doc_ids):
             doc = next(d for d in docs if d.id == doc_id)
-            expected = np.zeros(len(vocab))
+            expected = np.zeros(len(row))
             for tok in tokenize(doc.text):
-                if tok in vocab.index:
-                    expected[vocab.index[tok]] += 1
+                if tok in row:
+                    expected[row[tok]] += 1
             np.testing.assert_array_equal(dtm.matrix[:, j].toarray().ravel(), expected)
 
     def test_all_entries_positive(self):
@@ -341,7 +341,7 @@ class TestTfidf:
         docs = [Document("1", "shared apple"), Document("2", "shared banana")]
         dtm = build_doc_term_matrix(docs)
         weighted = tfidf_transform(dtm)
-        row = dtm.vocab.index["shared"]
+        row = dtm.vocab.words.index("shared")
         np.testing.assert_array_equal(
             weighted.matrix[row].toarray().ravel(), np.zeros(2)
         )
@@ -351,7 +351,7 @@ class TestTfidf:
         docs = [Document("1", "rare rare rare apple"), Document("2", "apple")]
         dtm = build_doc_term_matrix(docs)
         weighted = tfidf_transform(dtm)
-        row = dtm.vocab.index["rare"]
+        row = dtm.vocab.words.index("rare")
         assert weighted.matrix[row, 0] == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_nnz_does_not_grow(self):

@@ -1,3 +1,5 @@
+import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -5,10 +7,12 @@ import pytest
 from conftest import hand_index
 
 from topicpuzzles.consistency import ConsistentSet
+from topicpuzzles.corpus import CorpusFormatError
 from topicpuzzles.esa import SimilarityProvider, rows_by_group
 from topicpuzzles.puzzles import (
     BAND_PRESETS,
     CHOOSE_RELATED,
+    KINDS,
     ODD_ONE_OUT,
     SEPARATE_TOPICS,
     DifficultyBand,
@@ -20,6 +24,7 @@ from topicpuzzles.puzzles import (
     fisher_yates,
     generate_puzzle_bank,
     load_puzzle_bank,
+    puzzle_record,
     resolve_solution,
     save_puzzle_bank,
     shuffle_and_render,
@@ -120,6 +125,53 @@ def separate_topics(cset_a, cset_b, provider, eta2_cross, rng, seed=None):
     return run_task(
         _separate_topics, (cset_a, cset_b), provider, rng, seed, eta2_cross=eta2_cross
     )
+
+
+def _replace_one(values, value, rng):
+    """``values`` with one entry, drawn by ``rng``, set to ``value``."""
+    values = list(values)
+    values[rng.randrange(len(values))] = value
+    return values
+
+
+def _repeat_one(values, rng):
+    """``values`` with one entry, drawn by ``rng``, copied over another."""
+    values = list(values)
+    i, j = rng.sample(range(len(values)), 2)
+    values[i] = values[j]
+    return values
+
+
+def _solution_end(record):
+    """One past the largest usable solution: the word count, or for
+    separate-topics the mask of every word."""
+    n = len(record["words"])
+    return (1 << n) - 1 if record["kind"] == SEPARATE_TOPICS else n
+
+
+# id -> edit of a well-typed bank line's record (given a generator seeded
+# by the id) to fields that no puzzle of its kind can have
+UNUSABLE_EDITS = {
+    "permutation-repeat": lambda r, rng: {
+        "permutation": _repeat_one(r["permutation"], rng)},
+    "permutation-past-end": lambda r, rng: {"permutation": _replace_one(
+        r["permutation"], len(r["words"]) + rng.randrange(10), rng)},
+    "permutation-negative": lambda r, rng: {"permutation": _replace_one(
+        r["permutation"], -1 - rng.randrange(10), rng)},
+    "no-words": lambda r, rng: {"words": [], "permutation": []},
+    "solution-past-end": lambda r, rng: {"solution": _solution_end(r) + rng.randrange(10)},
+    "solution-negative": lambda r, rng: {"solution": -1 - rng.randrange(10)},
+    "topics-too-few": lambda r, rng: {"source_topics": r["source_topics"][:-1]},
+    "topics-too-many": lambda r, rng: {
+        "source_topics": r["source_topics"] + [rng.randrange(2, 100)]},
+}
+# id -> (kind, edit): each edit on each kind, and the empty mask
+BANK_CORRUPTIONS = {
+    **{f"{kind}-{name}": (kind, edit)
+       for kind in KINDS for name, edit in UNUSABLE_EDITS.items()},
+    f"{SEPARATE_TOPICS}-solution-empty-mask": (
+        SEPARATE_TOPICS, lambda r, rng: {"solution": 0}),
+}
 
 
 def midband(provider, cset):
@@ -517,14 +569,28 @@ class TestPuzzleBank:
     def test_mistyped_record_rejected_naming_line(
         self, provider, theme_a, theme_b, tmp_path, change, message
     ):
-        import json
-
         bank, _ = self.bank(provider, theme_a, theme_b)
         path = tmp_path / "bank.jsonl"
         save_puzzle_bank(bank[:2], path)
         first, second = path.read_text().splitlines()
         path.write_text(first + "\n" + json.dumps({**json.loads(second), **change}) + "\n")
         with pytest.raises(ValueError, match=f"line 2: .*{message}"):
+            load_puzzle_bank(path)
+
+    @pytest.mark.parametrize("case", BANK_CORRUPTIONS)
+    def test_unusable_puzzle_rejected_naming_line(
+        self, provider, theme_a, theme_b, tmp_path, case
+    ):
+        """Each of these once loaded, and ``resolve_solution`` or
+        ``verify_puzzle`` then raised IndexError."""
+        kind, edit = BANK_CORRUPTIONS[case]
+        bank, _ = self.bank(provider, theme_a, theme_b)
+        record = puzzle_record(next(p for p in bank if p.kind == kind))
+        path = tmp_path / "bank.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert len(load_puzzle_bank(path)) == 1
+        path.write_text(json.dumps({**record, **edit(record, random.Random(case))}) + "\n")
+        with pytest.raises(CorpusFormatError, match=f"{path} line 1: "):
             load_puzzle_bank(path)
 
     def test_missing_field_and_invalid_json_rejected(self, tmp_path):
@@ -548,9 +614,23 @@ class TestPuzzleBank:
                 "puzzle has no solution: it was saved without solutions"
             ]
 
-    def test_no_solutions_file_withholds_fields(self, provider, theme_a, theme_b, tmp_path):
-        import json
+    def test_verify_reports_missing_source_set(self, provider, theme_a, theme_b):
+        """A source topic missing from ``sets_by_topic`` once raised KeyError."""
+        bank, _ = self.bank(provider, theme_a, theme_b)
+        for puzzle in bank:
+            assert verify_puzzle(puzzle, provider, {}) == [
+                f"source topic {topic} has no set" for topic in puzzle.source_topics
+            ]
+            moved = replace(puzzle, source_topics=(5,) * len(puzzle.source_topics))
+            assert verify_puzzle(moved, provider, {0: theme_a, 1: theme_b})[-1] == (
+                "source topic 5 has no set"
+            )
+        separate = next(p for p in bank if p.kind == SEPARATE_TOPICS)
+        assert verify_puzzle(separate, provider, {0: theme_a}) == [
+            "source topic 1 has no set"
+        ]
 
+    def test_no_solutions_file_withholds_fields(self, provider, theme_a, theme_b, tmp_path):
         bank, _ = self.bank(provider, theme_a, theme_b)
         path = tmp_path / "public.jsonl"
         save_puzzle_bank(bank, path, include_solutions=False)
