@@ -7,7 +7,8 @@ over a threshold grid.
 
 Every command is a pure function of its inputs, flags, and seed: repeated
 runs produce byte-identical outputs. Exit codes: 0 success, 2 usage or
-input error, 3 internal invariant violation.
+input error (or an allocation that cannot succeed), 3 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ def _tokenizer_config(args, config):
     return corpus.TokenizerConfig(**kwargs) if kwargs else corpus.DEFAULT_TOKENIZER
 
 
-def cmd_ingest(args):
-    config = _load_config(args.config)
+def cmd_ingest(args, config):
     docs = corpus.load_corpus_jsonl(args.corpus)
     tokenizer = _tokenizer_config(args, config)
     dtm = corpus.build_doc_term_matrix(
@@ -182,8 +182,7 @@ def fit_model(name, dtm, args, config):
     return model
 
 
-def cmd_train(args):
-    config = _load_config(args.config)
+def cmd_train(args, config):
     dtm = corpus.load_doc_term_matrix(args.matrix)
     model = fit_model(args.model, dtm, args, config)
     model.validate()
@@ -192,8 +191,7 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_index(args):
-    config = _load_config(args.config)
+def cmd_index(args, config):
     concepts = corpus.load_corpus_jsonl(args.concepts)
     esa_config = esa.EsaConfig(
         tokenizer=_tokenizer_config(args, config),
@@ -216,8 +214,7 @@ def _top_k(args, config):
     return k
 
 
-def cmd_extract_sets(args):
-    config = _load_config(args.config)
+def cmd_extract_sets(args, config):
     k = _top_k(args, config)
     model = topic_models.load_topic_dictionary(args.model)
     if model.vocab is None:
@@ -248,8 +245,7 @@ def _resolve_band(args, config):
     return puzzles.BAND_PRESETS[name]
 
 
-def cmd_generate(args):
-    config = _load_config(args.config)
+def cmd_generate(args, config):
     sets = consistency.load_consistent_sets(args.sets)
     index = esa.load_esa_index(args.index)
     provider = esa.SimilarityProvider(index)
@@ -289,8 +285,7 @@ def _no_solutions_path(path):
     return path + ".nosolutions"
 
 
-def cmd_eval_yield(args):
-    config = _load_config(args.config)
+def cmd_eval_yield(args, config):
     k = _top_k(args, config)
     dtm = corpus.load_doc_term_matrix(args.matrix)
     provider = esa.SimilarityProvider(esa.load_esa_index(args.index))
@@ -421,9 +416,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return args.func(args, _load_config(args.config))
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
+        # a MemoryError raised outside numpy carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

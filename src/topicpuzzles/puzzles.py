@@ -16,6 +16,13 @@ settings once and reads every relatedness row of its set words from one
 an ``Exhausted`` marker after ``max_attempts`` draws instead of looping
 forever, and before the first draw when the band holds too few eligible
 words.
+
+A ``Puzzle`` checks its own shape when built (ValueError): a known kind,
+2 source topics for separate-topics and 1 for the others, and, when it
+holds a solution, a permutation of its word positions and a solution that
+is a word position (for separate-topics, a mask of some but not all
+words). So a bank line, or a puzzle built in memory, that breaks one
+never reaches ``resolve_solution`` or ``verify_puzzle``.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ class Puzzle:
     """One generated puzzle: the presented (shuffled) words, the hidden
     solution in presented coordinates, and enough provenance (band, sigma,
     source sets, seed, permutation) to re-verify it. A puzzle read from a
-    bank saved without solutions has solution None and no permutation."""
+    bank saved without solutions has solution None and no permutation.
+    ValueError for a shape that no kind can have."""
 
     kind: str
     words: tuple[str, ...]
@@ -86,6 +94,23 @@ class Puzzle:
     seed: int | None = None
     permutation: tuple[int, ...] = ()
     stem: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown puzzle kind {self.kind!r}")
+        n_sources = 2 if self.kind == SEPARATE_TOPICS else 1
+        if len(self.source_topics) != n_sources:
+            raise ValueError(f"{self.kind} needs {n_sources} source topics")
+        if self.solution is None:
+            return
+        n = len(self.words)
+        if sorted(self.permutation) != list(range(n)):
+            raise ValueError("permutation must hold each word position once")
+        if self.kind == SEPARATE_TOPICS:
+            if not 0 < self.solution < (1 << n) - 1:
+                raise ValueError("solution must mark some but not all words")
+        elif not 0 <= self.solution < n:
+            raise ValueError("solution must be the position of a word")
 
 
 @dataclass(frozen=True)
@@ -111,41 +136,11 @@ def default_max_attempts(vocab_size):
     return max(1, min(MAX_ATTEMPTS_CAP, int(10 * math.sqrt(max(1, vocab_size)))))
 
 
-def fisher_yates(n, rng):
-    """Deterministic Fisher-Yates permutation for the given generator.
-    perm[p] is the canonical index presented at position p."""
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return tuple(perm)
-
-
-def shuffle_and_render(words, solution, kind, rng):
-    """Shuffle canonical words into presentation order and remap the
-    solution (an index, or a bitmask for separate-topics) accordingly.
-    Returns (presented words, presented solution, permutation)."""
-    perm = fisher_yates(len(words), rng)
-    presented = tuple(words[perm[p]] for p in range(len(words)))
-    if kind == SEPARATE_TOPICS:
-        remapped = 0
-        for p in range(len(words)):
-            if solution >> perm[p] & 1:
-                remapped |= 1 << p
-    else:
-        remapped = perm.index(solution)
-    return presented, remapped, perm
-
-
 def resolve_solution(puzzle):
     """Invert the presentation shuffle, recovering the canonical solution."""
     perm = puzzle.permutation
     if puzzle.kind == SEPARATE_TOPICS:
-        canonical = 0
-        for p, source in enumerate(perm):
-            if puzzle.solution >> p & 1:
-                canonical |= 1 << source
-        return canonical
+        return sum(1 << i for p, i in enumerate(perm) if puzzle.solution >> p & 1)
     return perm[puzzle.solution]
 
 
@@ -205,10 +200,20 @@ def _draw_in_band(settings, rows, anchors, exclude, n, rng):
 def _shuffled_puzzle(
     kind, canonical, solution, band, sigma, sources, seed, rng, stem=None
 ):
-    """The Puzzle presenting ``canonical`` (``solution`` in its coordinates)
-    in an order shuffled by ``rng``."""
-    presented, solution, perm = shuffle_and_render(canonical, solution, kind, rng)
-    return Puzzle(kind, presented, solution, band, sigma, sources, seed, perm, stem)
+    """The Puzzle presenting ``canonical`` in a Fisher-Yates order drawn
+    from ``rng``, its permutation giving the canonical index at each
+    presented position, and ``solution`` (an index, or a bitmask for
+    separate-topics) moved from canonical to presented positions."""
+    perm = list(range(len(canonical)))
+    for i in range(len(perm) - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    if kind == SEPARATE_TOPICS:
+        solution = sum(1 << p for p, i in enumerate(perm) if solution >> i & 1)
+    else:
+        solution = perm.index(solution)
+    presented = tuple(canonical[i] for i in perm)
+    return Puzzle(kind, presented, solution, band, sigma, sources, seed, tuple(perm), stem)
 
 
 def _odd_one_out(settings, rows, cset, rng, seed):
@@ -407,7 +412,7 @@ def verify_puzzle(puzzle, sim, sets_by_topic):
                 )
         if sigmas and max(sigmas) != puzzle.sigma:
             problems.append("recorded sigma is not the max distractor sigma")
-    elif puzzle.kind == SEPARATE_TOPICS:
+    else:
         set_a = sets_by_topic[puzzle.source_topics[0]]
         set_b = sets_by_topic[puzzle.source_topics[1]]
         group_b = {
@@ -421,8 +426,6 @@ def verify_puzzle(puzzle, sim, sets_by_topic):
             problems.append(
                 f"cross relatedness {cross:.6f} violates cap {puzzle.band.eta2}"
             )
-    else:
-        problems.append(f"unknown puzzle kind {puzzle.kind!r}")
     return problems
 
 
@@ -455,13 +458,9 @@ def save_puzzle_bank(puzzles, path, include_solutions=True):
 
 
 def _parse_puzzle(record):
-    """The Puzzle of one parsed bank line; ValueError says what is wrong
-    with it, including a solution that ``resolve_solution`` and
-    ``verify_puzzle`` could not use."""
+    """The Puzzle of one parsed bank line; ValueError says which field has
+    the wrong JSON type, or which shape rule of ``Puzzle`` it breaks."""
     require_keys(record, ("kind", "words", "band", "sigma", "source_topics", "seed"))
-    kind = record["kind"]
-    if kind not in KINDS:
-        raise ValueError(f"unknown puzzle kind {kind!r}")
     words = record["words"]
     if not is_list_of(words, (str,)) or not is_list_of(record.get("stem", []), (str,)):
         raise ValueError("words and stem must be lists of str")
@@ -475,28 +474,18 @@ def _parse_puzzle(record):
         raise ValueError("band must hold a str name and numbers eta1, eta2")
     if not is_finite_number(record["sigma"]):
         raise ValueError("sigma must be a finite number")
-    n_sources = 2 if kind == SEPARATE_TOPICS else 1
-    if not is_list_of(record["source_topics"], (int,), n_sources):
-        raise ValueError(f"source_topics must be a list of int, {n_sources} for {kind}")
+    if not is_list_of(record["source_topics"], (int,)):
+        raise ValueError("source_topics must be a list of int")
     if type(record["seed"]) not in (int, type(None)):
         raise ValueError("seed must be an int or null")
     # A bank saved without solutions has neither field.
     solution, permutation = record.get("solution"), record.get("permutation", [])
     if ("solution" in record or "permutation" in record) and not (
-        type(solution) is int and is_list_of(permutation, (int,), len(words))
+        type(solution) is int and is_list_of(permutation, (int,))
     ):
-        raise ValueError(
-            "solution and permutation must be an int and one int per word"
-        )
-    if sorted(permutation) != list(range(len(permutation))):
-        raise ValueError("permutation must hold each word position once")
-    if solution is not None and kind == SEPARATE_TOPICS:
-        if not 0 < solution < (1 << len(words)) - 1:
-            raise ValueError("solution must mark some but not all words")
-    elif solution is not None and not 0 <= solution < len(words):
-        raise ValueError("solution must be the position of a word")
+        raise ValueError("solution and permutation must be an int and a list of int")
     return Puzzle(
-        kind=kind,
+        kind=record["kind"],
         words=tuple(words),
         solution=solution,
         band=DifficultyBand(band["eta1"], band["eta2"], band["name"]),

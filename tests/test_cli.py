@@ -762,6 +762,38 @@ class TestFallbackNote:
         assert [line.split()[1] for line in notes] == ["lda", "dictlearn"]
 
 
+class TestImpossibleAllocation:
+    """A topic count whose first K-sized array cannot be allocated exits 2
+    with numpy's message before any output. 10**15 topics make every array
+    that grows with K at least 10**15 bytes (about 900 TiB), more than a
+    47-bit address space holds, so the allocation fails at once. Group-l2
+    first builds its groups in Python, whose MemoryError has no message."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--model", "lda"], "Unable to allocate"),
+        (["train", "--model", "dictlearn"], "Unable to allocate"),
+        (["train", "--model", "dictlearn", "--regularizer", "group-l2",
+          "--n-groups", "2"], "MemoryError"),
+        (["eval-yield", "--models", "lda", "--delta-grid", "0.1"], "Unable to allocate"),
+        (["eval-yield", "--models", "dictlearn", "--delta-grid", "0.1"],
+         "Unable to allocate"),
+    ], ids=["train-lda", "train-dictlearn", "train-dictlearn-group-l2",
+            "eval-yield-lda", "eval-yield-dictlearn"])
+    def test_exits_2_with_no_output(self, pipeline, capsys, argv, message):
+        out = pipeline["tmp"] / "out"
+        if argv[0] == "eval-yield":
+            argv = argv + ["--index", pipeline["index"]]
+        before = sorted(pipeline["tmp"].iterdir())
+        code = main(argv + ["--matrix", pipeline["matrix"], "--out", str(out),
+                            "--num-topics", str(10**15)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert sorted(pipeline["tmp"].iterdir()) == before
+
+
 def first(key, value):
     """A payload change that makes ``value`` the first item of list ``key``."""
     return lambda p: {**p, key: [value] + p[key][1:]}

@@ -21,16 +21,20 @@ from topicpuzzles.puzzles import (
     Rejected,
     default_max_attempts,
     derive_seed,
-    fisher_yates,
     generate_puzzle_bank,
     load_puzzle_bank,
     puzzle_record,
     resolve_solution,
     save_puzzle_bank,
-    shuffle_and_render,
     verify_puzzle,
 )
-from topicpuzzles.puzzles import _choose_related, _odd_one_out, _separate_topics, _Settings
+from topicpuzzles.puzzles import (
+    _choose_related,
+    _odd_one_out,
+    _separate_topics,
+    _Settings,
+    _shuffled_puzzle,
+)
 
 
 def block_vectors():
@@ -173,6 +177,39 @@ BANK_CORRUPTIONS = {
         SEPARATE_TOPICS, lambda r, rng: {"solution": 0}),
 }
 
+# id -> change of a generated puzzle's fields that no puzzle of its kind
+# can have, each of which Puzzle rejects when built
+_ANY_KIND_SHAPE_EDITS = {
+    "solution-negative": lambda p: {"solution": -1},
+    "permutation-repeat": lambda p: {"permutation": p.permutation[1:2] + p.permutation[1:]},
+    "permutation-past-end": lambda p: {
+        "permutation": p.permutation[:-1] + (len(p.words),)},
+    "permutation-negative": lambda p: {"permutation": (-1,) + p.permutation[1:]},
+    "permutation-too-short": lambda p: {"permutation": p.permutation[:-1]},
+    "permutation-too-long": lambda p: {"permutation": p.permutation + (len(p.words),)},
+    "kind-unknown": lambda p: {"kind": "riddle"},
+    "no-source-topics": lambda p: {"source_topics": ()},
+}
+# (kind, edit) by id; the generated odd-one-out puzzle has 5 words
+SHAPE_EDITS = {
+    **{f"{kind}-{name}": (kind, edit)
+       for kind in KINDS for name, edit in _ANY_KIND_SHAPE_EDITS.items()},
+    f"{ODD_ONE_OUT}-solution-9": (ODD_ONE_OUT, lambda p: {"solution": 9}),
+    f"{CHOOSE_RELATED}-solution-past-end": (
+        CHOOSE_RELATED, lambda p: {"solution": len(p.words)}),
+    **{f"{kind}-two-source-topics": (kind, lambda p: {"source_topics": (0, 1)})
+       for kind in (ODD_ONE_OUT, CHOOSE_RELATED)},
+    f"{SEPARATE_TOPICS}-one-source-topic": (
+        SEPARATE_TOPICS, lambda p: {"source_topics": (0,)}),
+    f"{SEPARATE_TOPICS}-three-source-topics": (
+        SEPARATE_TOPICS, lambda p: {"source_topics": (0, 1, 2)}),
+    f"{SEPARATE_TOPICS}-empty-mask": (SEPARATE_TOPICS, lambda p: {"solution": 0}),
+    f"{SEPARATE_TOPICS}-full-mask": (
+        SEPARATE_TOPICS, lambda p: {"solution": (1 << len(p.words)) - 1}),
+    f"{SEPARATE_TOPICS}-mask-past-end": (
+        SEPARATE_TOPICS, lambda p: {"solution": 1 << len(p.words)}),
+}
+
 
 def midband(provider, cset):
     """Band bracketing the bridge words' max relatedness to the set."""
@@ -205,12 +242,19 @@ class TestDifficultyBand:
         assert band.contains(0.15)
 
 
-class TestShuffleAndRender:
+def shuffled(kind, words, solution, rng):
+    """``_shuffled_puzzle`` of ``words`` with ``solution`` in their order."""
+    sources = (0, 1) if kind == SEPARATE_TOPICS else (0,)
+    band = DifficultyBand(0.0, 0.5)
+    return _shuffled_puzzle(kind, tuple(words), solution, band, 0.1, sources, None, rng)
+
+
+class TestShuffledPuzzle:
     def test_deterministic_under_seed(self):
         words = ["a", "b", "c", "d", "e"]
-        r1 = shuffle_and_render(words, 2, ODD_ONE_OUT, np.random.default_rng(5))
-        r2 = shuffle_and_render(words, 2, ODD_ONE_OUT, np.random.default_rng(5))
-        assert r1 == r2
+        p1 = shuffled(ODD_ONE_OUT, words, 2, np.random.default_rng(5))
+        p2 = shuffled(ODD_ONE_OUT, words, 2, np.random.default_rng(5))
+        assert p1 == p2
 
     def test_round_trip_index_solution(self):
         rng = np.random.default_rng(0)
@@ -218,49 +262,42 @@ class TestShuffleAndRender:
             n = int(rng.integers(2, 9))
             words = [f"w{i}" for i in range(n)]
             solution = int(rng.integers(0, n))
-            presented, remapped, perm = shuffle_and_render(
-                words, solution, ODD_ONE_OUT, rng
-            )
-            puzzle = Puzzle(
-                kind=ODD_ONE_OUT,
-                words=tuple(presented),
-                solution=remapped,
-                band=DifficultyBand(0.1, 0.2),
-                sigma=0.15,
-                source_topics=(0,),
-                permutation=perm,
-            )
+            puzzle = shuffled(ODD_ONE_OUT, words, solution, rng)
             assert resolve_solution(puzzle) == solution
-            assert presented[remapped] == words[solution]
+            assert puzzle.words[puzzle.solution] == words[solution]
 
     def test_round_trip_bitmask_solution(self):
         rng = np.random.default_rng(1)
         for trial in range(50):
             n = int(rng.integers(2, 10))
             words = [f"w{i}" for i in range(n)]
-            mask = int(rng.integers(0, 1 << n))
-            presented, remapped, perm = shuffle_and_render(
-                words, mask, SEPARATE_TOPICS, rng
-            )
-            puzzle = Puzzle(
-                kind=SEPARATE_TOPICS,
-                words=tuple(presented),
-                solution=remapped,
-                band=DifficultyBand(0.0, 0.5),
-                sigma=0.1,
-                source_topics=(0, 1),
-                permutation=perm,
-            )
+            # some but not all words: an empty or full mask is no puzzle
+            mask = int(rng.integers(1, (1 << n) - 1))
+            puzzle = shuffled(SEPARATE_TOPICS, words, mask, rng)
             assert resolve_solution(puzzle) == mask
-            marked = {presented[p] for p in range(n) if remapped >> p & 1}
+            marked = {puzzle.words[p] for p in range(n) if puzzle.solution >> p & 1}
             expected = {words[i] for i in range(n) if mask >> i & 1}
             assert marked == expected
 
     def test_permutation_is_bijection(self):
         rng = np.random.default_rng(2)
         for n in (1, 2, 5, 12):
-            perm = fisher_yates(n, rng)
-            assert sorted(perm) == list(range(n))
+            puzzle = shuffled(ODD_ONE_OUT, [f"w{i}" for i in range(n)], 0, rng)
+            assert sorted(puzzle.permutation) == list(range(n))
+            assert puzzle.words == tuple(f"w{i}" for i in puzzle.permutation)
+
+    def test_draws_of_a_fisher_yates_shuffle(self):
+        """One ``integers(0, i + 1)`` draw per position, from the last down
+        to 1, swapping it with the drawn one: banks depend on these draws."""
+        for n in (1, 2, 5, 12):
+            rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+            expected = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = int(twin.integers(0, i + 1))
+                expected[i], expected[j] = expected[j], expected[i]
+            puzzle = shuffled(ODD_ONE_OUT, [f"w{i}" for i in range(n)], 0, rng)
+            assert puzzle.permutation == tuple(expected)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestGenOddOneOut:
@@ -563,7 +600,7 @@ class TestPuzzleBank:
         ({"source_topics": [0, True]}, "source_topics must be a list of int"),
         ({"seed": 1.5}, "seed must be an int or null"),
         ({"solution": "0"}, "solution and permutation"),
-        ({"permutation": [0]}, "solution and permutation"),
+        ({"permutation": [0]}, "permutation must hold each word position once"),
         ({"solution": None, "permutation": None}, "solution and permutation"),
     ])
     def test_mistyped_record_rejected_naming_line(
@@ -592,6 +629,52 @@ class TestPuzzleBank:
         path.write_text(json.dumps({**record, **edit(record, random.Random(case))}) + "\n")
         with pytest.raises(CorpusFormatError, match=f"{path} line 1: "):
             load_puzzle_bank(path)
+
+    @pytest.mark.parametrize("case", SHAPE_EDITS)
+    def test_shape_no_kind_can_have_raises_when_built(
+        self, provider, theme_a, theme_b, case
+    ):
+        """A solution of 9 on 5 words, and a separate-topics puzzle with one
+        source topic, once built and made ``verify_puzzle`` raise
+        IndexError."""
+        kind, edit = SHAPE_EDITS[case]
+        bank, _ = self.bank(provider, theme_a, theme_b)
+        puzzle = next(p for p in bank if p.kind == kind)
+        sizes = {ODD_ONE_OUT: 5, CHOOSE_RELATED: 2, SEPARATE_TOPICS: 8}
+        assert len(puzzle.words) == sizes[kind]
+        with pytest.raises(ValueError):
+            replace(puzzle, **edit(puzzle))
+
+    def test_in_range_tampering_is_reported_not_raised(self, provider, theme_a, theme_b):
+        """A moved solution, a reshuffled permutation or a source topic the
+        sets lack (topic 2) keeps the puzzle's shape: ``verify_puzzle``
+        returns a list, with a problem whenever the solution moved or a
+        topic is missing."""
+        bank, _ = self.bank(provider, theme_a, theme_b)
+        sets_by_topic = {0: theme_a, 1: theme_b}
+        rng = random.Random(23)
+        for puzzle in bank:
+            n = len(puzzle.words)
+            for _ in range(30):
+                if puzzle.kind == SEPARATE_TOPICS:
+                    solution = rng.randrange(1, (1 << n) - 1)
+                else:
+                    solution = rng.randrange(n)
+                topics = tuple(rng.choices((0, 1, 2), k=len(puzzle.source_topics)))
+                edits = [
+                    {"solution": solution},
+                    {"permutation": tuple(rng.sample(range(n), n))},
+                    {"source_topics": topics},
+                ]
+                edits.append({k: v for edit in edits for k, v in edit.items()})
+                for edit in edits:
+                    tampered = replace(puzzle, **edit)
+                    problems = verify_puzzle(tampered, provider, sets_by_topic)
+                    assert isinstance(problems, list)
+                    if edit.get("solution", puzzle.solution) != puzzle.solution:
+                        assert problems
+                    if 2 in edit.get("source_topics", ()):
+                        assert "source topic 2 has no set" in problems
 
     def test_missing_field_and_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bank.jsonl"
