@@ -130,6 +130,8 @@ class DictLearnConfig:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
+        if self.regularizer == GROUP_L2 and not 1 <= self.n_groups <= self.n_topics:
+            raise ValueError(f"n_groups must be in [1, {self.n_topics}], got {self.n_groups}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -276,11 +278,12 @@ def _sweep_lists(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
     z[:], n_wt[:], n_dt[:], n_t[:] = z_list, wt, dt, nt
 
 
-# _sweep_lists in C, the whole l1 solve of sparse_code (_cd_solve) and the
-# dictionary update of dict_learn_fit (_dl_update), each one call per
-# document. Each value is formed and summed in the same order as in
-# Python, and -ffp-contract=off forbids fusing a multiply and an add, so
-# either side of each pair gives the same bits.
+# _sweep_lists in C, the whole l1 solve of sparse_code (_cd_solve), the
+# dictionary update of dict_learn_fit (_dl_update), and dl_step, which runs
+# both for one document of an l1 fit (_dl_step). Each value is formed and
+# summed in the same order as in Python, and -ffp-contract=off forbids
+# fusing a multiply and an add, so either side of each pair gives the same
+# bits.
 _KERNELS_C = r"""
 #include <math.h>
 #include <stdint.h>
@@ -350,7 +353,9 @@ double cd_solve(int64_t k, const double *gram, const double *b, double xx,
 
 /* d is n x k, stat_a k x k (symmetric), stat_b n x k, all row-major; u is
    scratch of n. A zero a[r] or x[r] adds only zeros to statistics that
-   start at +0.0, so skipping it keeps the bits. */
+   start at +0.0, so skipping it keeps the bits. Four rows of d @ stat_a[:, j]
+   are summed at once, each left to right from 0.0 in a chain of its own:
+   four adds run at once where one chain would wait on each. */
 void dl_update(int64_t n, int64_t k, double w, const double *x,
                const double *a, double *stat_a, double *stat_b, double *d,
                double *u) {
@@ -367,12 +372,26 @@ void dl_update(int64_t n, int64_t k, double w, const double *x,
         double ajj = sa[j], norm = 0.0;
         if (ajj <= 1e-12)
             continue;
-        for (int64_t r = 0; r < n; r++) {
-            const double *row = d + r * k;
+        int64_t r = 0;
+        for (; r + 4 <= n; r += 4) {  /* u[r] = (d @ sa)[r], four chains */
+            const double *r0 = d + r * k, *r1 = r0 + k, *r2 = r1 + k, *r3 = r2 + k;
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (int64_t c = 0; c < k; c++) {
+                s0 += r0[c] * sa[c];
+                s1 += r1[c] * sa[c];
+                s2 += r2[c] * sa[c];
+                s3 += r3[c] * sa[c];
+            }
+            u[r] = s0, u[r + 1] = s1, u[r + 2] = s2, u[r + 3] = s3;
+        }
+        for (; r < n; r++) {
             double acc = 0.0;
             for (int64_t c = 0; c < k; c++)
-                acc += row[c] * sa[c];
-            u[r] = row[j] + (stat_b[r * k + j] - acc) / ajj;
+                acc += d[r * k + c] * sa[c];
+            u[r] = acc;
+        }
+        for (r = 0; r < n; r++) {
+            u[r] = d[r * k + j] + (stat_b[r * k + j] - u[r]) / ajj;
             norm += u[r] * u[r];
         }
         double scale = sqrt(norm);
@@ -382,10 +401,23 @@ void dl_update(int64_t n, int64_t k, double w, const double *x,
             d[r * k + j] = u[r] / scale;
     }
 }
+
+/* One document of an l1 fit: cd_solve from zeros, then dl_update with its
+   coefficients; returns the solve's objective. */
+double dl_step(int64_t n, int64_t k, const double *x, const double *gram,
+               const double *b, double *alpha, double *c, double *stat_a,
+               double *stat_b, double *d, double *u, double kappa, double tol,
+               int64_t max_iter, double w, double xx) {
+    for (int64_t j = 0; j < k; j++)
+        alpha[j] = c[j] = 0.0;
+    double objective = cd_solve(k, gram, b, xx, kappa, tol, max_iter, alpha, c);
+    dl_update(n, k, w, x, alpha, stat_a, stat_b, d, u);
+    return objective;
+}
 """
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-NativeKernels = namedtuple("NativeKernels", "sweep cd dl")
+NativeKernels = namedtuple("NativeKernels", "sweep cd dl step")
 
 
 def _private(path):
@@ -412,17 +444,19 @@ def _compile_kernels(lib):
 
 def _bind(dll):
     """NativeKernels over a loaded library: ``sweep`` takes _sweep_lists'
-    arguments, ``cd`` _cd_solve's and ``dl`` _dl_update's, and each returns
-    (or updates in place) what its twin does."""
+    arguments, ``cd`` _cd_solve's, ``dl`` _dl_update's and ``step``
+    _dl_step's, and each returns (or updates in place) what its twin does."""
     i64, f64 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.int64, np.float64))
     n, x = ctypes.c_int64, ctypes.c_double
-    sweep, cd_solve, dl_update = dll.sweep, dll.cd_solve, dll.dl_update
+    sweep, cd_solve, dl_update, dl_step = dll.sweep, dll.cd_solve, dll.dl_update, dll.dl_step
     sweep.argtypes = [n, n] + [i64] * 6 + [x] * 3 + [f64] * 2
     sweep.restype = None
     cd_solve.argtypes = [n, f64, f64, x, x, x, n, f64, f64]
     cd_solve.restype = x
     dl_update.argtypes = [n, n, x] + [f64] * 6
     dl_update.restype = None
+    dl_step.argtypes = [n, n] + [ctypes.c_void_p] * 9 + [x, x, n, x, x]
+    dl_step.restype = x
 
     def run_sweep(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
         sweep(z.size, n_t.size, words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta,
@@ -443,7 +477,22 @@ def _bind(dll):
                 raise ValueError(f"dl needs {name} of shape {shape}, got {array.shape}")
         dl_update(n, k, w, x, a, stat_a, stat_b, d, np.empty(n))
 
-    return NativeKernels(run_sweep, cd, dl)
+    def step(x, gram, b, alpha, c, stat_a, stat_b, d, u, kappa, tol, max_iter):
+        n, k = d.shape
+        arrays = (x, gram, b, alpha, c, stat_a, stat_b, d, u)
+        shapes = {"x": (n,), "gram": (k, k), "b": (k,), "alpha": (k,), "c": (k,),
+                  "stat_a": (k, k), "stat_b": (n, k), "d": (n, k), "u": (n,)}
+        for array, (name, shape) in zip(arrays, shapes.items()):
+            if not (array.dtype == np.float64 and array.shape == shape
+                    and array.flags.c_contiguous and array.flags.writeable):
+                raise ValueError(f"step needs {name} as a writable C-ordered "
+                                 f"float64 array of shape {shape}")
+        # Checked and converted once: each view keeps its array alive and
+        # passes as a bare pointer, so a call converts no array.
+        views = [np.ctypeslib.as_ctypes(array) for array in arrays]
+        return functools.partial(dl_step, n, k, *views, kappa, tol, max_iter)
+
+    return NativeKernels(run_sweep, cd, dl, step)
 
 
 # The libraries this package has written to its cache: today's name, and the
@@ -558,6 +607,10 @@ def lda_fit(X, config, sweep_hook=None):
 # ---------------------------------------------------------------------------
 
 
+# The l1 solve's stopping rule, in sparse_code and in dict_learn_fit.
+_CD_TOL, _CD_MAX_ITER = 1e-8, 1000
+
+
 def _cd_solve(gram, b, xx, kappa, tol, max_iter):
     """The l1 loop of ``sparse_code`` in Python; returns (alpha, objective).
     A pass visits the atoms with gram[j][j] > 1e-15 in order and moves
@@ -610,14 +663,19 @@ def _group_objective(alpha, gram, b, xx, kappa, groups):
     return quad + kappa * sum(float(np.linalg.norm(alpha[list(g)])) for g in groups)
 
 
+def _require_finite(x, d):
+    if not (np.isfinite(x).all() and np.isfinite(d).all()):
+        raise ValueError("x and the dictionary must hold only finite values")
+
+
 def sparse_code(
     x,
     dictionary,
     kappa,
     regularizer=L1,
     groups=None,
-    tol=1e-8,
-    max_iter=1000,
+    tol=_CD_TOL,
+    max_iter=_CD_MAX_ITER,
 ):
     """Minimize 0.5*||x - D a||^2 + kappa*Omega(a).
 
@@ -644,8 +702,7 @@ def sparse_code(
     d = dictionary.weights if isinstance(dictionary, TopicDictionary) else dictionary
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64).ravel()
-    if not (np.isfinite(x).all() and np.isfinite(d).all()):
-        raise ValueError("x and the dictionary must hold only finite values")
+    _require_finite(x, d)
     k = d.shape[1]
     if regularizer == GROUP_L2:
         if groups is None:
@@ -689,13 +746,15 @@ def recency_weights(n_docs, rho):
     return ((np.arange(1, n_docs + 1)) / n_docs) ** rho
 
 
-def _columns(A):
-    """Each column of A as a contiguous float64 vector, in index order. A
-    sparse matrix is read through its CSC arrays, one slice per column."""
+def _columns(A, x):
+    """Fill ``x`` with each column of A in index order, yielding the column
+    index each time. A sparse matrix is read through its CSC arrays, one
+    slice per column."""
     if not sp.issparse(A):
         A = np.asarray(A, dtype=np.float64)
         for i in range(A.shape[1]):
-            yield np.ascontiguousarray(A[:, i])
+            x[:] = A[:, i]
+            yield i
         return
     A = sp.csc_matrix(A)
     if not A.has_canonical_format:
@@ -703,10 +762,10 @@ def _columns(A):
         A.sum_duplicates()
     indptr, indices, data = A.indptr, A.indices, A.data
     for i in range(A.shape[1]):
-        x = np.zeros(A.shape[0])
         span = slice(indptr[i], indptr[i + 1])
+        x[:] = 0.0
         x[indices[span]] = data[span]
-        yield x
+        yield i
 
 
 def _dl_update(w, x, a, stat_a, stat_b, d):
@@ -733,6 +792,20 @@ def _dl_update(w, x, a, stat_a, stat_b, d):
     d[:] = dt.T
 
 
+def _dl_step(x, gram, b, alpha, c, stat_a, stat_b, d, u, kappa, tol, max_iter):
+    """The C ``dl_step`` in Python over the same buffers: returns
+    ``step(w, xx)``, which puts the ``_cd_solve`` of (gram, b, xx) in
+    ``alpha``, applies ``_dl_update`` with it and returns the solve's
+    objective. ``c`` and ``u`` are scratch of the C kernel only."""
+
+    def step(w, xx):
+        alpha[:], objective = _cd_solve(gram, b, xx, kappa, tol, max_iter)
+        _dl_update(w, x, alpha, stat_a, stat_b, d)
+        return objective
+
+    return step
+
+
 def dict_learn_fit(X, config):
     """Online dictionary learning: alternate sparse coding of each document
     (in index order) with one projected block-coordinate update of the
@@ -740,31 +813,51 @@ def dict_learn_fit(X, config):
     2010, Alg. 2).
 
     Columns are projected onto the unit Euclidean ball; statistics
-    accumulate across epochs. Each update is one call of ``dl_update`` in
-    the native kernel library, or of ``_dl_update`` where the library
-    cannot be built or loaded. Deterministic for a fixed seed, and the
-    same whichever kernels ran (the result's ``fallback`` says why it ran
-    the Python ones).
+    accumulate across epochs. An l1 document is one call of ``dl_step`` in
+    the native kernel library, bound to the fit's buffers once, or of its
+    twin ``_dl_step`` where the library cannot be built or loaded; it gets
+    ``sparse_code``'s D^T D and D^T x from numpy, and its check that x and
+    the dictionary are finite. A group-l2 document runs ``sparse_code`` and
+    then the update, ``dl_update`` or ``_dl_update``. Deterministic for a
+    fixed seed, and the same whichever kernels ran (the result's
+    ``fallback`` says why it ran the Python ones).
     """
     A, vocab = _as_matrix(X)
     n, m = A.shape
     if m == 0:
         raise ValueError("empty document-term matrix")
     k = config.n_topics
-    groups = None if config.regularizer == L1 else contiguous_groups(k, config.n_groups)
     native, why = _native_kernels()
-    update = native.dl if native else _dl_update
     rng = np.random.default_rng(config.seed)
     d = rng.standard_normal((n, k))
     d /= np.linalg.norm(d, axis=0, keepdims=True)
 
     stat_a = np.zeros((k, k))
     stat_b = np.zeros((n, k))
+    x = np.empty(n)
+    if config.regularizer == L1:
+        gram, b = np.empty((k, k)), np.empty(k)
+        bind = native.step if native else _dl_step
+        kernel = bind(x, gram, b, np.empty(k), np.empty(k), stat_a, stat_b, d,
+                      np.empty(n), config.kappa, _CD_TOL, _CD_MAX_ITER)
+
+        def step(w):
+            _require_finite(x, d)
+            np.matmul(d.T, d, out=gram)
+            np.matmul(d.T, x, out=b)
+            kernel(w, float(x @ x))
+    else:
+        groups = contiguous_groups(k, config.n_groups)
+        update = native.dl if native else _dl_update
+
+        def step(w):
+            code = sparse_code(x, d, config.kappa, GROUP_L2, groups)
+            update(w, x, code.coeffs, stat_a, stat_b, d)
+
     w = recency_weights(m, config.rho)
     for _ in range(config.epochs):
-        for i, x in enumerate(_columns(A)):
-            code = sparse_code(x, d, config.kappa, config.regularizer, groups)
-            update(w[i], x, code.coeffs, stat_a, stat_b, d)
+        for i in _columns(A, x):
+            step(w[i])
     return TopicDictionary(
         weights=d,
         model=MODEL_DICTLEARN,

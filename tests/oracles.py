@@ -34,10 +34,12 @@ an unreachable band exhausts, and one ``cross_relatedness`` per pair.
 ``per_set_consistent_sets`` scores each set on its own
 ``similarity_submatrix``. Both are frozen the same way as the references
 for the block rows that ``extract-sets`` and ``generate`` share.
-``blas_dict_learn_fit`` is the library's original ``dict_learn_fit``, whose
-dictionary update summed each ``d @ stat_a[:, j]`` and ``u @ u`` through
-BLAS, frozen the same way as the reference for the left-to-right sums of
-``dl_update``.
+``per_document_dict_learn_fit`` is the library's original
+``dict_learn_fit`` loop, ``sparse_code`` then an update for each document,
+frozen the same way as the reference for the one ``dl_step`` call per l1
+document. With ``blas_update``, the original dictionary update that summed
+each ``d @ stat_a[:, j]`` and ``u @ u`` through BLAS, it is the reference
+for the left-to-right sums of ``dl_update``.
 ``scalar_planted_topic_corpus`` is the library's original
 ``planted_topic_corpus``, two scalar draws per token, frozen the same way
 as the reference for the one bulk read of the generator's stream.
@@ -72,6 +74,7 @@ from topicpuzzles.topic_models import (
     TopicDictionary,
     _as_matrix,
     _columns,
+    _dl_update,
     contiguous_groups,
     recency_weights,
     sparse_code,
@@ -521,12 +524,24 @@ def two_qr_lsa_fit(X, n_topics, seed=0):
     )
 
 
-def blas_dict_learn_fit(X, config):
-    """The weights of online dictionary learning with the original update:
-    after each document's sparse code, ``np.outer`` rank-one updates of the
-    statistics, then for each column j with stat_a[j, j] > 1e-12,
-    ``u = d[:, j] + (stat_b[:, j] - d @ stat_a[:, j]) / stat_a[j, j]``
+def blas_update(w, x, a, stat_a, stat_b, d):
+    """The original dictionary update, in place: ``np.outer`` rank-one
+    updates of the statistics, then for each column j with stat_a[j, j] >
+    1e-12, ``u = d[:, j] + (stat_b[:, j] - d @ stat_a[:, j]) / stat_a[j, j]``
     projected by ``math.sqrt(u @ u)``, both products through BLAS."""
+    stat_a += w * np.outer(a, a)
+    stat_b += w * np.outer(x, a)
+    for j in range(a.size):
+        ajj = stat_a[j, j]
+        if ajj <= 1e-12:
+            continue
+        u = d[:, j] + (stat_b[:, j] - d @ stat_a[:, j]) / ajj
+        d[:, j] = u / max(1.0, math.sqrt(u @ u))
+
+
+def per_document_dict_learn_fit(X, config, update=_dl_update):
+    """The weights of online dictionary learning, one ``sparse_code`` and
+    then one ``update(w, x, a, stat_a, stat_b, d)`` per document."""
     A, _ = _as_matrix(X)
     n, m = A.shape
     k = config.n_topics
@@ -537,17 +552,11 @@ def blas_dict_learn_fit(X, config):
     stat_a = np.zeros((k, k))
     stat_b = np.zeros((n, k))
     w = recency_weights(m, config.rho)
+    x = np.empty(n)
     for _ in range(config.epochs):
-        for i, x in enumerate(_columns(A)):
+        for i in _columns(A, x):
             a = sparse_code(x, d, config.kappa, config.regularizer, groups).coeffs
-            stat_a += w[i] * np.outer(a, a)
-            stat_b += w[i] * np.outer(x, a)
-            for j in range(k):
-                ajj = stat_a[j, j]
-                if ajj <= 1e-12:
-                    continue
-                u = d[:, j] + (stat_b[:, j] - d @ stat_a[:, j]) / ajj
-                d[:, j] = u / max(1.0, math.sqrt(u @ u))
+            update(w[i], x, a, stat_a, stat_b, d)
     return d
 
 

@@ -9,7 +9,12 @@ from conftest import (
     needs_cc,
     use_kernel,
 )
-from oracles import blas_dict_learn_fit, grid_search_lasso_objective, naive_cd_lasso
+from oracles import (
+    blas_update,
+    grid_search_lasso_objective,
+    naive_cd_lasso,
+    per_document_dict_learn_fit,
+)
 
 from topicpuzzles import topic_models
 from topicpuzzles.topic_models import (
@@ -87,7 +92,7 @@ class TestSparseCodeL1:
 class TestNonFiniteInputsRejected:
     """A NaN in the dictionary once gave finite coefficients and objective,
     and a NaN in x gave zeros and a NaN objective; both kernels now refuse
-    either before solving."""
+    either before solving, in sparse_code and in an l1 fit's documents."""
 
     def test_nan_in_dictionary(self, kernel, monkeypatch):
         use_kernel(kernel, monkeypatch)
@@ -100,6 +105,13 @@ class TestNonFiniteInputsRejected:
         use_kernel(kernel, monkeypatch)
         with pytest.raises(ValueError, match="finite"):
             sparse_code(np.array([1.0, np.nan, 3.0]), np.eye(3), 0.1)
+
+    def test_nan_in_fit_input(self, kernel, monkeypatch):
+        use_kernel(kernel, monkeypatch)
+        X = np.ones((4, 3))
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dict_learn_fit(X, DictLearnConfig(n_topics=2))
 
 
 def oracle_cases():
@@ -305,6 +317,10 @@ class TestDictLearn:
             DictLearnConfig(n_topics=4, regularizer="bogus")
         with pytest.raises(ValueError):
             DictLearnConfig(n_topics=4, epochs=0)
+        for n_groups in (0, 5):
+            with pytest.raises(ValueError, match="n_groups must be in"):
+                DictLearnConfig(n_topics=4, regularizer="group-l2", n_groups=n_groups)
+        assert DictLearnConfig(n_topics=1).n_groups == 2  # an l1 fit has no groups
 
     def test_persistence_round_trip(self, tmp_path):
         x, _, _ = make_sparse_planted_instance(seed=10)
@@ -348,6 +364,15 @@ class TestDictLearnOnBothKernels:
         self.assert_same_fit(dtm.matrix[:, ::8], config, monkeypatch)
 
     @needs_cc
+    @pytest.mark.parametrize("rows", [77, 78, 79, 80])
+    def test_weights_bit_identical_at_every_row_remainder(self, planted_mixed, monkeypatch,
+                                                          rows):
+        """The C update sums four rows of the dictionary at a time."""
+        _, _, _, dtm = planted_mixed
+        config = DictLearnConfig(n_topics=40, kappa=0.5, epochs=1, seed=3)
+        self.assert_same_fit(dtm.matrix[:rows, ::4], config, monkeypatch)
+
+    @needs_cc
     def test_dense_input_weights_bit_identical(self, planted_mixed, monkeypatch):
         """A dense matrix's columns are strided views; both updates read
         them as contiguous vectors."""
@@ -364,7 +389,7 @@ class TestDictLearnOnBothKernels:
         _, _, _, dtm = planted_mixed
         config = DictLearnConfig(n_topics=40, kappa=0.5, epochs=2, seed=3)
         td = dict_learn_fit(dtm, config)
-        expected = blas_dict_learn_fit(dtm, config)
+        expected = per_document_dict_learn_fit(dtm, config, blas_update)
         np.testing.assert_allclose(td.weights, expected, rtol=0, atol=1e-9)
         oracle = TopicDictionary(expected, td.model)
         assert [set(t.word_indices) for t in extract_top_k(td, 4)] == [
@@ -390,16 +415,12 @@ class TestDictLearnOnBothKernels:
     def test_native_update_checks_its_arrays(self):
         """The C update reads and writes n x k and k x k blocks sized by the
         dictionary, so an array of another shape, dtype or layout never
-        reaches it; one call gives the numpy update's bits."""
+        reaches it."""
         dl = topic_models._native_kernels()[0].dl
-        rng = np.random.default_rng(8)
         n, k = 7, 5
 
         def arrays():
-            a, x = rng.standard_normal(k), rng.standard_normal(n)
-            a[1] = x[1] = 0.0
-            return {"x": x, "a": a, "stat_a": 2.0 * np.outer(a, a),
-                    "stat_b": 2.0 * np.outer(x, a), "d": rng.standard_normal((n, k))}
+            return update_arrays(n, k, seed=8)
 
         wrong_shape = {"x": np.ones(n + 1), "a": np.ones(k + 1),
                        "stat_a": np.zeros((k, k + 1)), "stat_b": np.zeros((k, n))}
@@ -411,12 +432,98 @@ class TestDictLearnOnBothKernels:
             for bad in (good.astype(np.float32), strided):
                 with pytest.raises(ctypes.ArgumentError):
                     dl(0.3, **{**arrays(), name: bad})
-        native = arrays()
+
+    @needs_cc
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_native_update_matches_numpy(self, n):
+        """Every remainder of the four-row sums, with zero entries of a and
+        x, and two columns whose stat_a[j, j] <= 1e-12 stay put."""
+        native = update_arrays(n, 6, seed=n)
         fallback = {name: array.copy() for name, array in native.items()}
-        dl(0.3, **native)
+        before = native["d"].copy()
+        topic_models._native_kernels()[0].dl(0.3, **native)
         topic_models._dl_update(0.3, **fallback)
         for name in native:
             np.testing.assert_array_equal(native[name], fallback[name])
+        np.testing.assert_array_equal(native["d"][:, 1:3], before[:, 1:3])
+        assert not np.array_equal(native["d"][:, 3:], before[:, 3:])
+
+    @needs_cc
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_native_step_matches_python_twin(self, n):
+        """One document's solve and update, whatever alpha and c held."""
+        native = step_arrays(n, 6, seed=n)
+        fallback = {name: array.copy() for name, array in native.items()}
+        xx = float(native["x"] @ native["x"])
+        objectives = [
+            bind(**arrays, kappa=0.2, tol=1e-8, max_iter=1000)(0.3, xx)
+            for bind, arrays in ((topic_models._native_kernels()[0].step, native),
+                                 (topic_models._dl_step, fallback))
+        ]
+        assert objectives[0] == objectives[1]
+        expected, _ = topic_models._cd_solve(native["gram"], native["b"], xx, 0.2, 1e-8, 1000)
+        np.testing.assert_array_equal(native["alpha"], expected)
+        assert np.count_nonzero(expected)
+        for name in ("alpha", "stat_a", "stat_b", "d"):
+            np.testing.assert_array_equal(native[name], fallback[name])
+
+    @needs_cc
+    def test_native_step_checks_its_arrays(self):
+        """The C step reads and writes every buffer at sizes set by the
+        dictionary, so binding it refuses an array of another shape, dtype
+        or layout, or a read-only one."""
+        bind = topic_models._native_kernels()[0].step
+        for name, good in step_arrays(7, 5, seed=3).items():
+            read_only = good.copy()
+            read_only.flags.writeable = False
+            for bad in (good.astype(np.float32), np.repeat(good, 2, axis=-1)[..., ::2],
+                        np.zeros(good.shape[:-1] + (good.shape[-1] + 1,)), read_only):
+                with pytest.raises(ValueError, match="step needs .* float64 array"):
+                    bind(**{**step_arrays(7, 5, seed=3), name: bad},
+                         kappa=0.2, tol=1e-8, max_iter=10)
+
+
+def update_arrays(n, k, seed):
+    """Seeded dictionary-update inputs. a[1], x[1] and x[-1] are zero, and
+    column 1 (0.0) and column 2 (about 2e-14) have stat_a[j, j] <= 1e-12."""
+    rng = np.random.default_rng(seed)
+    a, x = rng.standard_normal(k), rng.standard_normal(n)
+    a[1] = x[1] = x[-1] = 0.0
+    a[2] = 1e-7
+    return {"x": x, "a": a, "stat_a": 2.0 * np.outer(a, a),
+            "stat_b": 2.0 * np.outer(x, a), "d": rng.standard_normal((n, k))}
+
+
+def step_arrays(n, k, seed):
+    """The buffers of one l1 document: update_arrays' x, statistics and
+    dictionary, gram = D^T D and b = D^T x, and alpha, c and u holding
+    leftovers from an earlier document."""
+    arrays = update_arrays(n, k, seed)
+    d, x = arrays["d"], arrays["x"]
+    return {"x": x, "gram": d.T @ d, "b": d.T @ x, "alpha": np.full(k, 7.0),
+            "c": np.full(k, -3.0), "stat_a": arrays["stat_a"],
+            "stat_b": arrays["stat_b"], "d": d, "u": np.full(n, 5.0)}
+
+
+@pytest.mark.usefixtures("private_home")
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestDictLearnAgainstPerDocumentLoop:
+    """An l1 fit, one step per document over buffers bound once, gives the
+    bits of the original loop: sparse_code, then _dl_update, per document."""
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["sparse", "dense"])
+    def test_weights_bit_identical(self, planted_mixed, kernel, monkeypatch, rho, epochs,
+                                   layout):
+        use_kernel(kernel, monkeypatch)
+        _, _, _, dtm = planted_mixed
+        X = dtm.matrix[:, ::10]
+        if layout == "dense":
+            X = X.toarray()
+        config = DictLearnConfig(n_topics=12, kappa=0.3, rho=rho, epochs=epochs, seed=4)
+        np.testing.assert_array_equal(dict_learn_fit(X, config).weights,
+                                      per_document_dict_learn_fit(X, config))
 
 
 class TestContiguousGroups:
