@@ -163,23 +163,30 @@ def fit_model(name, dtm, args, config):
     )
     seed = _setting(args, config, "seed", 0, int)
     if name == topic_models.MODEL_LSA:
-        return topic_models.lsa_fit(dtm, n_topics, seed=seed)
-    fit, cls = topic_models.lda_fit, topic_models.LdaConfig
-    if name == topic_models.MODEL_DICTLEARN:
-        fit, cls = topic_models.dict_learn_fit, topic_models.DictLearnConfig
-    values = {"n_topics": n_topics, "seed": seed}
-    for f in fields(cls):
-        if f.name not in values:
-            key = f.name.replace("_", "-")
-            values[f.name] = _setting(args, config, key, f.default, type(f.default))
-    model = fit(dtm, cls(**values))
-    if model.fallback:
+        model = topic_models.lsa_fit(dtm, n_topics, seed=seed)
+    else:
+        fit, cls = topic_models.lda_fit, topic_models.LdaConfig
+        if name == topic_models.MODEL_DICTLEARN:
+            fit, cls = topic_models.dict_learn_fit, topic_models.DictLearnConfig
+        values = {"n_topics": n_topics, "seed": seed}
+        for f in fields(cls):
+            if f.name not in values:
+                key = f.name.replace("_", "-")
+                values[f.name] = _setting(args, config, key, f.default, type(f.default))
+        model = fit(dtm, cls(**values))
+    _note_fallback(name, model.fallback)
+    return model
+
+
+def _note_fallback(name, why):
+    """One stderr line if ``name`` ran a Python kernel, ``why`` saying why
+    the C kernels did not load."""
+    if why:
         print(
             f"note: {name} ran its Python kernel, which gives the same results "
-            f"more slowly; the C kernels did not load: {model.fallback}",
+            f"more slowly; the C kernels did not load: {why}",
             file=sys.stderr,
         )
-    return model
 
 
 def cmd_train(args, config):
@@ -198,6 +205,7 @@ def cmd_index(args, config):
         **_given(args, config, {"max-concepts-per-word": int, **_DF_KEYS}),
     )
     index = esa.build_esa_index(concepts, esa_config)
+    _note_fallback("index", index.fallback)
     if not len(index):
         raise UsageError(f"no word of {args.concepts} has a concept vector")
     esa.save_esa_index(index, args.out)
@@ -223,6 +231,7 @@ def cmd_extract_sets(args, config):
     delta = _setting(args, config, "delta", 0.1, float)
     sets = topic_models.extract_top_k(model, k)
     kept = consistency.identify_consistent_sets(sets, provider, delta)
+    _note_fallback("extract-sets", provider.fallback)
     consistency.save_consistent_sets(kept, args.out)
     print(f"{len(kept)} of {len(sets)} candidate sets consistent at delta={delta}")
     return EXIT_OK
@@ -264,6 +273,7 @@ def cmd_generate(args, config):
         master_seed=_setting(args, config, "seed", 0, int),
         **_given(args, config, _GENERATE_KEYS),
     )
+    _note_fallback("generate", provider.fallback)
     puzzles.save_puzzle_bank(bank, args.out, include_solutions=True)
     if args.no_solutions:
         public = _no_solutions_path(args.out)

@@ -1,8 +1,9 @@
 """Corpus ingestion: tokenization by a bytes translate and split, vocabulary
 construction, sparse document-term matrices with optional TF-IDF weights;
 also the file helpers of every module, among them ``ArrayFile``, the
-container of the matrix, model and ESA index files, and the checker of the
-compressed sparse arrays that the matrix and the index both hold.
+container of the matrix, model and ESA index files, and
+``CompressedMatrix``, the sparse matrix that the doc-term matrix and the
+ESA index both hold, with the checker of its arrays.
 
 All builders are deterministic: the same documents and config produce
 bit-identical vocabularies and matrices. Built structures are treated as
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
-import scipy.sparse as sp
 
 RAW_COUNT = "raw-count"
 TFIDF = "tfidf"
@@ -159,6 +159,50 @@ def build_vocabulary(docs, min_df=1, max_df_ratio=1.0, config=DEFAULT_TOKENIZER)
     return _count_words(list(docs), min_df, max_df_ratio, config)[0]
 
 
+class CompressedMatrix:
+    """A sparse matrix of positive weights in compressed form: ``indptr``
+    splits ``indices`` and ``data`` into one slice per column (``format``
+    "csc") or per row ("csr"), each slice's indices ascending, as the arrays
+    of scipy's matrices of that format. ``T`` is the transpose, the same
+    arrays in the other format.
+
+    The constructor checks the arrays with ``compressed_arrays``
+    (ValueError, calling an index and a slice by ``names``), so the C
+    products of ``topic_models`` can trust them; ``trusted`` skips the
+    check, for arrays this package built or derived from checked ones.
+    """
+
+    def __init__(self, indptr, indices, data, shape, format="csc",
+                 names=("index", "slice")):
+        n_slices, n_inner = shape[::-1] if format == "csc" else shape
+        arrays = compressed_arrays(indptr, indices, data, n_slices, n_inner, *names)
+        self._set(*arrays, shape, format)
+
+    @classmethod
+    def trusted(cls, indptr, indices, data, shape, format):
+        matrix = cls.__new__(cls)
+        matrix._set(indptr, indices, data, shape, format)
+        return matrix
+
+    def _set(self, indptr, indices, data, shape, format):
+        if format not in ("csc", "csr"):
+            raise ValueError(f"format must be 'csc' or 'csr', got {format!r}")
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape, self.format = tuple(shape), format
+
+    @property
+    def T(self):
+        other = "csr" if self.format == "csc" else "csc"
+        return self.trusted(self.indptr, self.indices, self.data, self.shape[::-1], other)
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    def sum(self):
+        return self.data.sum()
+
+
 @dataclass
 class DocTermMatrix:
     """Sparse word-by-document weight matrix (words are rows, CSC form).
@@ -167,7 +211,7 @@ class DocTermMatrix:
     are dropped at build time, but TF-IDF can empty a document's column.
     """
 
-    matrix: sp.csc_matrix
+    matrix: CompressedMatrix
     vocab: Vocabulary
     doc_ids: list[str]
     weighting: str = RAW_COUNT
@@ -198,9 +242,8 @@ def build_doc_term_matrix(docs, min_df=1, max_df_ratio=1.0, config=DEFAULT_TOKEN
         )
     nonempty = per_doc > 0
     indptr = np.concatenate(([0], np.cumsum(per_doc[nonempty])))
-    matrix = sp.csc_matrix(
-        (counts.astype(np.float64), word, indptr),
-        shape=(len(vocab), int(nonempty.sum())),
+    matrix = CompressedMatrix.trusted(
+        indptr, word, counts.astype(np.float64), (len(vocab), int(nonempty.sum())), "csc"
     )
     doc_ids = [d.id for d, keep in zip(docs, nonempty.tolist()) if keep]
     return DocTermMatrix(matrix=matrix, vocab=vocab, doc_ids=doc_ids)
@@ -214,14 +257,17 @@ def tfidf_transform(dtm):
     """
     if dtm.weighting != RAW_COUNT:
         raise ValueError(f"tfidf_transform requires raw counts, got {dtm.weighting!r}")
-    df = dtm.matrix.getnnz(axis=1)
+    m = dtm.matrix
+    df = np.bincount(m.indices, minlength=dtm.n_words)
     idf = np.zeros(dtm.n_words)
     present = df > 0
     idf[present] = np.log(dtm.n_docs / df[present])
-    out = dtm.matrix.tocsc(copy=True)
-    out.data *= idf[out.indices]
-    out.eliminate_zeros()
-    out.sort_indices()
+    data = m.data * idf[m.indices]
+    keep = data != 0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    out = CompressedMatrix.trusted(
+        kept_before[m.indptr], m.indices[keep], data[keep], m.shape, "csc"
+    )
     return DocTermMatrix(
         matrix=out, vocab=dtm.vocab, doc_ids=list(dtm.doc_ids), weighting=TFIDF
     )
@@ -435,7 +481,7 @@ def _flat_array(values, name, dtype):
     if not (isinstance(values, np.ndarray) and values.ndim == 1
             and values.dtype.kind in ("i" if ints else "if")):
         raise ValueError(f"{name} must be a flat array of {'ints' if ints else 'numbers'}")
-    return np.asarray(values, dtype=dtype)
+    return np.ascontiguousarray(values, dtype=dtype)
 
 
 def compressed_arrays(indptr, indices, data, n_slices, n_inner, inner, outer):
@@ -530,14 +576,14 @@ def _doc_term_matrix(payload):
         )
     if payload["weighting"] not in (RAW_COUNT, TFIDF):
         raise ValueError(f"weighting must be {RAW_COUNT!r} or {TFIDF!r}")
-    indptr, indices, data = compressed_arrays(
-        payload["indptr"], payload["indices"], payload["data"], n_docs, n_words,
-        "word", "document",
+    matrix = CompressedMatrix(
+        payload["indptr"], payload["indices"], payload["data"], (n_words, n_docs),
+        "csc", ("word", "document"),
     )
-    if payload["weighting"] == RAW_COUNT and np.any(data != np.floor(data)):
+    if payload["weighting"] == RAW_COUNT and np.any(matrix.data != np.floor(matrix.data)):
         raise ValueError("raw-count values must be whole numbers")
     return DocTermMatrix(
-        sp.csc_matrix((data, indices, indptr), shape=(n_words, n_docs)),
+        matrix,
         Vocabulary(payload["vocab"], payload["doc_freq"], payload["vocab_n_docs"]),
         payload["doc_ids"],
         payload["weighting"],

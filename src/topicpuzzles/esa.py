@@ -1,13 +1,18 @@
 """Explicit semantic analysis: per-word concept vectors over a concept
 repository, and pairwise word relatedness as the cosine of those vectors.
 
-The vectors are the rows of one CSR matrix; with rows scaled to unit norm
-(``R``), relatedness is a dot product of rows, served only as entries of
-block products such as ``R[S] R[S]^T`` for a word set. A single pair is
-the 1x1 block, so every path returns the same float for it. Words are
-strings, turned into rows only by ``SimilarityProvider.rows``.
-``rows_by_group`` is the one row path of ``extract-sets``, ``eval-yield``
-and ``generate``: the rows of one chunked product, handed out per group.
+The vectors are the rows of one CSR matrix, a ``corpus.CompressedMatrix``;
+with rows scaled to unit norm (``R``), relatedness is a dot product of
+rows, served only as entries of block products such as ``R[S] R[S]^T`` for
+a word set. A single pair is the 1x1 block, so every path returns the
+same float for it. Words are strings, turned into rows only by
+``SimilarityProvider.rows``. ``rows_by_group`` is the one row path of
+``extract-sets``, ``eval-yield`` and ``generate``: the rows of one chunked
+product, handed out per group.
+
+The index build's transpose and each block product run in the C kernel
+library of ``topic_models`` (``tocsc`` and ``block``), or where it cannot
+be built or loaded in their scipy twins, which give the same bits.
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import (
     DEFAULT_TOKENIZER,
     FLOAT64,
     INT64,
     ArrayFile,
+    CompressedMatrix,
     TokenizerConfig,
     build_doc_term_matrix,
     build_vocabulary,  # noqa: F401  traced by bench/tracer.py; see ROADMAP item 2
@@ -29,6 +34,7 @@ from .corpus import (
     is_list_of,
     tfidf_transform,
 )
+from .topic_models import load_kernels
 
 DEFAULT_TRUNCATION = 1000
 # Rows of one block product in ``SimilarityProvider.related_rows``: a block
@@ -54,7 +60,9 @@ class EsaIndex:
     ids are strs and ``truncation`` is an int >= 1. The arrays pass
     ``corpus.compressed_arrays`` and no row is empty, so words without a
     concept vector are simply absent. ``R`` is the same matrix with
-    unit-norm rows. The constructor checks all of this (ValueError).
+    unit-norm rows, a CSR CompressedMatrix. The constructor checks all of
+    this (ValueError). ``fallback`` (not saved) says why ``build_esa_index``
+    ran the scipy twin of a C kernel, or is None.
     """
 
     def __init__(
@@ -77,10 +85,11 @@ class EsaIndex:
             raise ValueError("ESA index indptr must rise strictly: no row is empty")
         self._row = {word: i for i, word in enumerate(words)}
         norms = np.sqrt(np.add.reduceat(self.data * self.data, self.indptr[:-1]))
-        self.R = sp.csr_matrix(
-            (self.data / np.repeat(norms, lengths), self.indices, self.indptr),
-            shape=(n_words, n_concepts),
+        self.R = CompressedMatrix.trusted(
+            self.indptr, self.indices, self.data / np.repeat(norms, lengths),
+            (n_words, n_concepts), "csr",
         )
+        self.fallback = None
 
     @property
     def n_concepts(self):
@@ -109,9 +118,9 @@ def build_esa_index(concepts, config=EsaConfig()):
         concepts, config.min_df, config.max_df_ratio, config.tokenizer
     )
     vocab = dtm.vocab
-    weighted = tfidf_transform(dtm)
-    csr = weighted.matrix.tocsr()
-    csr.sort_indices()
+    weighted = tfidf_transform(dtm).matrix
+    kernels, why = load_kernels()
+    csr = kernels.tocsc(weighted.T, np.arange(weighted.shape[1])).T
     limit = config.max_concepts_per_word
     keep = np.ones(csr.nnz, dtype=bool)
     for i in np.flatnonzero(np.diff(csr.indptr) > limit):
@@ -120,14 +129,16 @@ def build_esa_index(concepts, config=EsaConfig()):
         keep[start + order[limit:]] = False
     rows = np.repeat(np.arange(len(vocab.words)), np.diff(csr.indptr))[keep]
     present = np.unique(rows)  # words with an empty vector are left out
-    return EsaIndex(
-        weighted.doc_ids,
+    index = EsaIndex(
+        dtm.doc_ids,
         [vocab.words[i] for i in present],
         np.append(np.searchsorted(rows, present), rows.size),
         csr.indices[keep],
         csr.data[keep],
         truncation=limit,
     )
+    index.fallback = why
+    return index
 
 
 class SimilarityProvider:
@@ -138,13 +149,19 @@ class SimilarityProvider:
     an indexed word with itself. Unindexed words yield 0 and are recorded
     in ``missing_words`` instead of raising, so downstream sampling loops
     degrade gracefully. ``vocabulary`` serves only the int words of
-    ``similarity_submatrix``.
+    ``similarity_submatrix``. ``fallback`` says why the products ran the
+    scipy twins of the C kernels, or is None.
     """
 
     def __init__(self, index, vocabulary=None):
         self.index = index
         self.vocabulary = list(vocabulary) if vocabulary is not None else None
         self.missing_words = set()
+        self.fallback = None
+
+    def _kernels(self):
+        kernels, self.fallback = load_kernels()
+        return kernels
 
     def rows(self, words):
         """R rows of ``words``, which must be strings (ValueError); -1 marks,
@@ -174,7 +191,7 @@ class SimilarityProvider:
         """Relatedness of every word of ``words_a`` (rows) to every word of
         ``words_b`` (columns), from one product ``R[A] R[B]^T``."""
         rows_a, rows_b = self.rows(words_a), self.rows(words_b)
-        return self._block(rows_a, rows_b, self.index.R[rows_b[rows_b >= 0]].T)
+        return self._block(rows_a, rows_b, self._right(rows_b))
 
     def related_rows(self, words, among=None):
         """The rows of ``cross_relatedness(words, among)``, ``among``
@@ -183,22 +200,24 @@ class SimilarityProvider:
         by one block at any vocabulary size. Row i of a CSR product depends
         only on row i, so every entry has the bits of the one-block path."""
         rows = self.rows(words)
-        if among is None:
-            columns, right = np.arange(len(self.index)), self.index.R.T.tocsr()
-        else:
-            columns = self.rows(among)
-            right = self.index.R[columns[columns >= 0]].T.tocsr()
+        columns = np.arange(len(self.index)) if among is None else self.rows(among)
+        right = self._right(columns)
         for start in range(0, len(rows), _CHUNK_ROWS):
             yield self._block(rows[start:start + _CHUNK_ROWS], columns, right)
 
+    def _right(self, rows_b):
+        """``R^T`` over the rows of ``rows_b`` that are not -1, in CSR form:
+        the right operand of ``_block``."""
+        return self._kernels().tocsc(self.index.R, rows_b[rows_b >= 0]).T
+
     def _block(self, rows_a, rows_b, right):
-        """``min(R[rows_a] @ right, 1)`` where ``right`` is ``R^T`` over the
-        rows of ``rows_b`` that are not -1, with 1 where a row meets itself
-        and 0 in the rows and columns of -1."""
+        """``min(R[rows_a] @ right, 1)`` where ``right`` is ``_right(rows_b)``,
+        with 1 where a row meets itself and 0 in the rows and columns of
+        -1."""
         out = np.zeros((len(rows_a), len(rows_b)))
         ia, ib = np.flatnonzero(rows_a >= 0), np.flatnonzero(rows_b >= 0)
         if ia.size and ib.size:
-            block = (self.index.R[rows_a[ia]] @ right).toarray()
+            block = self._kernels().block(self.index.R, rows_a[ia], right)
             out[np.ix_(ia, ib)] = np.minimum(block, 1.0)
         out[(rows_a[:, None] == rows_b[None, :]) & (rows_a[:, None] >= 0)] = 1.0
         return out

@@ -27,9 +27,15 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
-from .corpus import FLOAT64, RAW_COUNT, ArrayFile, DocTermMatrix, is_list_of
+from .corpus import (
+    FLOAT64,
+    RAW_COUNT,
+    ArrayFile,
+    CompressedMatrix,
+    DocTermMatrix,
+    is_list_of,
+)
 
 MODEL_LSA = "lsa"
 MODEL_LDA = "lda"
@@ -181,7 +187,12 @@ def lsa_fit(X, n_topics, seed=0):
     is positive. Singular values are attached in descending order.
 
     Each power step runs one QR, of A (A^T q); a QR of A^T q between the
-    two products would change the fit only by rounding.
+    two products would change the fit only by rounding. For a
+    DocTermMatrix the 34 products run as the ``matvecs`` kernel of the
+    native library, or where it cannot be built or loaded as scipy's
+    product, which the kernel transcribes, so the weights are the same
+    either way (the result's ``fallback`` then says why). A dense array
+    or a scipy matrix ``X`` uses its own ``@``.
 
     Raises ValueError when n_topics exceeds min(N, M) or the effective
     numerical rank of X.
@@ -193,13 +204,19 @@ def lsa_fit(X, n_topics, seed=0):
             f"n_topics must be in [1, {min(n, m)}] for a {n}x{m} matrix, "
             f"got {n_topics}"
         )
+    why = None
+    if isinstance(A, CompressedMatrix):
+        kernels, why = load_kernels()
+        times, times_t = (functools.partial(kernels.matvecs, M) for M in (A, A.T))
+    else:
+        times, times_t = A.__matmul__, A.T.__matmul__
     rng = np.random.default_rng(seed)
     width = min(n_topics + LSA_OVERSAMPLING, m)
     omega = rng.standard_normal((m, width))
-    q, _ = np.linalg.qr(A @ omega)
+    q, _ = np.linalg.qr(times(omega))
     for _ in range(LSA_POWER_ITERS):
-        q, _ = np.linalg.qr(A @ (A.T @ q))
-    b = (A.T @ q).T
+        q, _ = np.linalg.qr(times(times_t(q)))
+    b = times_t(q).T
     ub, s, _ = np.linalg.svd(b, full_matrices=False)
     tol = s[0] * max(n, m) * np.finfo(np.float64).eps if s.size else 0.0
     effective_rank = int(np.sum(s > tol))
@@ -224,6 +241,7 @@ def lsa_fit(X, n_topics, seed=0):
         },
         vocab=vocab,
         singular_values=s[:n_topics].copy(),
+        fallback=why,
     )
 
 
@@ -235,13 +253,11 @@ LdaState = namedtuple("LdaState", "sweep word_topic topic_counts doc_topic")
 
 
 def _token_stream(matrix):
-    """Flatten a raw-count matrix into parallel word/doc index arrays,
+    """Flatten a raw-count CSC matrix into parallel word/doc index arrays,
     column by column with rows ascending (deterministic)."""
-    m = matrix.tocsc()
-    m.sort_indices()
-    counts = np.rint(m.data).astype(np.int64)
-    cols = np.repeat(np.arange(m.shape[1], dtype=np.int64), np.diff(m.indptr))
-    return np.repeat(m.indices.astype(np.int64), counts), np.repeat(cols, counts)
+    counts = np.rint(matrix.data).astype(np.int64)
+    cols = np.repeat(np.arange(matrix.shape[1], dtype=np.int64), np.diff(matrix.indptr))
+    return np.repeat(matrix.indices, counts), np.repeat(cols, counts)
 
 
 def _sweep_lists(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
@@ -279,11 +295,15 @@ def _sweep_lists(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
 
 
 # _sweep_lists in C, the whole l1 solve of sparse_code (_cd_solve), the
-# dictionary update of dict_learn_fit (_dl_update), and dl_step, which runs
-# both for one document of an l1 fit (_dl_step). Each value is formed and
-# summed in the same order as in Python, and -ffp-contract=off forbids
-# fusing a multiply and an add, so either side of each pair gives the same
-# bits.
+# dictionary update of dict_learn_fit (_dl_update), dl_step, which runs
+# both for one document of an l1 fit (_dl_step), and the sparse products
+# of LSA and ESA (_matvecs, _block, _tocsc), each looping in the order of
+# the scipy routine it is named after. Each value is formed and summed in
+# the same order as in its twin, and -ffp-contract=off forbids fusing a
+# multiply and an add, so either side of each pair gives the same bits.
+# -ftree-vectorize runs the products' inner loops two lanes at a time and
+# the pragmas unroll them; neither reorders a sum. At -O2 alone the
+# products took twice scipy's time.
 _KERNELS_C = r"""
 #include <math.h>
 #include <stdint.h>
@@ -414,10 +434,83 @@ double dl_step(int64_t n, int64_t k, const double *x, const double *gram,
     dl_update(n, k, w, x, alpha, stat_a, stat_b, d, u);
     return objective;
 }
-"""
-_CC_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-NativeKernels = namedtuple("NativeKernels", "sweep cd dl step")
+/* y += A x for CSC A of n_col columns and x of n_col rows, y and x
+   row-major with w columns: a(i, j) x[j] is added to y[i] column by
+   column, as scipy's csc_matvecs does. */
+void csc_matvecs(int64_t n_col, int64_t w, const int64_t *ap,
+                 const int64_t *ai, const double *ax, const double *x,
+                 double *y) {
+    for (int64_t j = 0; j < n_col; j++)
+        for (int64_t p = ap[j]; p < ap[j + 1]; p++) {
+            const double a = ax[p], *xj = x + j * w;
+            double *yi = y + ai[p] * w;
+#pragma GCC unroll 4
+            for (int64_t c = 0; c < w; c++)
+                yi[c] += a * xj[c];
+        }
+}
+
+/* y += A x for CSR A of n_row rows: row i of y gains a(i, j) x[j] over
+   the row's entries in order, as scipy's csr_matvecs does. */
+void csr_matvecs(int64_t n_row, int64_t w, const int64_t *ap,
+                 const int64_t *aj, const double *ax, const double *x,
+                 double *y) {
+    for (int64_t i = 0; i < n_row; i++) {
+        double *yi = y + i * w;
+        for (int64_t p = ap[i]; p < ap[i + 1]; p++) {
+            const double a = ax[p], *xj = x + aj[p] * w;
+#pragma GCC unroll 4
+            for (int64_t c = 0; c < w; c++)
+                yi[c] += a * xj[c];
+        }
+    }
+}
+
+/* out += A[rows] B for CSR A and CSR B of n_col columns, out row-major
+   n x n_col: entry (r, k) sums a(rows[r], j) b(j, k) over the entries j of
+   A's row in order, as scipy's csr_matmat does before it drops zeros. */
+void csr_matmat(int64_t n, const int64_t *rows, int64_t n_col,
+                const int64_t *ap, const int64_t *aj, const double *ax,
+                const int64_t *bp, const int64_t *bj, const double *bx,
+                double *out) {
+    for (int64_t r = 0; r < n; r++) {
+        double *o = out + r * n_col;
+        for (int64_t p = ap[rows[r]]; p < ap[rows[r] + 1]; p++) {
+            const double a = ax[p];
+            for (int64_t q = bp[aj[p]]; q < bp[aj[p] + 1]; q++)
+                o[bj[q]] += a * bx[q];
+        }
+    }
+}
+
+/* The CSC arrays (bp of n_col + 1 entries) of A[rows] for CSR A: a
+   counting sort by column, as scipy's csr_tocsc does, so each column's
+   row numbers ascend. */
+void csr_tocsc(int64_t n, const int64_t *rows, int64_t n_col,
+               const int64_t *ap, const int64_t *aj, const double *ax,
+               int64_t *bp, int64_t *bi, double *bx) {
+    for (int64_t c = 0; c <= n_col; c++)
+        bp[c] = 0;
+    for (int64_t r = 0; r < n; r++)
+        for (int64_t p = ap[rows[r]]; p < ap[rows[r] + 1]; p++)
+            bp[aj[p] + 1]++;
+    for (int64_t c = 0; c < n_col; c++)  /* bp[c]: where column c starts */
+        bp[c + 1] += bp[c];
+    for (int64_t r = 0; r < n; r++)
+        for (int64_t p = ap[rows[r]]; p < ap[rows[r] + 1]; p++) {
+            int64_t dest = bp[aj[p]]++;
+            bi[dest] = r;
+            bx[dest] = ax[p];
+        }
+    for (int64_t c = n_col; c > 0; c--)  /* bp[c - 1] ran to column c's start */
+        bp[c] = bp[c - 1];
+    bp[0] = 0;
+}
+"""
+_CC_FLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC")
+
+NativeKernels = namedtuple("NativeKernels", "sweep cd dl step matvecs block tocsc")
 
 
 def _private(path):
@@ -444,8 +537,11 @@ def _compile_kernels(lib):
 
 def _bind(dll):
     """NativeKernels over a loaded library: ``sweep`` takes _sweep_lists'
-    arguments, ``cd`` _cd_solve's, ``dl`` _dl_update's and ``step``
-    _dl_step's, and each returns (or updates in place) what its twin does."""
+    arguments, ``cd`` _cd_solve's, ``dl`` _dl_update's, ``step``
+    _dl_step's, ``matvecs`` _matvecs', ``block`` _block's and ``tocsc``
+    _tocsc's, and each returns (or updates in place) what its twin does.
+    A sparse operand is a CompressedMatrix, whose arrays were checked when
+    it was built; each binding checks its other operands (ValueError)."""
     i64, f64 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.int64, np.float64))
     n, x = ctypes.c_int64, ctypes.c_double
     sweep, cd_solve, dl_update, dl_step = dll.sweep, dll.cd_solve, dll.dl_update, dll.dl_step
@@ -457,6 +553,15 @@ def _bind(dll):
     dl_update.restype = None
     dl_step.argtypes = [n, n] + [ctypes.c_void_p] * 9 + [x, x, n, x, x]
     dl_step.restype = x
+    products = {"csc": dll.csc_matvecs, "csr": dll.csr_matvecs}
+    csr_matmat, csr_tocsc = dll.csr_matmat, dll.csr_tocsc
+    for product in products.values():
+        product.argtypes = [n, n, i64, i64, f64, f64, f64]
+        product.restype = None
+    csr_matmat.argtypes = [n, i64, n, i64, i64, f64, i64, i64, f64, f64]
+    csr_matmat.restype = None
+    csr_tocsc.argtypes = [n, i64, n, i64, i64, f64, i64, i64, f64]
+    csr_tocsc.restype = None
 
     def run_sweep(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms):
         sweep(z.size, n_t.size, words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta,
@@ -492,7 +597,69 @@ def _bind(dll):
         views = [np.ctypeslib.as_ctypes(array) for array in arrays]
         return functools.partial(dl_step, n, k, *views, kappa, tol, max_iter)
 
-    return NativeKernels(run_sweep, cd, dl, step)
+    def matvecs(A, x):
+        if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.shape[0] == A.shape[1]
+                and x.dtype == np.float64 and x.flags.c_contiguous):
+            raise ValueError(f"matvecs needs x as a C-ordered float64 array of "
+                             f"{A.shape[1]} rows")
+        y = np.zeros((A.shape[0], x.shape[1]))
+        products[A.format](len(A.indptr) - 1, x.shape[1], A.indptr, A.indices, A.data, x, y)
+        return y
+
+    def block(A, rows, B):
+        _require_csr_rows("block", A, rows)
+        if B.format != "csr" or B.shape[0] != A.shape[1]:
+            raise ValueError(f"block needs a CSR B of {A.shape[1]} rows")
+        out = np.zeros((len(rows), B.shape[1]))
+        csr_matmat(len(rows), rows, B.shape[1], A.indptr, A.indices, A.data,
+                   B.indptr, B.indices, B.data, out)
+        return out
+
+    def tocsc(A, rows):
+        _require_csr_rows("tocsc", A, rows)
+        nnz = int(np.diff(A.indptr)[rows].sum())
+        indptr, indices = np.empty(A.shape[1] + 1, np.int64), np.empty(nnz, np.int64)
+        data = np.empty(nnz)
+        csr_tocsc(len(rows), rows, A.shape[1], A.indptr, A.indices, A.data,
+                  indptr, indices, data)
+        return CompressedMatrix.trusted(indptr, indices, data, (len(rows), A.shape[1]), "csc")
+
+    return NativeKernels(run_sweep, cd, dl, step, matvecs, block, tocsc)
+
+
+def _require_csr_rows(name, A, rows):
+    """ValueError unless ``A`` is CSR and ``rows`` a flat C-ordered int64
+    array of its row numbers."""
+    if not (A.format == "csr" and isinstance(rows, np.ndarray) and rows.ndim == 1
+            and rows.dtype == np.int64 and rows.flags.c_contiguous
+            and np.all((rows >= 0) & (rows < A.shape[0]))):
+        raise ValueError(f"{name} needs a CSR A and an int64 array of its row "
+                         f"numbers in [0, {A.shape[0]})")
+
+
+def _scipy(A):
+    """A CompressedMatrix as the scipy matrix of its format over its arrays."""
+    import scipy.sparse as sp  # only where the C kernels cannot load
+
+    return getattr(sp, f"{A.format}_matrix")((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def _matvecs(A, x):
+    """``A @ x`` for a CompressedMatrix ``A`` and a dense ``x``."""
+    return _scipy(A) @ x
+
+
+def _block(A, rows, B):
+    """``A[rows] @ B`` as a dense array, for CSR ``A`` and ``B``."""
+    return (_scipy(A)[rows] @ _scipy(B)).toarray()
+
+
+def _tocsc(A, rows):
+    """``A[rows]`` in CSC form, for CSR ``A``."""
+    m = _scipy(A)[rows].tocsc()
+    return CompressedMatrix.trusted(
+        m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data, m.shape, "csc"
+    )
 
 
 # The libraries this package has written to its cache: today's name, and the
@@ -544,6 +711,18 @@ def _native_kernels():
         return None, str(exc)
 
 
+def load_kernels():
+    """``(kernels, None)`` with the C kernels, or where they cannot be built
+    or loaded ``(kernels, reason)`` with their Python twins, a
+    NativeKernels of the same signatures and results."""
+    native, why = _native_kernels()
+    if native:
+        return native, None
+    return NativeKernels(
+        _sweep_lists, _cd_solve, _dl_update, _dl_step, _matvecs, _block, _tocsc
+    ), why
+
+
 def lda_fit(X, config, sweep_hook=None):
     """Collapsed Gibbs sampling over token-topic assignments.
 
@@ -580,14 +759,13 @@ def lda_fit(X, config, sweep_hook=None):
     n_dt = np.bincount(docs * k + z, minlength=m * k).reshape(m, k)
     n_t = np.bincount(z, minlength=k)
 
-    native, why = _native_kernels()
-    sweep_once = native.sweep if native else _sweep_lists
+    kernels, why = load_kernels()
     n_avg = max(1, config.iterations // 5)
     avg_start = config.iterations - n_avg
     phi_acc = np.zeros((n, k))
     for sweep in range(config.iterations):
         uniforms = rng.random(z.size)
-        sweep_once(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms)
+        kernels.sweep(words, docs, z, n_wt, n_dt, n_t, alpha, beta, nbeta, uniforms)
         if sweep_hook is not None:
             sweep_hook(LdaState(sweep, n_wt.copy(), n_t.copy(), n_dt.copy()))
         if sweep >= avg_start:
@@ -714,9 +892,7 @@ def sparse_code(
     b = d.T @ x
     xx = float(x @ x)
     if regularizer == L1:
-        native, _ = _native_kernels()
-        solve = native.cd if native else _cd_solve
-        alpha, prev = solve(gram, b, xx, kappa, tol, max_iter)
+        alpha, prev = load_kernels()[0].cd(gram, b, xx, kappa, tol, max_iter)
     else:
         alpha = np.zeros(k)
         prev = 0.5 * xx
@@ -748,18 +924,18 @@ def recency_weights(n_docs, rho):
 
 def _columns(A, x):
     """Fill ``x`` with each column of A in index order, yielding the column
-    index each time. A sparse matrix is read through its CSC arrays, one
-    slice per column."""
-    if not sp.issparse(A):
+    index each time. A CompressedMatrix (CSC, as a DocTermMatrix holds)
+    or a scipy sparse matrix is read through its CSC arrays, one slice per
+    column; anything else is read as a dense array."""
+    if hasattr(A, "tocsc"):  # scipy, in canonical form
+        A = A.tocsc(copy=True)
+        A.sum_duplicates()
+    elif not isinstance(A, CompressedMatrix):
         A = np.asarray(A, dtype=np.float64)
         for i in range(A.shape[1]):
             x[:] = A[:, i]
             yield i
         return
-    A = sp.csc_matrix(A)
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
     indptr, indices, data = A.indptr, A.indices, A.data
     for i in range(A.shape[1]):
         span = slice(indptr[i], indptr[i + 1])
@@ -827,7 +1003,7 @@ def dict_learn_fit(X, config):
     if m == 0:
         raise ValueError("empty document-term matrix")
     k = config.n_topics
-    native, why = _native_kernels()
+    kernels, why = load_kernels()
     rng = np.random.default_rng(config.seed)
     d = rng.standard_normal((n, k))
     d /= np.linalg.norm(d, axis=0, keepdims=True)
@@ -837,9 +1013,8 @@ def dict_learn_fit(X, config):
     x = np.empty(n)
     if config.regularizer == L1:
         gram, b = np.empty((k, k)), np.empty(k)
-        bind = native.step if native else _dl_step
-        kernel = bind(x, gram, b, np.empty(k), np.empty(k), stat_a, stat_b, d,
-                      np.empty(n), config.kappa, _CD_TOL, _CD_MAX_ITER)
+        kernel = kernels.step(x, gram, b, np.empty(k), np.empty(k), stat_a, stat_b, d,
+                              np.empty(n), config.kappa, _CD_TOL, _CD_MAX_ITER)
 
         def step(w):
             _require_finite(x, d)
@@ -848,11 +1023,10 @@ def dict_learn_fit(X, config):
             kernel(w, float(x @ x))
     else:
         groups = contiguous_groups(k, config.n_groups)
-        update = native.dl if native else _dl_update
 
         def step(w):
             code = sparse_code(x, d, config.kappa, GROUP_L2, groups)
-            update(w, x, code.coeffs, stat_a, stat_b, d)
+            kernels.dl(w, x, code.coeffs, stat_a, stat_b, d)
 
     w = recency_weights(m, config.rho)
     for _ in range(config.epochs):

@@ -43,6 +43,9 @@ for the left-to-right sums of ``dl_update``.
 ``scalar_planted_topic_corpus`` is the library's original
 ``planted_topic_corpus``, two scalar draws per token, frozen the same way
 as the reference for the one bulk read of the generator's stream.
+``as_scipy`` and ``compressed`` convert between the library's
+``CompressedMatrix`` and scipy's matrices, so the oracles and the tests
+can use scipy's products and slicing as the reference.
 """
 
 import itertools
@@ -63,6 +66,7 @@ from topicpuzzles.consistency import (
 )
 from topicpuzzles.corpus import (
     DEFAULT_TOKENIZER,
+    CompressedMatrix,
     Document,
     DocTermMatrix,
     EmptyVocabularyError,
@@ -284,6 +288,25 @@ def prim_max_spanning_tree_min_edge(weights, start=0):
     return float(min_edge)
 
 
+def as_scipy(matrix):
+    """A CompressedMatrix as the scipy matrix of its format over the same
+    arrays; anything else as it is."""
+    if not isinstance(matrix, CompressedMatrix):
+        return matrix
+    cls = sp.csc_matrix if matrix.format == "csc" else sp.csr_matrix
+    return cls((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+def compressed(matrix, format="csc"):
+    """A scipy matrix of positive entries as a CompressedMatrix of
+    ``format`` ("csc" or "csr")."""
+    m = matrix.asformat(format, copy=True)
+    m.sum_duplicates()
+    return CompressedMatrix(
+        m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data, m.shape, format
+    )
+
+
 def list_gibbs_lda_weights(matrix, n_topics, alpha, beta, iterations, seed):
     """LDA topic weights from the original token-by-token Gibbs sampler.
 
@@ -291,7 +314,7 @@ def list_gibbs_lda_weights(matrix, n_topics, alpha, beta, iterations, seed):
     N x K posterior-mean word distributions averaged over the final 20% of
     sweeps, as ``lda_fit`` defines them.
     """
-    m = matrix.tocsc()
+    m = as_scipy(matrix).tocsc()
     m.sort_indices()
     words, docs = [], []
     indptr, indices, data = m.indptr, m.indices, m.data
@@ -474,9 +497,9 @@ def counter_build_doc_term_matrix(docs, vocab, config=DEFAULT_TOKENIZER):
         indices.extend(sorted(counts))
         data.extend(float(counts[i]) for i in indices[indptr[-1]:])
         indptr.append(len(indices))
-    matrix = sp.csc_matrix(
-        (np.array(data, dtype=np.float64), indices, indptr),
-        shape=(len(vocab), len(doc_ids)),
+    matrix = CompressedMatrix(
+        np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+        np.array(data, dtype=np.float64), (len(vocab), len(doc_ids)),
     )
     return DocTermMatrix(matrix=matrix, vocab=vocab, doc_ids=doc_ids)
 
@@ -488,6 +511,7 @@ def two_qr_lsa_fit(X, n_topics, seed=0):
     largest-magnitude entry is positive. Returns a TopicDictionary with the
     singular values attached."""
     A, vocab = _as_matrix(X)
+    A = as_scipy(A)
     n, m = A.shape
     if not 1 <= n_topics <= min(n, m):
         raise ValueError(
@@ -568,7 +592,8 @@ def max_relatedness(sim, anchors, candidates):
     rows = rows[rows >= 0]
     sigma = np.zeros(len(index) + 1)  # the last slot serves row -1
     if rows.size:
-        products = (index.R[rows] @ index.R.T.tocsr()).toarray()
+        R = as_scipy(index.R)
+        products = (R[rows] @ R.T.tocsr()).toarray()
         sigma[:-1] = np.minimum(products.max(axis=0), 1.0)
         sigma[rows] = 1.0
     return sigma[[index.row(w) for w in candidates]]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import dictionary_objective, hand_index, make_sparse_planted_instance
 from oracles import (
+    as_scipy,
     brute_force_max_spanning_tree,
     grid_search_lasso_objective,
     jacobi_singular_values,
@@ -207,7 +208,7 @@ def test_criterion_05_lsa_against_dense_oracle():
 
 def test_criterion_06_lda_soundness(planted):
     docs, topics, vocab, dtm = planted
-    word_freq = np.asarray(dtm.matrix.sum(axis=1)).ravel().astype(np.int64)
+    word_freq = np.asarray(as_scipy(dtm.matrix).sum(axis=1)).ravel().astype(np.int64)
     sweeps = []
 
     def conservation_hook(state):

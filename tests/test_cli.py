@@ -18,7 +18,7 @@ from conftest import (
     rewrite_array_file,
     use_kernel,
 )
-from oracles import counter_build_doc_term_matrix, counter_build_vocabulary
+from oracles import as_scipy, counter_build_doc_term_matrix, counter_build_vocabulary
 
 from topicpuzzles import consistency, esa, puzzles, topic_models
 from topicpuzzles.cli import build_parser, main
@@ -159,7 +159,7 @@ class TestIngest:
         assert got.vocab.words == want.vocab.words == ["apple", "plum", "tree"]
         assert got.vocab.doc_freq == want.vocab.doc_freq
         assert got.doc_ids == want.doc_ids
-        assert got.matrix.toarray().tolist() == want.matrix.toarray().tolist()
+        assert as_scipy(got.matrix).toarray().tolist() == as_scipy(want.matrix).toarray().tolist()
 
     def test_missing_text_field_exits_2_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -716,8 +716,9 @@ class TestEvalYield:
 
 @needs_cc
 class TestFallbackNote:
-    """A fit that ran a Python kernel where a C one exists says so in one
-    stderr line; stdout and the output file are the C kernels' bytes."""
+    """A command that ran a Python kernel where a C one exists says so in
+    one stderr line per fit, or one for its ESA products; stdout and the
+    output file are the C kernels' bytes."""
 
     @staticmethod
     def run_on_both_kernels(argv, out, capsys, monkeypatch):
@@ -734,23 +735,22 @@ class TestFallbackNote:
         assert fallback_bytes == native_bytes
         return fallback.err.splitlines()
 
-    @pytest.mark.parametrize("model, extra, noted", [
-        ("lsa", [], False),
-        ("lda", ["--iterations", "15"], True),
-        ("dictlearn", ["--epochs", "2"], True),
-        ("dictlearn", ["--epochs", "2", "--regularizer", "group-l2"], True),
+    @pytest.mark.parametrize("model, extra", [
+        ("lsa", []),
+        ("lda", ["--iterations", "15"]),
+        ("dictlearn", ["--epochs", "2"]),
+        ("dictlearn", ["--epochs", "2", "--regularizer", "group-l2"]),
     ], ids=["lsa", "lda", "dictlearn-l1", "dictlearn-group-l2"])
-    def test_train(self, pipeline, capsys, monkeypatch, model, extra, noted):
+    def test_train(self, pipeline, capsys, monkeypatch, model, extra):
         argv = ["train", "--model", model, "--matrix", pipeline["matrix"],
                 "--num-topics", "2", "--seed", "5", *extra]
         notes = self.run_on_both_kernels(
             argv, pipeline["tmp"] / "model.json", capsys, monkeypatch
         )
-        expected = [
+        assert notes == [
             f"note: {model} ran its Python kernel, which gives the same results "
             "more slowly; the C kernels did not load: forced off"
         ]
-        assert notes == (expected if noted else [])
 
     def test_eval_yield_notes_each_fit(self, pipeline, capsys, monkeypatch):
         argv = ["eval-yield", "--matrix", pipeline["matrix"], "--index",
@@ -759,7 +759,29 @@ class TestFallbackNote:
         notes = self.run_on_both_kernels(
             argv, pipeline["tmp"] / "yield.csv", capsys, monkeypatch
         )
-        assert [line.split()[1] for line in notes] == ["lda", "dictlearn"]
+        assert [line.split()[1] for line in notes] == ["lsa", "lda", "dictlearn"]
+
+    def test_esa_commands_note_once(self, pipeline, capsys, monkeypatch):
+        tmp = pipeline["tmp"]
+        model = str(tmp / "model.json")
+        assert main(["train", "--model", "lsa", "--matrix", pipeline["matrix"],
+                     "--out", model, "--num-topics", "2"]) == 0
+        commands = {
+            "index": (["index", "--concepts", pipeline["corpus"]], tmp / "index.json"),
+            "extract-sets": (["extract-sets", "--model", model, "--index",
+                              pipeline["index"], "--top-k", "3", "--delta", "0.0"],
+                             tmp / "sets.jsonl"),
+            "generate": (["generate", "--sets", f"{tmp / 'sets.jsonl'}.native",
+                          "--index", pipeline["index"], "--band", "intermediate"],
+                         tmp / "bank.jsonl"),
+        }
+        for name, (argv, out) in commands.items():
+            notes = self.run_on_both_kernels(argv, out, capsys, monkeypatch)
+            assert notes == [
+                f"note: {name} ran its Python kernel, which gives the same results "
+                "more slowly; the C kernels did not load: forced off"
+            ]
+        assert consistency.load_consistent_sets(f"{tmp / 'sets.jsonl'}.native")
 
 
 class TestImpossibleAllocation:

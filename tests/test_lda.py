@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import KERNELS, needs_cc, use_kernel
-from oracles import list_gibbs_lda_weights
+from oracles import as_scipy, list_gibbs_lda_weights
 
 from topicpuzzles import topic_models
 from topicpuzzles.corpus import (
@@ -41,8 +41,9 @@ def small_corpus():
 def conservation_check(dtm, sweeps_seen):
     """A sweep_hook asserting that every sweep's count tables agree with
     the corpus and with each other."""
-    word_freq = np.asarray(dtm.matrix.sum(axis=1)).ravel().astype(np.int64)
-    doc_len = np.asarray(dtm.matrix.sum(axis=0)).ravel().astype(np.int64)
+    matrix = as_scipy(dtm.matrix)
+    word_freq = np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64)
+    doc_len = np.asarray(matrix.sum(axis=0)).ravel().astype(np.int64)
 
     def check(state):
         sweeps_seen.append(state.sweep)

@@ -10,6 +10,7 @@ from conftest import (
     use_kernel,
 )
 from oracles import (
+    as_scipy,
     blas_update,
     grid_search_lasso_objective,
     naive_cd_lasso,
@@ -196,7 +197,7 @@ class TestCovarianceUpdateAgainstPlainLoop:
         _, _, _, dtm = planted
         d = np.random.default_rng(2).standard_normal((dtm.n_words, 40))
         d /= np.linalg.norm(d, axis=0)
-        columns = dtm.matrix.toarray().T
+        columns = as_scipy(dtm.matrix).toarray().T
         for x in columns[::40]:
             self.assert_agrees(x, d, 0.5, kernel, monkeypatch)
 
@@ -354,14 +355,14 @@ class TestDictLearnOnBothKernels:
         """At the yield-sweep width, K = 40."""
         _, _, _, dtm = planted_mixed
         config = DictLearnConfig(n_topics=40, kappa=0.5, epochs=2, seed=3)
-        self.assert_same_fit(dtm.matrix[:, ::2], config, monkeypatch)
+        self.assert_same_fit(as_scipy(dtm.matrix)[:, ::2], config, monkeypatch)
 
     @needs_cc
     def test_group_l2_weights_bit_identical(self, planted_mixed, monkeypatch):
         _, _, _, dtm = planted_mixed
         config = DictLearnConfig(n_topics=40, kappa=0.5, regularizer="group-l2",
                                  n_groups=4, epochs=2, seed=3)
-        self.assert_same_fit(dtm.matrix[:, ::8], config, monkeypatch)
+        self.assert_same_fit(as_scipy(dtm.matrix)[:, ::8], config, monkeypatch)
 
     @needs_cc
     @pytest.mark.parametrize("rows", [77, 78, 79, 80])
@@ -370,14 +371,14 @@ class TestDictLearnOnBothKernels:
         """The C update sums four rows of the dictionary at a time."""
         _, _, _, dtm = planted_mixed
         config = DictLearnConfig(n_topics=40, kappa=0.5, epochs=1, seed=3)
-        self.assert_same_fit(dtm.matrix[:rows, ::4], config, monkeypatch)
+        self.assert_same_fit(as_scipy(dtm.matrix)[:rows, ::4], config, monkeypatch)
 
     @needs_cc
     def test_dense_input_weights_bit_identical(self, planted_mixed, monkeypatch):
         """A dense matrix's columns are strided views; both updates read
         them as contiguous vectors."""
         _, _, _, dtm = planted_mixed
-        dense = np.ascontiguousarray(dtm.matrix[:, ::4].toarray())
+        dense = np.ascontiguousarray(as_scipy(dtm.matrix)[:, ::4].toarray())
         assert not dense[:, 0].flags.c_contiguous
         config = DictLearnConfig(n_topics=12, kappa=0.3, rho=1.0, epochs=2, seed=4)
         self.assert_same_fit(dense, config, monkeypatch)
@@ -518,7 +519,7 @@ class TestDictLearnAgainstPerDocumentLoop:
                                    layout):
         use_kernel(kernel, monkeypatch)
         _, _, _, dtm = planted_mixed
-        X = dtm.matrix[:, ::10]
+        X = as_scipy(dtm.matrix)[:, ::10]
         if layout == "dense":
             X = X.toarray()
         config = DictLearnConfig(n_topics=12, kappa=0.3, rho=rho, epochs=epochs, seed=4)
