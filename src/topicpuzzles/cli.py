@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 
-from . import consistency, corpus, esa, puzzles, topic_models
+from . import consistency, corpus, esa, kernels, puzzles, topic_models
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,13 +174,14 @@ def fit_model(name, dtm, args, config):
                 key = f.name.replace("_", "-")
                 values[f.name] = _setting(args, config, key, f.default, type(f.default))
         model = fit(dtm, cls(**values))
-    _note_fallback(name, model.fallback)
+    _note_fallback(name)
     return model
 
 
-def _note_fallback(name, why):
-    """One stderr line if ``name`` ran a Python kernel, ``why`` saying why
-    the C kernels did not load."""
+def _note_fallback(name):
+    """One stderr line if ``name`` ran a Python kernel, saying why the C
+    kernels did not load."""
+    why = kernels.load_kernels()[1]
     if why:
         print(
             f"note: {name} ran its Python kernel, which gives the same results "
@@ -205,7 +206,7 @@ def cmd_index(args, config):
         **_given(args, config, {"max-concepts-per-word": int, **_DF_KEYS}),
     )
     index = esa.build_esa_index(concepts, esa_config)
-    _note_fallback("index", index.fallback)
+    _note_fallback("index")
     if not len(index):
         raise UsageError(f"no word of {args.concepts} has a concept vector")
     esa.save_esa_index(index, args.out)
@@ -231,7 +232,7 @@ def cmd_extract_sets(args, config):
     delta = _setting(args, config, "delta", 0.1, float)
     sets = topic_models.extract_top_k(model, k)
     kept = consistency.identify_consistent_sets(sets, provider, delta)
-    _note_fallback("extract-sets", provider.fallback)
+    _note_fallback("extract-sets")
     consistency.save_consistent_sets(kept, args.out)
     print(f"{len(kept)} of {len(sets)} candidate sets consistent at delta={delta}")
     return EXIT_OK
@@ -273,7 +274,7 @@ def cmd_generate(args, config):
         master_seed=_setting(args, config, "seed", 0, int),
         **_given(args, config, _GENERATE_KEYS),
     )
-    _note_fallback("generate", provider.fallback)
+    _note_fallback("generate")
     puzzles.save_puzzle_bank(bank, args.out, include_solutions=True)
     if args.no_solutions:
         public = _no_solutions_path(args.out)

@@ -168,7 +168,7 @@ class CompressedMatrix:
 
     The constructor checks the arrays with ``compressed_arrays``
     (ValueError, calling an index and a slice by ``names``), so the C
-    products of ``topic_models`` can trust them; ``trusted`` skips the
+    products of ``kernels`` can trust them; ``trusted`` skips the
     check, for arrays this package built or derived from checked ones.
     """
 

@@ -10,9 +10,9 @@ same float for it. Words are strings, turned into rows only by
 ``extract-sets``, ``eval-yield`` and ``generate``: the rows of one chunked
 product, handed out per group.
 
-The index build's transpose and each block product run in the C kernel
-library of ``topic_models`` (``tocsc`` and ``block``), or where it cannot
-be built or loaded in their scipy twins, which give the same bits.
+The index build's transpose and each block product run as
+``kernels.load_kernels()``'s ``tocsc`` and ``block``: the C kernels, or
+their scipy twins, which give the same bits.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .corpus import (
     is_list_of,
     tfidf_transform,
 )
-from .topic_models import load_kernels
+from .kernels import load_kernels
 
 DEFAULT_TRUNCATION = 1000
 # Rows of one block product in ``SimilarityProvider.related_rows``: a block
@@ -61,8 +61,7 @@ class EsaIndex:
     ``corpus.compressed_arrays`` and no row is empty, so words without a
     concept vector are simply absent. ``R`` is the same matrix with
     unit-norm rows, a CSR CompressedMatrix. The constructor checks all of
-    this (ValueError). ``fallback`` (not saved) says why ``build_esa_index``
-    ran the scipy twin of a C kernel, or is None.
+    this (ValueError).
     """
 
     def __init__(
@@ -89,7 +88,6 @@ class EsaIndex:
             self.indptr, self.indices, self.data / np.repeat(norms, lengths),
             (n_words, n_concepts), "csr",
         )
-        self.fallback = None
 
     @property
     def n_concepts(self):
@@ -119,8 +117,7 @@ def build_esa_index(concepts, config=EsaConfig()):
     )
     vocab = dtm.vocab
     weighted = tfidf_transform(dtm).matrix
-    kernels, why = load_kernels()
-    csr = kernels.tocsc(weighted.T, np.arange(weighted.shape[1])).T
+    csr = load_kernels()[0].tocsc(weighted.T, np.arange(weighted.shape[1])).T
     limit = config.max_concepts_per_word
     keep = np.ones(csr.nnz, dtype=bool)
     for i in np.flatnonzero(np.diff(csr.indptr) > limit):
@@ -129,7 +126,7 @@ def build_esa_index(concepts, config=EsaConfig()):
         keep[start + order[limit:]] = False
     rows = np.repeat(np.arange(len(vocab.words)), np.diff(csr.indptr))[keep]
     present = np.unique(rows)  # words with an empty vector are left out
-    index = EsaIndex(
+    return EsaIndex(
         dtm.doc_ids,
         [vocab.words[i] for i in present],
         np.append(np.searchsorted(rows, present), rows.size),
@@ -137,8 +134,6 @@ def build_esa_index(concepts, config=EsaConfig()):
         csr.data[keep],
         truncation=limit,
     )
-    index.fallback = why
-    return index
 
 
 class SimilarityProvider:
@@ -149,19 +144,13 @@ class SimilarityProvider:
     an indexed word with itself. Unindexed words yield 0 and are recorded
     in ``missing_words`` instead of raising, so downstream sampling loops
     degrade gracefully. ``vocabulary`` serves only the int words of
-    ``similarity_submatrix``. ``fallback`` says why the products ran the
-    scipy twins of the C kernels, or is None.
+    ``similarity_submatrix``.
     """
 
     def __init__(self, index, vocabulary=None):
         self.index = index
         self.vocabulary = list(vocabulary) if vocabulary is not None else None
         self.missing_words = set()
-        self.fallback = None
-
-    def _kernels(self):
-        kernels, self.fallback = load_kernels()
-        return kernels
 
     def rows(self, words):
         """R rows of ``words``, which must be strings (ValueError); -1 marks,
@@ -208,7 +197,7 @@ class SimilarityProvider:
     def _right(self, rows_b):
         """``R^T`` over the rows of ``rows_b`` that are not -1, in CSR form:
         the right operand of ``_block``."""
-        return self._kernels().tocsc(self.index.R, rows_b[rows_b >= 0]).T
+        return load_kernels()[0].tocsc(self.index.R, rows_b[rows_b >= 0]).T
 
     def _block(self, rows_a, rows_b, right):
         """``min(R[rows_a] @ right, 1)`` where ``right`` is ``_right(rows_b)``,
@@ -217,7 +206,7 @@ class SimilarityProvider:
         out = np.zeros((len(rows_a), len(rows_b)))
         ia, ib = np.flatnonzero(rows_a >= 0), np.flatnonzero(rows_b >= 0)
         if ia.size and ib.size:
-            block = self._kernels().block(self.index.R, rows_a[ia], right)
+            block = load_kernels()[0].block(self.index.R, rows_a[ia], right)
             out[np.ix_(ia, ib)] = np.minimum(block, 1.0)
         out[(rows_a[:, None] == rows_b[None, :]) & (rows_a[:, None] >= 0)] = 1.0
         return out

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topicpuzzles import topic_models
+from topicpuzzles import kernels
 from topicpuzzles.corpus import build_doc_term_matrix
 from topicpuzzles.esa import EsaIndex
 from topicpuzzles.synthetic import planted_topic_corpus
@@ -19,9 +19,22 @@ def use_kernel(kernel, monkeypatch):
     """Run on the C kernels, asserting that they load, or on their Python
     fallbacks by replacing the loader."""
     if kernel == "native":
-        assert topic_models._native_kernels()[0] is not None
+        assert kernels._native_kernels()[0] is not None
     else:
-        monkeypatch.setattr(topic_models, "_native_kernels", lambda: (None, "forced off"))
+        monkeypatch.setattr(kernels, "_native_kernels", lambda: (None, "forced off"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_home(tmp_path_factory):
+    """One fresh home directory for the session, set before any test loads
+    the C kernels, so they build once, in a cache of their own, whatever
+    HOME the suite runs under."""
+    loader = kernels._native_kernels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HOME", str(tmp_path_factory.getbasetemp() / "kernel-home"))
+        loader.cache_clear()
+        yield
+    loader.cache_clear()
 
 
 @pytest.fixture(scope="session")

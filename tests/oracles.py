@@ -72,13 +72,13 @@ from topicpuzzles.corpus import (
     EmptyVocabularyError,
     Vocabulary,
 )
+from topicpuzzles.kernels import _dl_update
 from topicpuzzles.topic_models import (
     L1,
     MODEL_LSA,
     TopicDictionary,
     _as_matrix,
     _columns,
-    _dl_update,
     contiguous_groups,
     recency_weights,
     sparse_code,

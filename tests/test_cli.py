@@ -20,7 +20,7 @@ from conftest import (
 )
 from oracles import as_scipy, counter_build_doc_term_matrix, counter_build_vocabulary
 
-from topicpuzzles import consistency, esa, puzzles, topic_models
+from topicpuzzles import consistency, esa, kernels, puzzles, topic_models
 from topicpuzzles.cli import build_parser, main
 from topicpuzzles.corpus import (
     Document,
@@ -782,6 +782,28 @@ class TestFallbackNote:
                 "more slowly; the C kernels did not load: forced off"
             ]
         assert consistency.load_consistent_sets(f"{tmp / 'sets.jsonl'}.native")
+
+    def test_missing_source_falls_back(self, pipeline, capsys, monkeypatch):
+        """Without ``kernels.c`` the library cannot be built: ``train`` runs
+        the Python kernel, writes the C run's bytes and names the file."""
+        out = pipeline["tmp"] / "model.json"
+        argv = ["train", "--model", "lda", "--matrix", pipeline["matrix"],
+                "--num-topics", "2", "--iterations", "15", "--out"]
+        use_kernel("native", monkeypatch)
+        assert main(argv + [f"{out}.native"]) == 0
+        missing = pipeline["tmp"] / "nowhere" / "kernels.c"
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_SOURCE", missing)
+                kernels._native_kernels.cache_clear()
+                capsys.readouterr()
+                assert main(argv + [f"{out}.missing"]) == 0
+        finally:
+            kernels._native_kernels.cache_clear()
+        notes = capsys.readouterr().err.splitlines()
+        assert len(notes) == 1 and str(missing) in notes[0]
+        assert notes[0].startswith("note: lda ran its Python kernel")
+        assert open(f"{out}.missing", "rb").read() == open(f"{out}.native", "rb").read()
 
 
 class TestImpossibleAllocation:

@@ -11,7 +11,7 @@ import pytest
 from conftest import KERNELS, needs_cc, use_kernel
 from oracles import as_scipy, list_gibbs_lda_weights
 
-from topicpuzzles import topic_models
+from topicpuzzles import kernels
 from topicpuzzles.corpus import (
     Document,
     build_doc_term_matrix,
@@ -145,7 +145,7 @@ def planted_small():
 def home(tmp_path, monkeypatch):
     """A fresh home directory, with the kernel loader's memo cleared before
     and after, so the test builds (or fails to build) its own kernel."""
-    loader = topic_models._native_kernels
+    loader = kernels._native_kernels
     monkeypatch.setenv("HOME", str(tmp_path))
     loader.cache_clear()
     yield tmp_path
@@ -156,7 +156,7 @@ def home(tmp_path, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n_topics", [3, 8, 19, 20, 100])
 def test_weights_bit_identical_to_list_sampler(
-    planted_small, home, monkeypatch, kernel, n_topics, seed
+    planted_small, monkeypatch, kernel, n_topics, seed
 ):
     """Both sweep kernels reproduce the original sampler's weights exactly,
     and keep the count tables consistent after every sweep."""
@@ -177,7 +177,7 @@ def test_weights_bit_identical_to_list_sampler(
 @needs_cc
 @pytest.mark.parametrize("n_topics", [3, 20])
 def test_native_and_fallback_count_tables_equal_after_every_sweep(
-    planted_small, home, monkeypatch, n_topics
+    planted_small, monkeypatch, n_topics
 ):
     """Equal weights can hide a last-ulp or count slip that the averaging
     washes out; the count tables after each sweep cannot."""
@@ -195,12 +195,12 @@ def test_native_and_fallback_count_tables_equal_after_every_sweep(
 
 
 @needs_cc
-def test_kernels_draw_alike_next_to_every_partial_sum(home):
+def test_kernels_draw_alike_next_to_every_partial_sum():
     """One-token sweeps with uniforms a few ulps either side of each
     boundary u == acc pick the same topic in both kernels. Random draws
     almost never land there, so a weight or sum that differs only in its
     last ulp (reassociated, or fused into a multiply-add) shows only here."""
-    native, _ = topic_models._native_kernels()
+    native, _ = kernels._native_kernels()
     assert native is not None
     rng = np.random.default_rng(0)
     k, alpha, beta, nbeta = 7, 0.1, 0.01, 0.5
@@ -221,7 +221,7 @@ def test_kernels_draw_alike_next_to_every_partial_sum(home):
                 r = np.nextafter(r, 0.0)
             for _ in range(9):
                 drawn = []
-                for sweep in (native.sweep, topic_models._sweep_lists):
+                for sweep in (native.sweep, kernels._sweep_lists):
                     tables = [a.copy() for a in (z, n_wt, n_dt, n_t)]
                     sweep(words, docs, *tables, alpha, beta, nbeta, np.array([r]))
                     drawn.append(tables[0][0])
@@ -241,8 +241,8 @@ class TestKernelCache:
             dtm.matrix, 5, config.alpha, config.beta, config.iterations, 2
         )
         np.testing.assert_array_equal(td.weights, expected)
-        native, why = topic_models._native_kernels()
-        assert td.fallback == why and (native is None) == bool(why)
+        native, why = kernels._native_kernels()
+        assert kernels.load_kernels()[1] == why and (native is None) == bool(why)
         out, err = capfd.readouterr()
         assert out == err == ""
         if cache_dir.is_dir():
@@ -253,7 +253,7 @@ class TestKernelCache:
         """Build the kernel into ``home``'s cache in another process, so this
         one has not mapped the file that the test then changes."""
         subprocess.run(
-            [sys.executable, "-c", "from topicpuzzles.topic_models import "
+            [sys.executable, "-c", "from topicpuzzles.kernels import "
              "_native_kernels; assert _native_kernels()[0]"],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True,
         )
@@ -269,7 +269,7 @@ class TestKernelCache:
         assert cache_dir.stat().st_mode & 0o777 == 0o700
         assert not lib.stat().st_mode & 0o022
         self.fit_and_check(planted_small, cache_dir, capfd)
-        assert topic_models._native_kernels()[0] is not None
+        assert kernels._native_kernels()[0] is not None
 
     @needs_cc
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "unloadable"])
@@ -285,7 +285,7 @@ class TestKernelCache:
             "unloadable": junk + hashlib.sha256(junk).digest(),
         }[damage])
         self.fit_and_check(planted_small, cache_dir, capfd)
-        assert topic_models._native_kernels()[0] is not None
+        assert kernels._native_kernels()[0] is not None
         assert lib.read_bytes() == data
 
     @needs_cc
@@ -295,7 +295,7 @@ class TestKernelCache:
         cache_dir, lib = self.built_library(home)
         lib.chmod(0o666)
         self.fit_and_check(planted_small, cache_dir, capfd)
-        assert topic_models._native_kernels()[0] is not None
+        assert kernels._native_kernels()[0] is not None
         assert not lib.stat().st_mode & 0o022
 
     @needs_cc
@@ -306,8 +306,10 @@ class TestKernelCache:
         user's, alone."""
         cache_dir = home / ".cache" / "topicpuzzles"
         with monkeypatch.context() as patch:
-            patch.setattr(topic_models, "_KERNELS_C", topic_models._KERNELS_C + "/**/\n")
-            assert topic_models._native_kernels()[0] is not None
+            other = home / "kernels.c"
+            other.write_bytes(kernels._SOURCE.read_bytes() + b"/**/\n")
+            patch.setattr(kernels, "_SOURCE", other)
+            assert kernels._native_kernels()[0] is not None
         (older,) = cache_dir.iterdir()
         (cache_dir / f"gibbs-{'0' * 64}.so").write_bytes(b"built before")
         foreign = [cache_dir / name for name in (
@@ -319,8 +321,8 @@ class TestKernelCache:
             path.write_text("not ours")
         if os.geteuid() == 0:
             os.chown(foreign[-1], os.getuid() + 1, -1)
-        topic_models._native_kernels.cache_clear()
-        assert topic_models._native_kernels()[0] is not None
+        kernels._native_kernels.cache_clear()
+        assert kernels._native_kernels()[0] is not None
         libraries = set(cache_dir.iterdir()) - set(foreign)
         assert len(libraries) == 1 and older not in libraries
 
@@ -328,13 +330,13 @@ class TestKernelCache:
         """Another process may prune the same file first."""
         gone = home / f"kernels-{'3' * 64}.so"
         monkeypatch.setattr(type(home), "iterdir", lambda self: iter([gone]))
-        topic_models._prune_cache(home, home / f"kernels-{'4' * 64}.so")
+        kernels._prune_cache(home, home / f"kernels-{'4' * 64}.so")
         assert not gone.exists()
 
     def test_cache_that_cannot_be_created_falls_back(self, planted_small, home, capfd):
         (home / ".cache").write_text("not a directory")
         self.fit_and_check(planted_small, home / ".cache" / "topicpuzzles", capfd)
-        assert topic_models._native_kernels()[0] is None
+        assert kernels._native_kernels()[0] is None
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root can write to read-only dirs")
     def test_read_only_cache_falls_back(self, planted_small, home, capfd):
@@ -343,7 +345,7 @@ class TestKernelCache:
         cache_dir.chmod(0o500)
         try:
             self.fit_and_check(planted_small, cache_dir, capfd)
-            assert topic_models._native_kernels()[0] is None
+            assert kernels._native_kernels()[0] is None
             assert not any(cache_dir.iterdir())
         finally:
             cache_dir.chmod(0o700)
@@ -355,5 +357,5 @@ class TestKernelCache:
         assert shutil.which("cc") is None
         cache_dir = home / ".cache" / "topicpuzzles"
         self.fit_and_check(planted_small, cache_dir, capfd)
-        assert topic_models._native_kernels()[0] is None
+        assert kernels._native_kernels()[0] is None
         assert not any(cache_dir.iterdir())

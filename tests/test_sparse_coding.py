@@ -17,7 +17,7 @@ from oracles import (
     per_document_dict_learn_fit,
 )
 
-from topicpuzzles import topic_models
+from topicpuzzles import kernels
 from topicpuzzles.topic_models import (
     DictLearnConfig,
     TopicDictionary,
@@ -88,7 +88,6 @@ class TestSparseCodeL1:
             sparse_code(np.array([1.0, 2.0, 3.0]), np.eye(3), kappa)
 
 
-@pytest.mark.usefixtures("private_home")
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestNonFiniteInputsRejected:
     """A NaN in the dictionary once gave finite coefficients and objective,
@@ -148,19 +147,6 @@ def capped_case():
     return x, d, 0.01
 
 
-@pytest.fixture(scope="class")
-def private_home(tmp_path_factory):
-    """One fresh home directory for the class, so the C kernels build (or
-    load) in a cache of its own, whatever HOME the suite runs under."""
-    loader = topic_models._native_kernels
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("HOME", str(tmp_path_factory.getbasetemp() / "kernel-home"))
-        loader.cache_clear()
-        yield
-    loader.cache_clear()
-
-
-@pytest.mark.usefixtures("private_home")
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestCovarianceUpdateAgainstPlainLoop:
     """The covariance-update loop takes the plain loop's steps, so only
@@ -334,21 +320,20 @@ class TestDictLearn:
         assert loaded.meta == td.meta
 
 
-@pytest.mark.usefixtures("private_home")
 class TestDictLearnOnBothKernels:
     """A whole fit gives the same bits on the C kernels (the l1 solve and
     the dictionary update) and on their Python twins."""
 
     @staticmethod
     def assert_same_fit(X, config, monkeypatch):
-        fits = {}
+        fits, whys = {}, {}
         for kernel in ("native", "fallback"):
             with monkeypatch.context() as patch:
                 use_kernel(kernel, patch)
                 fits[kernel] = dict_learn_fit(X, config)
+                whys[kernel] = kernels.load_kernels()[1]
         np.testing.assert_array_equal(fits["native"].weights, fits["fallback"].weights)
-        assert fits["native"].fallback is None
-        assert fits["fallback"].fallback == "forced off"
+        assert whys == {"native": None, "fallback": "forced off"}
 
     @needs_cc
     def test_weights_bit_identical(self, planted_mixed, monkeypatch):
@@ -401,7 +386,7 @@ class TestDictLearnOnBothKernels:
     def test_native_solve_checks_its_arrays(self):
         """The C solve reads k*k gram entries and k of each vector, so a
         gram of another shape, dtype or layout never reaches it."""
-        cd = topic_models._native_kernels()[0].cd
+        cd = kernels._native_kernels()[0].cd
         b = np.ones(3)
         with pytest.raises(ValueError, match="3 x 3 gram"):
             cd(np.eye(2), b, 1.0, 0.5, 1e-8, 10)
@@ -417,7 +402,7 @@ class TestDictLearnOnBothKernels:
         """The C update reads and writes n x k and k x k blocks sized by the
         dictionary, so an array of another shape, dtype or layout never
         reaches it."""
-        dl = topic_models._native_kernels()[0].dl
+        dl = kernels._native_kernels()[0].dl
         n, k = 7, 5
 
         def arrays():
@@ -442,8 +427,8 @@ class TestDictLearnOnBothKernels:
         native = update_arrays(n, 6, seed=n)
         fallback = {name: array.copy() for name, array in native.items()}
         before = native["d"].copy()
-        topic_models._native_kernels()[0].dl(0.3, **native)
-        topic_models._dl_update(0.3, **fallback)
+        kernels._native_kernels()[0].dl(0.3, **native)
+        kernels._dl_update(0.3, **fallback)
         for name in native:
             np.testing.assert_array_equal(native[name], fallback[name])
         np.testing.assert_array_equal(native["d"][:, 1:3], before[:, 1:3])
@@ -458,11 +443,11 @@ class TestDictLearnOnBothKernels:
         xx = float(native["x"] @ native["x"])
         objectives = [
             bind(**arrays, kappa=0.2, tol=1e-8, max_iter=1000)(0.3, xx)
-            for bind, arrays in ((topic_models._native_kernels()[0].step, native),
-                                 (topic_models._dl_step, fallback))
+            for bind, arrays in ((kernels._native_kernels()[0].step, native),
+                                 (kernels._dl_step, fallback))
         ]
         assert objectives[0] == objectives[1]
-        expected, _ = topic_models._cd_solve(native["gram"], native["b"], xx, 0.2, 1e-8, 1000)
+        expected, _ = kernels._cd_solve(native["gram"], native["b"], xx, 0.2, 1e-8, 1000)
         np.testing.assert_array_equal(native["alpha"], expected)
         assert np.count_nonzero(expected)
         for name in ("alpha", "stat_a", "stat_b", "d"):
@@ -473,7 +458,7 @@ class TestDictLearnOnBothKernels:
         """The C step reads and writes every buffer at sizes set by the
         dictionary, so binding it refuses an array of another shape, dtype
         or layout, or a read-only one."""
-        bind = topic_models._native_kernels()[0].step
+        bind = kernels._native_kernels()[0].step
         for name, good in step_arrays(7, 5, seed=3).items():
             read_only = good.copy()
             read_only.flags.writeable = False
@@ -506,7 +491,6 @@ def step_arrays(n, k, seed):
             "stat_b": arrays["stat_b"], "d": d, "u": np.full(n, 5.0)}
 
 
-@pytest.mark.usefixtures("private_home")
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestDictLearnAgainstPerDocumentLoop:
     """An l1 fit, one step per document over buffers bound once, gives the

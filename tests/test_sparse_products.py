@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from conftest import KERNELS, needs_cc, use_kernel
 from oracles import as_scipy, compressed
 
-from topicpuzzles import topic_models
+from topicpuzzles import kernels as kernel_lib
 from topicpuzzles.corpus import CompressedMatrix
 from topicpuzzles.esa import EsaIndex, SimilarityProvider
 
@@ -51,7 +51,7 @@ class TestAgainstScipy:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matvecs(self, kernel, monkeypatch, shape, width, seed):
         use_kernel(kernel, monkeypatch)
-        kernels = topic_models.load_kernels()[0]
+        kernels = kernel_lib.load_kernels()[0]
         S = random_csc(seed, shape)
         A = compressed(S, "csc")
         rng = np.random.default_rng(seed + 100)
@@ -64,7 +64,7 @@ class TestAgainstScipy:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tocsc(self, kernel, monkeypatch, shape, seed):
         use_kernel(kernel, monkeypatch)
-        kernels = topic_models.load_kernels()[0]
+        kernels = kernel_lib.load_kernels()[0]
         S = random_csc(seed, shape).tocsr()
         rng = np.random.default_rng(seed)
         for rows in (np.arange(shape[0]), rng.integers(0, shape[0], 2 * shape[0]),
@@ -78,7 +78,7 @@ class TestAgainstScipy:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_block(self, kernel, monkeypatch, seed):
         use_kernel(kernel, monkeypatch)
-        kernels = topic_models.load_kernels()[0]
+        kernels = kernel_lib.load_kernels()[0]
         R = random_csc(seed, (30, 50)).tocsr()
         rng = np.random.default_rng(seed)
         for n_right in (1, 12, 30):
@@ -134,7 +134,7 @@ class TestBlockCases:
         words_a, words_b = BLOCK_CASES[case]
         same_bytes(provider.cross_relatedness(words_a, words_b),
                    scipy_block(index, words_a, words_b))
-        assert provider.fallback == (None if kernel == "native" else "forced off")
+        assert kernel_lib.load_kernels()[1] == (None if kernel == "native" else "forced off")
 
     @pytest.mark.parametrize("among", [None, ["w004", "nope", "w000", "w004"], ["nope"]],
                              ids=["every-word", "subset", "missing-only"])
@@ -151,7 +151,7 @@ class TestBoundsChecks:
     """Bad inputs raise ValueError before any C code reads them."""
 
     def kernels(self):
-        native = topic_models._native_kernels()[0]
+        native = kernel_lib._native_kernels()[0]
         assert native is not None
         return native
 
@@ -204,13 +204,13 @@ class TestBoundsChecks:
 # With "fallback" as argv[2] it first replaces the kernel loader.
 CHAIN = r"""
 import json, sys
-from topicpuzzles import cli, topic_models
+from topicpuzzles import cli, kernels
 from topicpuzzles.corpus import save_corpus_jsonl
 from topicpuzzles.synthetic import planted_topic_corpus
 
 out = sys.argv[1]
 if sys.argv[2] == "fallback":
-    topic_models._native_kernels = lambda: (None, "forced off")
+    kernels._native_kernels = lambda: (None, "forced off")
 save_corpus_jsonl(planted_topic_corpus(n_docs=120, seed=1, background_fraction=0.15)[0],
                   f"{out}/corpus.jsonl")
 commands = [
@@ -264,3 +264,20 @@ def test_cli_chain_runs_without_scipy_and_fallback_writes_the_same_files(tmp_pat
     assert files == sorted(p.name for p in fallback.iterdir())
     for name in files:
         assert (native / name).read_bytes() == (fallback / name).read_bytes(), name
+
+
+def test_module_boundaries_in_a_fresh_interpreter():
+    """The corpus code imports no kernels, the kernels no model or ESA
+    code, and ESA no topic models."""
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m.split('.')[1] for m in sys.modules if m.startswith('topicpuzzles.'))\n"
+        "import topicpuzzles.corpus; print(loaded())\n"
+        "import topicpuzzles.kernels; print(loaded())\n"
+        "import topicpuzzles.esa; print(loaded())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    assert done.stdout.splitlines() == [
+        "['corpus']", "['corpus', 'kernels']", "['corpus', 'esa', 'kernels']"]
